@@ -11,6 +11,7 @@ from .envs import (
 )
 from .exploration import (
     LatticeConfig,
+    NoiseSampler,
     NoiseStdMatrices,
     PerturbationMatrices,
     action_distribution,

@@ -14,7 +14,7 @@ from . import analysis
 from .config import RunConfig
 from .envs import make_env
 from .errors import ConfigError, LatticeError, UnknownAnalysisKind
-from .exploration import resample_perturbations
+from .exploration import NoiseSampler
 from .reports import CurveWriter, read_json, write_json, write_matrix_csv
 from .trainer import (
     PPOTrainer,
@@ -79,32 +79,19 @@ def collect_action_log(trainer: PPOTrainer, n_episodes: int,
     env = make_env(trainer.env_name,
                    seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
                    **trainer.env_kwargs)
-    rng = np.random.default_rng(noise_ss)
+    noise = NoiseSampler(trainer.policy, trainer.cfg,
+                         [np.random.default_rng(noise_ss)])
     actions, states = [], []
-    period = trainer.cfg.period_steps
     for _ in range(n_episodes):
         obs = env.reset()
+        noise.reset(0)
         done = False
-        perturbation = None
-        step = 0
         while not done:
             states.append(obs)
-            if trainer.strategy == "diagonal":
-                sigma = np.exp(trainer.params["log_sigma"])
-                a = trainer.predict(obs, deterministic=True)[0] \
-                    + rng.standard_normal(trainer.action_dim) * sigma
-            else:
-                if perturbation is None or (period is not None
-                                            and step % period == 0):
-                    perturbation = resample_perturbations(
-                        trainer.policy.noise_std, trainer.cfg,
-                        trainer.action_dim, rng)
-                x, mean = trainer.policy.forward(np.atleast_2d(obs))
-                a = mean[0] + perturbation.P_a @ x[0] + trainer.policy.alpha \
-                    * (trainer.policy.W @ (perturbation.P_x @ x[0]))
+            x, mean = trainer.policy.forward(np.atleast_2d(obs))
+            a = noise.sample(x, mean)[0]
             actions.append(a)
             obs, _, done, _ = env.step(a)
-            step += 1
     return np.asarray(actions), np.asarray(states)
 
 

@@ -5,6 +5,12 @@ The latent strategy perturbs the policy's last-layer state through
 periodically resampled Gaussian matrices, which induces a full-covariance
 action distribution. gSDE is the alpha = 0 special case and shares the same
 code path, so the two are bit-identical when alpha is zero.
+
+At period 1 the matrices would be redrawn at every step, so NoiseSampler
+draws P_x x and P_a x directly: N_x + N_a normals per step instead of
+N_x^2 + N_a N_x. The action distribution is the same as the matrix path's,
+the random stream is not, so period-1 results recorded with the matrix
+sampler moved; runs stay bit-reproducible from config and seed.
 """
 
 from dataclasses import dataclass, field
@@ -116,11 +122,17 @@ def _expand(mat: np.ndarray, n_rows: int) -> np.ndarray:
     return np.broadcast_to(mat, (n_rows, mat.shape[1]))
 
 
+def _sampling_log_std(std: NoiseStdMatrices,
+                      cfg: LatticeConfig) -> NoiseStdMatrices:
+    """Log stds of the perturbation entries, in their stored shapes."""
+    return rescaled_log_std(std, std.n_latent) if cfg.rescale else std
+
+
 def sampling_std(std: NoiseStdMatrices, cfg: LatticeConfig,
                  n_actions: int) -> tuple[np.ndarray, np.ndarray]:
     """Unclipped stds used to draw the perturbation matrices, expanded to
     full (N_x, N_x) and (N_a, N_x) shapes."""
-    eff = rescaled_log_std(std, std.n_latent) if cfg.rescale else std
+    eff = _sampling_log_std(std, cfg)
     s_x = np.exp(_expand(eff.log_std_x, std.n_latent))
     s_a = np.exp(_expand(eff.log_std_a, n_actions))
     return s_x, s_a
@@ -142,6 +154,80 @@ def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
     p_x = rng.standard_normal(s_x.shape) * s_x
     p_a = rng.standard_normal(s_a.shape) * s_a
     return PerturbationMatrices(P_x=p_x, P_a=p_a, age=0)
+
+
+class NoiseSampler:
+    """The action-noise process of a policy over a batch of environments.
+
+    Env i draws only from rngs[i] and owns its perturbation window. At
+    period 1, gSDE included, each env draws N_x + N_a normals per step: P_x x
+    is exactly N(0, Diag(S_x^2 x^2)) and P_a x is N(0, Diag(S_a^2 x^2)) when
+    the matrices are fresh at every step, so no matrix is formed. Longer
+    periods and "episode" draw P_x and P_a through resample_perturbations
+    and hold them for the window. Diagonal noise draws N(0, sigma^2) per
+    action.
+    """
+
+    def __init__(self, policy, cfg: LatticeConfig,
+                 rngs: list[np.random.Generator]):
+        self.policy = policy
+        self.cfg = cfg
+        self.rngs = list(rngs)
+        self.perturbations: list[PerturbationMatrices | None] = \
+            [None] * len(self.rngs)
+        self.ep_step = np.zeros(len(self.rngs), dtype=int)
+
+    def sample(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """Actions for one step of every env from its latent row x[i] and
+        mean action mean[i]; advances each env's episode step."""
+        policy = self.policy
+        if policy.strategy == "diagonal":
+            sigma = np.exp(policy.params["log_sigma"])
+            actions = np.empty_like(mean)
+            for i, rng in enumerate(self.rngs):
+                actions[i] = mean[i] + \
+                    rng.standard_normal(policy.action_dim) * sigma
+        elif self.cfg.period_steps == 1:
+            actions = mean + self._fresh_noise(x)
+        else:
+            actions = np.empty_like(mean)
+            for i in range(len(self.rngs)):
+                p = self._window(i)
+                actions[i] = mean[i] + (p.P_a @ x[i] + policy.alpha
+                                        * (policy.W @ (p.P_x @ x[i])))
+        self.ep_step += 1
+        return actions
+
+    def reset(self, i: int):
+        """Env i starts a new episode: its next step opens a fresh window."""
+        self.ep_step[i] = 0
+        self.perturbations[i] = None
+
+    def _fresh_noise(self, x: np.ndarray) -> np.ndarray:
+        """P_a x + alpha W P_x x for matrices drawn anew at this step."""
+        policy = self.policy
+        n_x, n_a = policy.n_latent, policy.action_dim
+        z = np.stack([rng.standard_normal(n_x + n_a) for rng in self.rngs])
+        eff = _sampling_log_std(policy.noise_std, self.cfg)
+        x2 = x * x
+        # unclipped S^2 in the stored shape: a reduced (1, N_x) row gives one
+        # sd per sample, broadcast over the N_x or N_a outputs
+        sd_x = np.sqrt(x2 @ np.exp(2.0 * eff.log_std_x).T)
+        sd_a = np.sqrt(x2 @ np.exp(2.0 * eff.log_std_a).T)
+        return sd_a * z[:, n_x:] + policy.alpha * ((sd_x * z[:, :n_x])
+                                                   @ policy.W.T)
+
+    def _window(self, i: int) -> PerturbationMatrices:
+        """Env i's perturbation matrices, redrawn when its window is due."""
+        p = self.perturbations[i]
+        period = self.cfg.period_steps
+        if p is None or (period is not None and self.ep_step[i] % period == 0):
+            p = self.perturbations[i] = resample_perturbations(
+                self.policy.noise_std, self.cfg, self.policy.action_dim,
+                self.rngs[i])
+        else:
+            p.age += 1
+        return p
 
 
 def perturbed_action(x: np.ndarray, W: np.ndarray, P: PerturbationMatrices,

@@ -6,6 +6,7 @@ get_params, plus checkpoint save and load.
 """
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -14,7 +15,7 @@ import numpy as np
 from .buffer import RolloutBuffer, compute_gae
 from .envs import EpisodeMetrics, make_env
 from .errors import CheckpointCorrupt, NonFiniteLoss
-from .exploration import LatticeConfig, resample_perturbations
+from .exploration import LatticeConfig, NoiseSampler
 from .policy import (
     GradientTape,
     Mlp,
@@ -45,6 +46,15 @@ class PpoConfig:
     value_coef: float = 0.84
     max_grad_norm: float = 0.7
     n_envs: int = 16
+
+    def __post_init__(self):
+        for name in ("batch_size", "gradient_steps", "n_epochs", "n_envs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.learning_rate >= 0.0:
+            raise ValueError("learning_rate must be >= 0")
+        if not self.clip_range > 0.0:
+            raise ValueError("clip_range must be > 0")
 
 
 class Adam:
@@ -129,8 +139,7 @@ class PPOTrainer:
             for s in ss.spawn(self.ppo.n_envs)
         ]
         self._obs = np.stack([env.reset() for env in self.envs])
-        self._perturbations = [None] * self.ppo.n_envs
-        self._ep_step = np.zeros(self.ppo.n_envs, dtype=int)
+        self.noise = NoiseSampler(self.policy, self.cfg, self.env_rngs)
         self._ep_id = np.arange(self.ppo.n_envs)
         self._next_ep_id = self.ppo.n_envs
         self._ep_rewards = [[] for _ in range(self.ppo.n_envs)]
@@ -172,34 +181,6 @@ class PPOTrainer:
 
     # ------------------------------------------------------- rollout phase
 
-    def _sample_actions(self, it) -> np.ndarray:
-        """Strategy-specific sampling path; advances per-env noise state."""
-        n = self.ppo.n_envs
-        actions = np.empty((n, self.action_dim))
-        if self.strategy == "diagonal":
-            sigma = np.exp(self.params["log_sigma"])
-            for i in range(n):
-                actions[i] = it.mean[i] + \
-                    self.env_rngs[i].standard_normal(self.action_dim) * sigma
-            return actions
-        period = self.cfg.period_steps
-        std = self.policy.noise_std
-        alpha = self.policy.alpha
-        W = self.policy.W
-        for i in range(n):
-            due = self._perturbations[i] is None or (
-                period is not None and self._ep_step[i] % period == 0)
-            if due:
-                self._perturbations[i] = resample_perturbations(
-                    std, self.cfg, self.action_dim, self.env_rngs[i])
-            else:
-                self._perturbations[i].age += 1
-            p = self._perturbations[i]
-            x_i = it.x[i]
-            noise = p.P_a @ x_i + alpha * (W @ (p.P_x @ x_i))
-            actions[i] = it.mean[i] + noise
-        return actions
-
     def collect_rollout(self, n_steps: int) -> RolloutBuffer:
         buf = RolloutBuffer.allocate(n_steps, self.ppo.n_envs, self.obs_dim,
                                      self.policy.n_latent, self.action_dim)
@@ -207,7 +188,7 @@ class PPOTrainer:
         for t in range(n_steps):
             obs = self._obs
             it = dist_internals(self.policy, obs, self.cfg)
-            actions = self._sample_actions(it)
+            actions = self.noise.sample(it.x, it.mean)
             logp = log_prob(self.policy, obs, actions, self.cfg, internals=it)
             _, values = self.value_net.forward(obs)
             buf.obs[t] = obs
@@ -232,12 +213,9 @@ class PPOTrainer:
                     self._ep_solved[i] = []
                     self._ep_actions[i] = []
                     o = env.reset()
-                    self._ep_step[i] = 0
-                    self._perturbations[i] = None
+                    self.noise.reset(i)
                     self._ep_id[i] = self._next_ep_id
                     self._next_ep_id += 1
-                else:
-                    self._ep_step[i] += 1
                 next_obs[i] = o
             self._obs = next_obs
             self.env_steps += self.ppo.n_envs
@@ -368,38 +346,21 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
     env = make_env(trainer.env_name,
                    seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
                    **trainer.env_kwargs)
-    rng = np.random.default_rng(noise_ss)
+    noise = NoiseSampler(trainer.policy, trainer.cfg,
+                         [np.random.default_rng(noise_ss)])
     episodes = []
     for _ in range(n_episodes):
         obs = env.reset()
+        noise.reset(0)
         rewards, solved, actions = [], [], []
         done = False
-        perturbation = None
-        ep_step = 0
-        period = trainer.cfg.period_steps
         while not done:
-            if deterministic:
-                action = trainer.predict(obs, deterministic=True)[0]
-            elif trainer.strategy == "diagonal":
-                sigma = np.exp(trainer.params["log_sigma"])
-                action = trainer.predict(obs, deterministic=True)[0] \
-                    + rng.standard_normal(trainer.action_dim) * sigma
-            else:
-                due = perturbation is None or (
-                    period is not None and ep_step % period == 0)
-                if due:
-                    perturbation = resample_perturbations(
-                        trainer.policy.noise_std, trainer.cfg,
-                        trainer.action_dim, rng)
-                x, mean = trainer.policy.forward(np.atleast_2d(obs))
-                noise = perturbation.P_a @ x[0] + trainer.policy.alpha * (
-                    trainer.policy.W @ (perturbation.P_x @ x[0]))
-                action = mean[0] + noise
+            x, mean = trainer.policy.forward(np.atleast_2d(obs))
+            action = mean[0] if deterministic else noise.sample(x, mean)[0]
             obs, r, done, info = env.step(action)
             rewards.append(r)
             solved.append(info["solved"])
             actions.append(np.clip(action, 0.0, 1.0))
-            ep_step += 1
         episodes.append(EpisodeMetrics.from_logs(rewards, solved, actions,
                                                  env.max_steps))
 
@@ -427,7 +388,11 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
 # ------------------------------------------------------------- checkpoints
 
 def save_checkpoint(path, trainer: PPOTrainer, config_echo: dict | None = None):
-    """JSON-encoded parameter list with a layout header and config echo."""
+    """JSON-encoded parameter list with a layout header and config echo.
+
+    Written to a temporary file in the target's directory and renamed over
+    the target, so a failed save never leaves a truncated checkpoint.
+    """
     payload = {
         "schema_version": CHECKPOINT_SCHEMA,
         "layout": trainer.get_params(),
@@ -437,8 +402,15 @@ def save_checkpoint(path, trainer: PPOTrainer, config_echo: dict | None = None):
     }
     if config_echo is not None:
         payload["config_echo"] = config_echo
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> PPOTrainer:
@@ -458,17 +430,26 @@ def load_checkpoint(path) -> PPOTrainer:
             activation=layout["activation"],
             seed=layout["seed"],
         )
-        for k, v in payload["params"].items():
+        saved = payload["params"]
+        if saved.keys() != trainer.params.keys():
+            missing = sorted(trainer.params.keys() - saved.keys())
+            extra = sorted(saved.keys() - trainer.params.keys())
+            raise CheckpointCorrupt(
+                f"parameter keys differ from the layout: missing {missing}, "
+                f"unexpected {extra}")
+        for k, v in saved.items():
             arr = np.asarray(v, dtype=float)
             if arr.shape != trainer.params[k].shape:
                 raise CheckpointCorrupt(
                     f"parameter {k} has shape {arr.shape}, expected "
                     f"{trainer.params[k].shape}")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointCorrupt(f"parameter {k} has non-finite values")
             trainer.params[k][...] = arr
         trainer.env_steps = int(payload.get("env_steps", 0))
         trainer.updates = int(payload.get("updates", 0))
         return trainer
     except CheckpointCorrupt:
         raise
-    except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CheckpointCorrupt(f"cannot load checkpoint {path}: {exc}") from exc

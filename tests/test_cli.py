@@ -177,6 +177,16 @@ class TestMainEntry:
         assert main(["train", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_invalid_ppo_field_exit_code(self, tmp_path, capsys):
+        # a zero batch size used to escape as a range() traceback
+        path = tmp_path / "zero_batch.json"
+        path.write_text(json.dumps({"ppo": {"batch_size": 0}}))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "batch_size" in err
+        assert not (tmp_path / "run").exists()
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         assert main(["evaluate", "--checkpoint",
                      str(tmp_path / "absent.json")]) == 2

@@ -49,6 +49,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"lattice": {"alpha": 3.0}})
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("gradient_steps", 0), ("n_epochs", 0),
+        ("n_envs", 0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+        ("clip_range", 0.0)])
+    def test_bad_nested_ppo(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig.from_dict({"ppo": {field: value}})
+
     def test_invalid_json_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "strategy": lattice\n}\n')

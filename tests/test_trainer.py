@@ -7,7 +7,11 @@ import pytest
 
 from latticerl.envs import ENV_REGISTRY
 from latticerl.errors import CheckpointCorrupt
-from latticerl.exploration import LatticeConfig
+from latticerl.exploration import (
+    LatticeConfig,
+    resample_perturbations,
+    sampling_std,
+)
 from latticerl.policy import GradientTape, dist_internals, log_prob, log_prob_and_grad
 from latticerl.trainer import (
     Adam,
@@ -141,6 +145,130 @@ class TestPeriodSemantics:
                 block, np.broadcast_to(block[0], block.shape))
         assert not np.array_equal(noise[0], noise[8])
         assert not np.array_equal(noise[8], noise[16])
+
+
+def per_env_reference_actions(tr, n_steps):
+    """Actions of the per-env sampling loop that NoiseSampler replaced, run
+    on tr's own envs and rngs: env i adds N(0, sigma^2) noise, or redraws
+    its P matrices from rngs[i] when its window is due, and starts a fresh
+    window when its episode ends."""
+    period = tr.cfg.period_steps
+    windows = [None] * tr.ppo.n_envs
+    ep_step = [0] * tr.ppo.n_envs
+    obs = tr._obs.copy()
+    out = np.empty((n_steps, tr.ppo.n_envs, tr.action_dim))
+    for t in range(n_steps):
+        x, mean = tr.policy.forward(obs)
+        for i, env in enumerate(tr.envs):
+            rng = tr.env_rngs[i]
+            if tr.strategy == "diagonal":
+                sigma = np.exp(tr.params["log_sigma"])
+                out[t, i] = mean[i] + \
+                    rng.standard_normal(tr.action_dim) * sigma
+            else:
+                if windows[i] is None or (period is not None
+                                          and ep_step[i] % period == 0):
+                    windows[i] = resample_perturbations(
+                        tr.policy.noise_std, tr.cfg, tr.action_dim, rng)
+                p = windows[i]
+                out[t, i] = mean[i] + (p.P_a @ x[i] + tr.policy.alpha
+                                       * (tr.policy.W @ (p.P_x @ x[i])))
+            o, _, done, _ = env.step(out[t, i])
+            if done:
+                o = env.reset()
+                ep_step[i] = 0
+                windows[i] = None
+            else:
+                ep_step[i] += 1
+            obs[i] = o
+    return out
+
+
+class TestNoiseSampler:
+    @pytest.mark.parametrize("strategy,period", [
+        ("lattice", 4), ("lattice", "episode"), ("diagonal", 1)])
+    def test_rng_contract_of_matrix_and_diagonal_paths(self, strategy,
+                                                       period):
+        # episodes of 6 steps cut the period-4 windows at every reset
+        cfg = LatticeConfig(alpha=0.7, period=period)
+        ppo = dataclasses.replace(TINY_PPO, n_envs=3)
+        kwargs = dict(strategy=strategy, cfg=cfg, ppo=ppo, seed=4,
+                      env_kwargs={"max_steps": 6})
+        buf = small_trainer(**kwargs).collect_rollout(20)
+        expected = per_env_reference_actions(small_trainer(**kwargs), 20)
+        assert buf.actions.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _period_one_noise(n_envs=8, n_steps=2500, push_past_std_max=False,
+                          full_std=False):
+        """Noise rows of a period-1 rollout on a frozen latent state, with
+        the state and the unclipped action covariance they were drawn
+        from."""
+        ENV_REGISTRY["constant_obs"] = ConstantObsEnv
+        try:
+            ppo = dataclasses.replace(TINY_PPO, n_envs=n_envs)
+            cfg = LatticeConfig(alpha=0.8, period=1, full_std=full_std)
+            tr = small_trainer(cfg=cfg, ppo=ppo, env_name="constant_obs",
+                               env_kwargs={"max_steps": 10 * n_steps,
+                                           "action_dim": 3})
+            if full_std:
+                # a distinct std per matrix entry
+                rng = np.random.default_rng(8)
+                for k in ("log_std_x", "log_std_a"):
+                    tr.params[k][...] = rng.normal(0.0, 0.5,
+                                                   tr.params[k].shape)
+            if push_past_std_max:
+                # rescaled stds e * std_max: the clip is active everywhere
+                shift = 1.0 + 0.5 * np.log(tr.policy.n_latent)
+                for k in ("log_std_x", "log_std_a"):
+                    tr.params[k][...] = np.log(tr.cfg.std_max) + shift
+            buf = tr.collect_rollout(n_steps)
+        finally:
+            del ENV_REGISTRY["constant_obs"]
+        x, mean = tr.policy.forward(np.ones((1, 2)))
+        noise = buf.actions - mean
+        s_x, s_a = sampling_std(tr.policy.noise_std, tr.cfg, 3)
+        x2 = x[0] * x[0]
+        c_x = (s_x * s_x) @ x2
+        c_a = (s_a * s_a) @ x2
+        W = tr.policy.W
+        cov = np.diag(c_a) + tr.cfg.alpha ** 2 * (W * c_x) @ W.T
+        return tr, x[0], noise, cov
+
+    @pytest.mark.parametrize("full_std", [False, True])
+    def test_period_one_covariance_and_lag_one(self, full_std):
+        # 2e4 rows: the relative Frobenius error of the empirical covariance
+        # has a standard error near 0.01, so 0.05 leaves 4-5 of them
+        _, x, noise, cov = self._period_one_noise(full_std=full_std)
+        assert np.count_nonzero(x) > 0
+        rows = noise.reshape(-1, 3)
+        emp = rows.T @ rows / len(rows)
+        err = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
+        assert err < 0.05
+        # lag 1 along each env's own sequence
+        lag1 = [abs(np.corrcoef(noise[:-1, :, k].ravel(),
+                                noise[1:, :, k].ravel())[0, 1])
+                for k in range(3)]
+        assert max(lag1) < 0.02
+
+    def test_period_one_draws_with_unclipped_stds(self):
+        # past std_max the sampled variance is that of the matrix path
+        # (resample_perturbations draws with the unclipped stds), not the
+        # clipped analytic one, which is e^2 times smaller here
+        tr, x, noise, cov = self._period_one_noise(push_past_std_max=True)
+        var_fast = np.mean(noise.reshape(-1, 3) ** 2, axis=0)
+        rng = np.random.default_rng(17)
+        draws = []
+        for _ in range(20_000):
+            p = resample_perturbations(tr.policy.noise_std, tr.cfg, 3, rng)
+            draws.append(p.P_a @ x + tr.cfg.alpha
+                         * (tr.policy.W @ (p.P_x @ x)))
+        var_matrix = np.mean(np.square(draws), axis=0)
+        np.testing.assert_allclose(var_fast, var_matrix, rtol=0.05)
+        np.testing.assert_allclose(var_fast, np.diag(cov), rtol=0.05)
+        clipped = np.diag(dist_internals(tr.policy, np.ones((1, 2)),
+                                         tr.cfg).cov[0]) - tr.cfg.gamma
+        assert np.all(var_fast > 2.0 * clipped)
 
 
 class TestPpoUpdate:
@@ -359,6 +487,58 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(tmp_path / "absent.json")
+
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_trainer())
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_missing_key(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path,
+                                       lambda p: p.pop("log_std_x"))
+        with pytest.raises(CheckpointCorrupt, match="missing.*log_std_x"):
+            load_checkpoint(path)
+
+    def test_extra_key(self, tmp_path):
+        path = self._edited_checkpoint(
+            tmp_path, lambda p: p.update({"pi.w9": [[0.0]]}))
+        with pytest.raises(CheckpointCorrupt, match="unexpected.*pi.w9"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value(self, tmp_path, value):
+        def poison(params):
+            params["pi.b0"][0] = value
+
+        path = self._edited_checkpoint(tmp_path, poison)
+        with pytest.raises(CheckpointCorrupt, match="pi.b0"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        import json
+        import latticerl.trainer as trainer_mod
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_trainer(seed=1))
+        before = path.read_bytes()
+
+        def dump_then_fail(obj, fh):
+            fh.write(json.dumps(obj)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer_mod.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, small_trainer(seed=2))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+        monkeypatch.undo()
+        save_checkpoint(path, small_trainer(seed=2))
+        assert path.read_bytes() != before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 class TestGetParams:
