@@ -22,7 +22,7 @@ from .exploration import (
     rescaled_log_std,
 )
 from .gauss import FullCovGaussian, cholesky, min_eigenvalue
-from .policy import GradientTape, Mlp, MlpPolicy, entropy, log_prob, log_prob_and_grad
+from .policy import GradientTape, Mlp, MlpPolicy, log_prob, log_prob_and_grad
 from .trainer import (
     Adam,
     PpoConfig,

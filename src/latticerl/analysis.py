@@ -1,14 +1,14 @@
 """Diagnostic analyses: paired perturbation simulations, action covariance
 and correlation structure, PCA dimensionality, noise allocation, energy."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import wilcoxon
 
 from .envs import linear_ideal_policy
 from .errors import EmptyGroup, InsufficientSamples, StateSyncUnsupported
-from .exploration import LatticeConfig, distribution_std, lattice_covariance
+from .exploration import LatticeConfig, distribution_std
 from .policy import MlpPolicy, dist_internals
 
 

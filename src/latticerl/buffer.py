@@ -10,13 +10,11 @@ class RolloutBuffer:
     """Per-step records laid out as (n_steps, n_envs, ...)."""
 
     obs: np.ndarray
-    latents: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
     values: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
-    episode_ids: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -31,17 +29,15 @@ class RolloutBuffer:
         return self.n_steps * self.n_envs
 
     @classmethod
-    def allocate(cls, n_steps: int, n_envs: int, obs_dim: int, latent_dim: int,
+    def allocate(cls, n_steps: int, n_envs: int, obs_dim: int,
                  action_dim: int):
         return cls(
             obs=np.zeros((n_steps, n_envs, obs_dim)),
-            latents=np.zeros((n_steps, n_envs, latent_dim)),
             actions=np.zeros((n_steps, n_envs, action_dim)),
             log_probs=np.zeros((n_steps, n_envs)),
             values=np.zeros((n_steps, n_envs)),
             rewards=np.zeros((n_steps, n_envs)),
             dones=np.zeros((n_steps, n_envs), dtype=bool),
-            episode_ids=np.zeros((n_steps, n_envs), dtype=int),
         )
 
     def flat(self, arr: np.ndarray) -> np.ndarray:

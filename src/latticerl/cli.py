@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 config error, 2 runtime error.
 """
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -14,12 +16,12 @@ from . import analysis
 from .config import RunConfig
 from .envs import make_env
 from .errors import ConfigError, LatticeError, UnknownAnalysisKind
-from .exploration import NoiseSampler
 from .reports import CurveWriter, read_json, write_json, write_matrix_csv
 from .trainer import (
     PPOTrainer,
     evaluate_policy,
     load_checkpoint,
+    run_episodes,
     save_checkpoint,
 )
 
@@ -74,24 +76,10 @@ def collect_action_log(trainer: PPOTrainer, n_episodes: int,
                        seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic rollouts of the checkpoint policy; returns logged actions
     and the observations they were taken from."""
-    ss = np.random.SeedSequence(seed)
-    env_ss, noise_ss = ss.spawn(2)
-    env = make_env(trainer.env_name,
-                   seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
-                   **trainer.env_kwargs)
-    noise = NoiseSampler(trainer.policy, trainer.cfg,
-                         [np.random.default_rng(noise_ss)])
     actions, states = [], []
-    for _ in range(n_episodes):
-        obs = env.reset()
-        noise.reset(0)
-        done = False
-        while not done:
-            states.append(obs)
-            x, mean = trainer.policy.forward(np.atleast_2d(obs))
-            a = noise.sample(x, mean)[0]
-            actions.append(a)
-            obs, _, done, _ = env.step(a)
+    for ep_states, ep_actions, *_ in run_episodes(trainer, n_episodes, seed):
+        states += ep_states
+        actions += ep_actions
     return np.asarray(actions), np.asarray(states)
 
 
@@ -197,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args) -> int:
     config = RunConfig.load(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     out_dir = args.out if args.out is not None else (
         Path(config.out_dir) if config.out_dir else Path("runs") / "run")
     run_training(config, out_dir)
@@ -213,7 +201,6 @@ def _cmd_evaluate(args) -> int:
     if args.out is not None:
         write_json(args.out, metrics)
     else:
-        import json
         print(json.dumps({k: v for k, v in metrics.items()
                           if k != "per_episode"}, indent=2, sort_keys=True))
     return 0
@@ -225,7 +212,6 @@ def _cmd_analyze(args) -> int:
                            episodes=args.episodes,
                            sigma_latent=args.sigma_latent,
                            n_steps=args.steps, threshold=args.threshold)
-    import json
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -250,7 +236,6 @@ def _cmd_compare(args) -> int:
     payload = {"runs": rows}
     if args.out is not None:
         write_json(args.out, payload)
-    import json
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -4,9 +4,10 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .envs import ENV_REGISTRY
+from .envs import ENV_REGISTRY, make_env
 from .errors import ConfigError
 from .exploration import STRATEGIES, LatticeConfig
+from .policy import ACTIVATIONS
 from .trainer import PpoConfig
 
 CONFIG_SCHEMA = 1
@@ -38,6 +39,24 @@ class RunConfig:
         if name not in ENV_REGISTRY:
             raise ConfigError(
                 f"field 'env.name': {name!r} not in {sorted(ENV_REGISTRY)}")
+        try:
+            make_env(name, seed=0, **self.env_kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field 'env': {exc}") from exc
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(
+                f"field 'seed': {self.seed!r} is not an integer >= 0")
+        for key in ("hiddens", "critic_hiddens"):
+            sizes = getattr(self, key)
+            if not isinstance(sizes, (list, tuple)) or not all(
+                    _is_int(n) and n >= 1 for n in sizes):
+                raise ConfigError(
+                    f"field {key!r}: {sizes!r} is not a list of positive "
+                    f"integers")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(
+                f"field 'activation': {self.activation!r} not in "
+                f"{sorted(ACTIVATIONS)}")
 
     @property
     def env_name(self) -> str:
@@ -89,3 +108,7 @@ class RunConfig:
                 f"{path}: invalid JSON at line {exc.lineno}, column "
                 f"{exc.colno}: {exc.msg}") from exc
         return cls.from_dict(raw)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -6,7 +6,7 @@ analytically to the 1+1 arm and the closed-form noise-variance results carry
 over unchanged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,13 @@ class EpisodeMetrics:
     cumulative_reward: float
     solved_fraction: float
     energy: float
-    action_log: np.ndarray
 
     @classmethod
     def from_logs(cls, rewards, solved_flags, actions, max_steps: int):
-        actions = np.asarray(actions, dtype=float)
         return cls(
             cumulative_reward=float(np.sum(rewards)),
             solved_fraction=float(np.sum(solved_flags)) / float(max_steps),
             energy=energy_of(actions),
-            action_log=actions,
         )
 
 
@@ -65,6 +62,8 @@ class FlexExtArm:
         self.gain = float(gain)
         self.dt = float(dt)
         self.max_steps = int(max_steps)
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         self.solved_threshold = float(solved_threshold)
         self.target_range = float(target_range)
         self.rng = np.random.default_rng(seed)
@@ -167,6 +166,8 @@ class PointReacher:
         self.gain = float(gain)
         self.dt = float(dt)
         self.max_steps = int(max_steps)
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         self.solved_radius = float(solved_radius)
         self.target_range = float(target_range)
         self.rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ the random stream is not, so period-1 results recorded with the matrix
 sampler moved; runs stay bit-reproducible from config and seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,6 @@ class NoiseStdMatrices:
 
     log_std_x: np.ndarray  # (N_x, N_x) or (1, N_x)
     log_std_a: np.ndarray  # (N_a, N_x) or (1, N_x)
-    learnable_x: bool = True
-    learnable_a: bool = True
 
     @classmethod
     def create(cls, n_actions: int, n_latent: int, cfg: LatticeConfig):
@@ -93,7 +91,6 @@ class PerturbationMatrices:
 
     P_x: np.ndarray  # (N_x, N_x)
     P_a: np.ndarray  # (N_a, N_x)
-    age: int = 0
 
 
 def rescaled_log_std(raw: NoiseStdMatrices, n_latent: int) -> NoiseStdMatrices:
@@ -105,8 +102,6 @@ def rescaled_log_std(raw: NoiseStdMatrices, n_latent: int) -> NoiseStdMatrices:
     return NoiseStdMatrices(
         log_std_x=raw.log_std_x - shift,
         log_std_a=raw.log_std_a - shift,
-        learnable_x=raw.learnable_x,
-        learnable_a=raw.learnable_a,
     )
 
 
@@ -149,11 +144,11 @@ def distribution_std(std: NoiseStdMatrices, cfg: LatticeConfig,
 def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
                            n_actions: int,
                            rng: np.random.Generator) -> PerturbationMatrices:
-    """Draw fresh P matrices, entrywise N(0, S_ij^2), and reset the window."""
+    """Draw fresh P matrices, entrywise N(0, S_ij^2)."""
     s_x, s_a = sampling_std(std, cfg, n_actions)
     p_x = rng.standard_normal(s_x.shape) * s_x
     p_a = rng.standard_normal(s_a.shape) * s_a
-    return PerturbationMatrices(P_x=p_x, P_a=p_a, age=0)
+    return PerturbationMatrices(P_x=p_x, P_a=p_a)
 
 
 class NoiseSampler:
@@ -225,8 +220,6 @@ class NoiseSampler:
             p = self.perturbations[i] = resample_perturbations(
                 self.policy.noise_std, self.cfg, self.policy.action_dim,
                 self.rngs[i])
-        else:
-            p.age += 1
         return p
 
 

@@ -13,13 +13,8 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .exploration import (
-    LatticeConfig,
-    NoiseStdMatrices,
-    distribution_std,
-    sampling_std,
-)
-from .gauss import LOG_2PI, FullCovGaussian
+from .exploration import LatticeConfig, NoiseStdMatrices, clip_std, sampling_std
+from .gauss import LOG_2PI
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -197,12 +192,9 @@ class MlpPolicy:
             noise = NoiseStdMatrices.create(action_dim, self.net.latent_dim, cfg)
             self.params["log_std_x"] = noise.log_std_x
             self.params["log_std_a"] = noise.log_std_a
-            self.learnable_noise = {"log_std_x": noise.learnable_x,
-                                    "log_std_a": noise.learnable_a}
         else:
             self.params["log_sigma"] = np.full(action_dim,
                                                float(cfg.init_log_std))
-            self.learnable_noise = {"log_sigma": True}
 
     @property
     def alpha(self) -> float:
@@ -225,8 +217,6 @@ class MlpPolicy:
         return NoiseStdMatrices(
             log_std_x=self.params["log_std_x"],
             log_std_a=self.params["log_std_a"],
-            learnable_x=self.learnable_noise["log_std_x"],
-            learnable_a=self.learnable_noise["log_std_a"],
         )
 
     def forward(self, obs: np.ndarray, need_cache: bool = False):
@@ -245,7 +235,6 @@ class DistInternals:
     path, so the rollout and training code never recompute it.
     """
 
-    obs: np.ndarray
     x: np.ndarray            # (B, N_x)
     mean: np.ndarray         # (B, N_a)
     cache: dict | None
@@ -275,11 +264,11 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
         cache = None
     if policy.strategy == "diagonal":
         sigma = np.exp(policy.params["log_sigma"])
-        return DistInternals(obs=obs, x=x, mean=mean, cache=cache,
-                             kind="diagonal", sigma=sigma)
-    std = policy.noise_std
-    s_x, s_a = distribution_std(std, cfg, policy.action_dim)
-    s_x_raw, s_a_raw = sampling_std(std, cfg, policy.action_dim)
+        return DistInternals(x=x, mean=mean, cache=cache, kind="diagonal",
+                             sigma=sigma)
+    s_x_raw, s_a_raw = sampling_std(policy.noise_std, cfg, policy.action_dim)
+    s_x = clip_std(s_x_raw, cfg.std_min, cfg.std_max)
+    s_a = clip_std(s_a_raw, cfg.std_min, cfg.std_max)
     mask_x = ((s_x_raw > cfg.std_min) & (s_x_raw < cfg.std_max)).astype(float)
     mask_a = ((s_a_raw > cfg.std_min) & (s_a_raw < cfg.std_max)).astype(float)
     alpha = policy.alpha
@@ -298,7 +287,7 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
             "latent state") from exc
     log_det = 2.0 * np.sum(np.log(chol[:, idx, idx]), axis=1)
     cov_inv = np.linalg.inv(cov)
-    return DistInternals(obs=obs, x=x, mean=mean, cache=cache, kind=policy.strategy,
+    return DistInternals(x=x, mean=mean, cache=cache, kind=policy.strategy,
                          s_a=s_a, s_x=s_x, mask_a=mask_a, mask_x=mask_x,
                          c_a=c_a, c_x=c_x, cov=cov, chol=chol,
                          cov_inv=cov_inv, log_det=log_det)
@@ -314,8 +303,7 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     g_ca = wG[:, idx, idx]  # (B, N_a) = dL/dc_a
     if it.kind == "diagonal":
         var = it.sigma * it.sigma
-        if policy.learnable_noise["log_sigma"]:
-            tape.add("log_sigma", 2.0 * var * g_ca.sum(axis=0))
+        tape.add("log_sigma", 2.0 * var * g_ca.sum(axis=0))
         return None
     alpha = policy.alpha
     W = policy.W
@@ -323,14 +311,13 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     sx2 = it.s_x * it.s_x
     # dL/dc_x = alpha^2 * w_k^T G w_k
     g_cx = (alpha * alpha) * np.einsum("ak,bam,mk->bk", W, wG, W)
-    if policy.learnable_noise["log_std_a"]:
-        t = np.einsum("bi,bj->ij", g_ca, x2)
-        full = 2.0 * sa2 * it.mask_a * t
-        raw = policy.params["log_std_a"]
-        tape.add("log_std_a",
-                 full if raw.shape == full.shape else full.sum(axis=0,
-                                                               keepdims=True))
-    if policy.learnable_noise["log_std_x"] and alpha != 0.0:
+    t = np.einsum("bi,bj->ij", g_ca, x2)
+    full = 2.0 * sa2 * it.mask_a * t
+    raw = policy.params["log_std_a"]
+    tape.add("log_std_a",
+             full if raw.shape == full.shape else full.sum(axis=0,
+                                                           keepdims=True))
+    if alpha != 0.0:
         t = np.einsum("bk,bj->kj", g_cx, x2)
         full = 2.0 * sx2 * it.mask_x * t
         raw = policy.params["log_std_x"]
@@ -391,9 +378,7 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
     d_mean = -(w[:, None] * u)
     if it.kind == "diagonal":
         var = it.sigma * it.sigma
-        if policy.learnable_noise["log_sigma"]:
-            tape.add("log_sigma",
-                     np.sum(w[:, None] * (d * d / var - 1.0), axis=0))
+        tape.add("log_sigma", np.sum(w[:, None] * (d * d / var - 1.0), axis=0))
         d_latent = None
     else:
         G = 0.5 * (np.einsum("bi,bj->bij", u, u) - it.cov_inv)
@@ -401,11 +386,6 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
         d_latent = _variance_backward(policy, it, cfg, wG, tape)
     policy.net.backward(it.cache, d_mean, tape, d_latent=d_latent)
     return logp
-
-
-def entropy(dist: FullCovGaussian) -> float:
-    """Differential entropy of a factorized distribution."""
-    return dist.entropy()
 
 
 def entropy_batch(policy: MlpPolicy, it: DistInternals) -> np.ndarray:
@@ -423,8 +403,7 @@ def entropy_and_grad(policy: MlpPolicy, cfg: LatticeConfig,
     h = entropy_batch(policy, it)
     w = np.ones(len(h)) if weights is None else np.asarray(weights, float)
     if it.kind == "diagonal":
-        if policy.learnable_noise["log_sigma"]:
-            tape.add("log_sigma", np.full(policy.action_dim, float(np.sum(w))))
+        tape.add("log_sigma", np.full(policy.action_dim, float(np.sum(w))))
         return h
     if it.cache is None:
         raise ValueError("internals were built without a forward cache")

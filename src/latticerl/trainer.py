@@ -22,7 +22,6 @@ from .policy import (
     MlpPolicy,
     dist_internals,
     entropy_and_grad,
-    entropy_batch,
     log_prob,
     log_prob_and_grad,
 )
@@ -129,8 +128,7 @@ class PPOTrainer:
         self.policy.net.params = self.params
 
         self.optimizer = Adam(self.params, self.ppo.learning_rate)
-        self.skip = {k for k, flag in self.policy.learnable_noise.items()
-                     if not flag}
+        self.skip: set[str] = set()
 
         self.envs = [
             make_env(env_name,
@@ -140,8 +138,6 @@ class PPOTrainer:
         ]
         self._obs = np.stack([env.reset() for env in self.envs])
         self.noise = NoiseSampler(self.policy, self.cfg, self.env_rngs)
-        self._ep_id = np.arange(self.ppo.n_envs)
-        self._next_ep_id = self.ppo.n_envs
         self._ep_rewards = [[] for _ in range(self.ppo.n_envs)]
         self._ep_solved = [[] for _ in range(self.ppo.n_envs)]
         self._ep_actions = [[] for _ in range(self.ppo.n_envs)]
@@ -169,9 +165,9 @@ class PPOTrainer:
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """Mean action, or a draw from the analytic action distribution."""
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        it = dist_internals(self.policy, obs, self.cfg)
         if deterministic:
-            return it.mean
+            return self.policy.forward(obs)[1]
+        it = dist_internals(self.policy, obs, self.cfg)
         if rng is None:
             raise ValueError("stochastic predict needs an rng")
         if it.kind == "diagonal":
@@ -183,7 +179,7 @@ class PPOTrainer:
 
     def collect_rollout(self, n_steps: int) -> RolloutBuffer:
         buf = RolloutBuffer.allocate(n_steps, self.ppo.n_envs, self.obs_dim,
-                                     self.policy.n_latent, self.action_dim)
+                                     self.action_dim)
         self.recent_episodes = []
         for t in range(n_steps):
             obs = self._obs
@@ -192,11 +188,9 @@ class PPOTrainer:
             logp = log_prob(self.policy, obs, actions, self.cfg, internals=it)
             _, values = self.value_net.forward(obs)
             buf.obs[t] = obs
-            buf.latents[t] = it.x
             buf.actions[t] = actions
             buf.log_probs[t] = logp
             buf.values[t] = values[:, 0]
-            buf.episode_ids[t] = self._ep_id
             next_obs = np.empty_like(self._obs)
             for i, env in enumerate(self.envs):
                 o, r, done, info = env.step(actions[i])
@@ -214,8 +208,6 @@ class PPOTrainer:
                     self._ep_actions[i] = []
                     o = env.reset()
                     self.noise.reset(i)
-                    self._ep_id[i] = self._next_ep_id
-                    self._next_ep_id += 1
                 next_obs[i] = o
             self._obs = next_obs
             self.env_steps += self.ppo.n_envs
@@ -333,6 +325,34 @@ class PPOTrainer:
         return self
 
 
+def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
+                 deterministic: bool = False):
+    """Play fresh episodes of the trainer's policy in one env seeded from
+    seed. Yields (states, actions, rewards, solved, max_steps) per episode;
+    the actions are the raw ones sent to the env, the mean action at every
+    step when deterministic."""
+    env_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    env = make_env(trainer.env_name,
+                   seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
+                   **trainer.env_kwargs)
+    noise = NoiseSampler(trainer.policy, trainer.cfg,
+                         [np.random.default_rng(noise_ss)])
+    for _ in range(n_episodes):
+        obs = env.reset()
+        noise.reset(0)
+        states, actions, rewards, solved = [], [], [], []
+        done = False
+        while not done:
+            states.append(obs)
+            x, mean = trainer.policy.forward(np.atleast_2d(obs))
+            action = mean[0] if deterministic else noise.sample(x, mean)[0]
+            actions.append(action)
+            obs, r, done, info = env.step(action)
+            rewards.append(r)
+            solved.append(info["solved"])
+        yield states, actions, rewards, solved, env.max_steps
+
+
 def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
                     deterministic: bool = False, seed: int = 0) -> dict:
     """Roll out fresh episodes and report mean +/- sem of the episode
@@ -341,28 +361,12 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
     With deterministic=True all noise is disabled and the mean action is
     taken at every step.
     """
-    ss = np.random.SeedSequence(seed)
-    env_ss, noise_ss = ss.spawn(2)
-    env = make_env(trainer.env_name,
-                   seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
-                   **trainer.env_kwargs)
-    noise = NoiseSampler(trainer.policy, trainer.cfg,
-                         [np.random.default_rng(noise_ss)])
-    episodes = []
-    for _ in range(n_episodes):
-        obs = env.reset()
-        noise.reset(0)
-        rewards, solved, actions = [], [], []
-        done = False
-        while not done:
-            x, mean = trainer.policy.forward(np.atleast_2d(obs))
-            action = mean[0] if deterministic else noise.sample(x, mean)[0]
-            obs, r, done, info = env.step(action)
-            rewards.append(r)
-            solved.append(info["solved"])
-            actions.append(np.clip(action, 0.0, 1.0))
-        episodes.append(EpisodeMetrics.from_logs(rewards, solved, actions,
-                                                 env.max_steps))
+    episodes = [
+        EpisodeMetrics.from_logs(rewards, solved, np.clip(actions, 0.0, 1.0),
+                                 max_steps)
+        for _, actions, rewards, solved, max_steps
+        in run_episodes(trainer, n_episodes, seed, deterministic)
+    ]
 
     def agg(values):
         values = np.asarray(values, dtype=float)

@@ -107,8 +107,7 @@ def logp_gradient_check(policy, cfg, obs, actions, h=1e-6):
             if frozen:
                 # mean moves with the parameters, covariance stays at base
                 import dataclasses
-                cur = dataclasses.replace(
-                    base_it, mean=cur.mean, x=cur.x, obs=cur.obs)
+                cur = dataclasses.replace(base_it, mean=cur.mean, x=cur.x)
             return float(np.sum(log_prob(policy, obs, actions, cfg,
                                          internals=cur)))
 

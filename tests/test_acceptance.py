@@ -338,6 +338,7 @@ def test_criterion_07_gradient_fidelity():
            f"stop-variance settings) {worst:.2e} (< 1e-4)")
 
 
+@pytest.mark.slow
 def test_criterion_08_elbow_learning():
     # latent-noise PPO solves the 3+3 elbow: solved fraction >= 0.90
     # averaged over three seeds within the 2e6-step budget
@@ -412,6 +413,7 @@ def test_criterion_09_period_semantics():
         del ENV_REGISTRY["constant_obs"]
 
 
+@pytest.mark.slow
 def test_criterion_10_energy_at_equal_or_better_solved():
     # directional comparison on the redundant reacher: latent exploration
     # reaches equal-or-better solved fraction with lower energy than

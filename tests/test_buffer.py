@@ -9,7 +9,7 @@ from latticerl.buffer import RolloutBuffer, compute_gae
 def make_buffer(rewards, values, dones):
     rewards = np.asarray(rewards, dtype=float)
     n_steps, n_envs = rewards.shape
-    buf = RolloutBuffer.allocate(n_steps, n_envs, 1, 1, 1)
+    buf = RolloutBuffer.allocate(n_steps, n_envs, 1, 1)
     buf.rewards[...] = rewards
     buf.values[...] = np.asarray(values, dtype=float)
     buf.dones[...] = np.asarray(dones, dtype=bool)
@@ -90,16 +90,15 @@ class TestComputeGae:
 
 class TestRolloutBuffer:
     def test_allocate_shapes(self):
-        buf = RolloutBuffer.allocate(5, 3, 4, 6, 2)
+        buf = RolloutBuffer.allocate(5, 3, 4, 2)
         assert buf.obs.shape == (5, 3, 4)
-        assert buf.latents.shape == (5, 3, 6)
         assert buf.actions.shape == (5, 3, 2)
         assert buf.n_steps == 5
         assert buf.n_envs == 3
         assert buf.capacity == 15
 
     def test_flat_layout(self):
-        buf = RolloutBuffer.allocate(2, 2, 1, 1, 1)
+        buf = RolloutBuffer.allocate(2, 2, 1, 1)
         buf.rewards[...] = [[1.0, 2.0], [3.0, 4.0]]
         np.testing.assert_array_equal(buf.flat(buf.rewards), [1, 2, 3, 4])
         obs = np.arange(8).reshape(2, 2, 2)

@@ -187,6 +187,24 @@ class TestMainEntry:
         assert err.startswith("config error:") and "batch_size" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("raw", [
+        {"seed": -1}, {"activation": "sigmoid"}, {"hiddens": [0]},
+        {"env": {"name": "flex_ext_arm", "max_steps": 0}}])
+    def test_invalid_run_field_exit_code(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
+    def test_invalid_seed_override_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path / "cfg.json", tiny_config())
+        assert main(["train", "--config", str(path), "--seed", "-1",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "field 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         assert main(["evaluate", "--checkpoint",
                      str(tmp_path / "absent.json")]) == 2

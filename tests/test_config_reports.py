@@ -57,6 +57,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict({"ppo": {field: value}})
 
+    @pytest.mark.parametrize("raw,field", [
+        ({"seed": -1}, "seed"), ({"activation": "sigmoid"}, "activation"),
+        ({"hiddens": [0]}, "hiddens"),
+        ({"critic_hiddens": [64, -1]}, "critic_hiddens"),
+        ({"env": {"name": "flex_ext_arm", "max_steps": 0}}, "max_steps"),
+        ({"env": {"name": "point_reacher", "max_steps": 0}}, "max_steps"),
+        ({"env": {"name": "flex_ext_arm", "n_joints": 2}}, "n_joints")])
+    def test_bad_run_field(self, raw, field):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig.from_dict(raw)
+
+    def test_empty_hiddens_allowed(self):
+        assert RunConfig.from_dict({"hiddens": []}).hiddens == []
+
     def test_invalid_json_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "strategy": lattice\n}\n')

@@ -124,7 +124,6 @@ class TestResamplePerturbations:
                                    np.random.default_rng(0))
         np.testing.assert_array_equal(p.P_x, 0.0)
         np.testing.assert_array_equal(p.P_a, 0.0)
-        assert p.age == 0
 
     def test_entry_std_monte_carlo(self):
         cfg = LatticeConfig(rescale=False)

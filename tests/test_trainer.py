@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from latticerl.envs import ENV_REGISTRY
+from latticerl.cli import collect_action_log
+from latticerl.envs import ENV_REGISTRY, energy_of
 from latticerl.errors import CheckpointCorrupt
 from latticerl.exploration import (
     LatticeConfig,
@@ -87,18 +88,11 @@ class TestRollout:
         np.testing.assert_array_equal(bufs[0].obs, bufs[1].obs)
         np.testing.assert_array_equal(bufs[0].rewards, bufs[1].rewards)
 
-    def test_latents_match_observations(self):
-        tr = small_trainer()
-        buf = tr.collect_rollout(4)
-        x, _ = tr.policy.forward(buf.flat(buf.obs))
-        np.testing.assert_array_equal(buf.flat(buf.latents), x)
-
     def test_episode_ids_advance_on_reset(self):
+        # episodes of 3 steps end at steps 2 and 5 of a 7-step rollout
         tr = small_trainer(env_kwargs={"max_steps": 3})
         buf = tr.collect_rollout(7)
-        ids = buf.episode_ids[:, 0]
-        assert ids[0] == ids[1] == ids[2]
-        assert ids[3] != ids[2]
+        np.testing.assert_array_equal(np.flatnonzero(buf.dones[:, 0]), [2, 5])
 
 
 class TestPeriodSemantics:
@@ -426,6 +420,19 @@ class TestFit:
         tr.fit(10_000, target_solved=0.0)
         assert tr.env_steps < 10_000
 
+    def test_skip_freezes_parameters(self):
+        noise_keys = ("log_std_x", "log_std_a")
+        frozen, free = small_trainer(), small_trainer()
+        frozen.skip |= set(noise_keys)
+        before = {k: v.copy() for k, v in frozen.params.items()}
+        for tr in (frozen, free):
+            tr.fit(32)  # one iteration: 8 steps x 4 envs
+            assert tr.updates == 1
+        for k in noise_keys:
+            assert frozen.params[k].tobytes() == before[k].tobytes()
+            assert not np.array_equal(free.params[k], before[k])
+        assert not np.array_equal(frozen.params["pi.w0"], before["pi.w0"])
+
 
 class TestEvaluate:
     def test_deterministic_has_no_episode_variance(self):
@@ -451,6 +458,20 @@ class TestEvaluate:
         a = evaluate_policy(tr, n_episodes=4, seed=5)
         b = evaluate_policy(tr, n_episodes=4, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("strategy,period", [
+        ("lattice", 1), ("lattice", 4), ("gsde", "episode"),
+        ("diagonal", 1)])
+    def test_energy_matches_action_log(self, strategy, period):
+        # evaluation and the analyses' action log play the same episodes
+        tr = small_trainer(strategy=strategy, cfg=LatticeConfig(period=period),
+                           env_kwargs={"max_steps": 10})
+        metrics = evaluate_policy(tr, n_episodes=3, deterministic=False,
+                                  seed=7)
+        actions, _ = collect_action_log(tr, 3, 7)
+        episodes = actions.reshape(3, 10, tr.action_dim)
+        for record, a in zip(metrics["per_episode"], episodes):
+            assert record["energy"] == energy_of(np.clip(a, 0.0, 1.0))
 
 
 class TestCheckpoint:
