@@ -57,6 +57,22 @@ class RunConfig:
             raise ConfigError(
                 f"field 'activation': {self.activation!r} not in "
                 f"{sorted(ACTIVATIONS)}")
+        if not _is_int(self.total_steps) or self.total_steps < 1:
+            raise ConfigError(
+                f"field 'total_steps': {self.total_steps!r} is not an "
+                f"integer >= 1")
+        if not _is_int(self.checkpoint_every) or self.checkpoint_every < 0:
+            raise ConfigError(
+                f"field 'checkpoint_every': {self.checkpoint_every!r} is not "
+                f"an integer >= 0")
+        target = self.target_solved
+        if target is not None and not (
+                isinstance(target, (int, float))
+                and not isinstance(target, bool)
+                and 0.0 <= target <= 1.0):
+            raise ConfigError(
+                f"field 'target_solved': {target!r} is not null or a number "
+                f"in [0, 1]")
 
     @property
     def env_name(self) -> str:

@@ -59,6 +59,8 @@ class FlexExtArm:
                  seed: int | None = None):
         self.n_flexors = int(n_flexors)
         self.n_extensors = int(n_extensors)
+        if self.n_flexors < 1 or self.n_extensors < 1:
+            raise ValueError("n_flexors and n_extensors must be >= 1")
         self.gain = float(gain)
         self.dt = float(dt)
         self.max_steps = int(max_steps)
@@ -163,6 +165,8 @@ class PointReacher:
                  solved_radius: float = 0.15, target_range: float = 0.5,
                  seed: int | None = None):
         self.pairs_per_axis = int(pairs_per_axis)
+        if self.pairs_per_axis < 1:
+            raise ValueError("pairs_per_axis must be >= 1")
         self.gain = float(gain)
         self.dt = float(dt)
         self.max_steps = int(max_steps)

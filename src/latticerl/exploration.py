@@ -117,8 +117,8 @@ def _expand(mat: np.ndarray, n_rows: int) -> np.ndarray:
     return np.broadcast_to(mat, (n_rows, mat.shape[1]))
 
 
-def _sampling_log_std(std: NoiseStdMatrices,
-                      cfg: LatticeConfig) -> NoiseStdMatrices:
+def sampling_log_std(std: NoiseStdMatrices,
+                     cfg: LatticeConfig) -> NoiseStdMatrices:
     """Log stds of the perturbation entries, in their stored shapes."""
     return rescaled_log_std(std, std.n_latent) if cfg.rescale else std
 
@@ -127,7 +127,7 @@ def sampling_std(std: NoiseStdMatrices, cfg: LatticeConfig,
                  n_actions: int) -> tuple[np.ndarray, np.ndarray]:
     """Unclipped stds used to draw the perturbation matrices, expanded to
     full (N_x, N_x) and (N_a, N_x) shapes."""
-    eff = _sampling_log_std(std, cfg)
+    eff = sampling_log_std(std, cfg)
     s_x = np.exp(_expand(eff.log_std_x, std.n_latent))
     s_a = np.exp(_expand(eff.log_std_a, n_actions))
     return s_x, s_a
@@ -191,6 +191,11 @@ class NoiseSampler:
                 actions[i] = mean[i] + (p.P_a @ x[i] + policy.alpha
                                         * (policy.W @ (p.P_x @ x[i])))
         self.ep_step += 1
+        period = self.cfg.period_steps
+        if period is not None and period > 1:
+            # a window is dead once it has served its last step
+            for i in np.flatnonzero(self.ep_step % period == 0):
+                self.perturbations[i] = None
         return actions
 
     def reset(self, i: int):
@@ -203,7 +208,7 @@ class NoiseSampler:
         policy = self.policy
         n_x, n_a = policy.n_latent, policy.action_dim
         z = np.stack([rng.standard_normal(n_x + n_a) for rng in self.rngs])
-        eff = _sampling_log_std(policy.noise_std, self.cfg)
+        eff = sampling_log_std(policy.noise_std, self.cfg)
         x2 = x * x
         # unclipped S^2 in the stored shape: a reduced (1, N_x) row gives one
         # sd per sample, broadcast over the N_x or N_a outputs
@@ -213,10 +218,9 @@ class NoiseSampler:
                                                    @ policy.W.T)
 
     def _window(self, i: int) -> PerturbationMatrices:
-        """Env i's perturbation matrices, redrawn when its window is due."""
+        """Env i's perturbation matrices, drawn when its window opens."""
         p = self.perturbations[i]
-        period = self.cfg.period_steps
-        if p is None or (period is not None and self.ep_step[i] % period == 0):
+        if p is None:
             p = self.perturbations[i] = resample_perturbations(
                 self.policy.noise_std, self.cfg, self.policy.action_dim,
                 self.rngs[i])

@@ -13,7 +13,12 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .exploration import LatticeConfig, NoiseStdMatrices, clip_std, sampling_std
+from .exploration import (
+    LatticeConfig,
+    NoiseStdMatrices,
+    clip_std,
+    sampling_log_std,
+)
 from .gauss import LOG_2PI
 
 _SQRT2 = np.sqrt(2.0)
@@ -232,7 +237,10 @@ class DistInternals:
     """Cached forward quantities shared by log-prob and entropy paths.
 
     The latent x stored here is the exact array consumed by the sampling
-    path, so the rollout and training code never recompute it.
+    path, so the rollout and training code never recompute it. Stds, masks
+    and the c_a / c_x seeds keep the stored row count R of their log-std
+    matrix: R = 1 for the reduced (1, N_x) shape, whose single row stands for
+    every row of the full matrix, or N_a / N_x with full_std.
     """
 
     x: np.ndarray            # (B, N_x)
@@ -240,12 +248,13 @@ class DistInternals:
     cache: dict | None
     kind: str
     # lattice / gsde fields
-    s_a: np.ndarray | None = None       # clipped, full shape (N_a, N_x)
-    s_x: np.ndarray | None = None       # clipped, full shape (N_x, N_x)
+    s_a: np.ndarray | None = None       # clipped, stored shape (R_a, N_x)
+    s_x: np.ndarray | None = None       # clipped, stored shape (R_x, N_x)
     mask_a: np.ndarray | None = None    # 1 where the clip is inactive
     mask_x: np.ndarray | None = None
-    c_a: np.ndarray | None = None       # (B, N_a)
-    c_x: np.ndarray | None = None       # (B, N_x)
+    c_a: np.ndarray | None = None       # (B, R_a) = (x * x) @ (s_a * s_a).T
+    c_x: np.ndarray | None = None       # (B, R_x) = (x * x) @ (s_x * s_x).T
+    k_x: np.ndarray | None = None       # (R_x, N_a^2), row k = vec(w_k w_k^T)
     cov: np.ndarray | None = None       # (B, N_a, N_a)
     chol: np.ndarray | None = None
     cov_inv: np.ndarray | None = None
@@ -266,18 +275,26 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
         sigma = np.exp(policy.params["log_sigma"])
         return DistInternals(x=x, mean=mean, cache=cache, kind="diagonal",
                              sigma=sigma)
-    s_x_raw, s_a_raw = sampling_std(policy.noise_std, cfg, policy.action_dim)
+    eff = sampling_log_std(policy.noise_std, cfg)
+    s_x_raw = np.exp(eff.log_std_x)
+    s_a_raw = np.exp(eff.log_std_a)
     s_x = clip_std(s_x_raw, cfg.std_min, cfg.std_max)
     s_a = clip_std(s_a_raw, cfg.std_min, cfg.std_max)
     mask_x = ((s_x_raw > cfg.std_min) & (s_x_raw < cfg.std_max)).astype(float)
     mask_a = ((s_a_raw > cfg.std_min) & (s_a_raw < cfg.std_max)).astype(float)
     alpha = policy.alpha
+    n_a = policy.action_dim
     x2 = x * x
     c_a = x2 @ (s_a * s_a).T
     c_x = x2 @ (s_x * s_x).T
     W = policy.W
-    cov = (alpha * alpha) * np.einsum("ak,bk,mk->bam", W, c_x, W)
-    idx = np.arange(policy.action_dim)
+    if s_x.shape[0] == 1:
+        # every latent column shares one c_x, so sum_k w_k w_k^T = W W^T
+        k_x = (W @ W.T).reshape(1, n_a * n_a)
+    else:
+        k_x = (W.T[:, :, None] * W.T[:, None, :]).reshape(-1, n_a * n_a)
+    cov = ((alpha * alpha) * (c_x @ k_x)).reshape(-1, n_a, n_a)
+    idx = np.arange(n_a)
     cov[:, idx, idx] += c_a + cfg.gamma
     try:
         chol = np.linalg.cholesky(cov)
@@ -289,7 +306,7 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
     cov_inv = np.linalg.inv(cov)
     return DistInternals(x=x, mean=mean, cache=cache, kind=policy.strategy,
                          s_a=s_a, s_x=s_x, mask_a=mask_a, mask_x=mask_x,
-                         c_a=c_a, c_x=c_x, cov=cov, chol=chol,
+                         c_a=c_a, c_x=c_x, k_x=k_x, cov=cov, chol=chol,
                          cov_inv=cov_inv, log_det=log_det)
 
 
@@ -298,40 +315,36 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     """Chain a weighted dL/dSigma seed (wG, shape (B, N_a, N_a)) through the
     covariance construction. Writes log-std (and variance-path W) grads and
     returns the latent seed d_latent, or None when it vanishes."""
-    idx = np.arange(policy.action_dim)
-    x2 = it.x * it.x
+    n_a = policy.action_dim
+    idx = np.arange(n_a)
     g_ca = wG[:, idx, idx]  # (B, N_a) = dL/dc_a
     if it.kind == "diagonal":
         var = it.sigma * it.sigma
         tape.add("log_sigma", 2.0 * var * g_ca.sum(axis=0))
         return None
+    x2 = it.x * it.x
+    if it.s_a.shape[0] == 1:
+        g_ca = g_ca.sum(axis=1, keepdims=True)  # onto the shared c_a
     alpha = policy.alpha
-    W = policy.W
     sa2 = it.s_a * it.s_a
     sx2 = it.s_x * it.s_x
-    # dL/dc_x = alpha^2 * w_k^T G w_k
-    g_cx = (alpha * alpha) * np.einsum("ak,bam,mk->bk", W, wG, W)
-    t = np.einsum("bi,bj->ij", g_ca, x2)
-    full = 2.0 * sa2 * it.mask_a * t
-    raw = policy.params["log_std_a"]
-    tape.add("log_std_a",
-             full if raw.shape == full.shape else full.sum(axis=0,
-                                                           keepdims=True))
+    tape.add("log_std_a", 2.0 * sa2 * it.mask_a * (g_ca.T @ x2))
     if alpha != 0.0:
-        t = np.einsum("bk,bj->kj", g_cx, x2)
-        full = 2.0 * sx2 * it.mask_x * t
-        raw = policy.params["log_std_x"]
-        tape.add("log_std_x",
-                 full if raw.shape == full.shape else full.sum(axis=0,
-                                                               keepdims=True))
+        # dL/dc_x = alpha^2 * w_k^T G w_k, summed over the rows c_x stands for
+        wG_flat = wG.reshape(-1, n_a * n_a)
+        g_cx = (alpha * alpha) * (wG_flat @ it.k_x.T)
+        tape.add("log_std_x", 2.0 * sx2 * it.mask_x * (g_cx.T @ x2))
     if cfg.stop_variance_gradient:
         return None
-    # variance path into the final linear map and the latent state
+    d_latent = g_ca @ sa2
     if alpha != 0.0:
-        grad_w = 2.0 * (alpha * alpha) * np.einsum("bam,mk,bk->ak", wG, W, it.c_x)
+        # variance path into the final linear map:
+        # dL/dW[a, k] = 2 alpha^2 sum_m W[m, k] sum_b wG[b, a, m] c_x[b, k]
+        gc = (wG_flat.T @ it.c_x).reshape(n_a, n_a, -1)
+        grad_w = 2.0 * (alpha * alpha) * np.sum(gc * policy.W, axis=1)
         tape.add(policy.net.head_w_name, grad_w)
-    d_latent = 2.0 * it.x * (g_ca @ sa2 + g_cx @ sx2)
-    return d_latent
+        d_latent += g_cx @ sx2
+    return 2.0 * it.x * d_latent
 
 
 def log_prob(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
@@ -367,7 +380,7 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
                 - np.sum(np.log(it.sigma))
                 - 0.5 * np.sum(d * u, axis=1))
     else:
-        u = np.linalg.solve(it.cov, d[..., None])[..., 0]
+        u = (it.cov_inv @ d[..., None])[..., 0]
         logp = (-0.5 * n_a * LOG_2PI - 0.5 * it.log_det
                 - 0.5 * np.sum(d * u, axis=1))
     if tape is None:

@@ -76,15 +76,28 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        # in place, in the operation order of
+        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        # so the results are bitwise those of the out-of-place formula
         for k, p in params.items():
             if k in skip:
                 continue
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            gg = (1.0 - self.beta2) * g
+            gg *= g
+            v *= self.beta2
+            v += gg
+            step = m / bc1
+            step *= self.lr
+            denom = np.divide(v, bc2, out=gg)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step
 
 
 class PPOTrainer:

@@ -198,6 +198,25 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("raw", [
+        {"total_steps": "abc"}, {"checkpoint_every": -1},
+        {"target_solved": "x"},
+        {"env": {"name": "flex_ext_arm", "n_flexors": 0}},
+        {"env": {"name": "point_reacher", "pairs_per_axis": 0}}])
+    def test_invalid_budget_or_group_exit_code(self, tmp_path, capsys, raw):
+        # these used to write a partial run directory, then die with a
+        # traceback, checkpoint at every update, or fail at run time (exit
+        # 2); a small budget keeps a regression from training for minutes
+        small = {"total_steps": 32, "hiddens": [8], "critic_hiddens": [8],
+                 "ppo": {"gradient_steps": 8, "n_envs": 2, "batch_size": 16,
+                         "n_epochs": 1}}
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps({**small, **raw}))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_seed_override_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", tiny_config())
         assert main(["train", "--config", str(path), "--seed", "-1",

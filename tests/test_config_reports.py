@@ -68,6 +68,28 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("raw,field", [
+        ({"total_steps": "abc"}, "total_steps"),
+        ({"total_steps": 0}, "total_steps"),
+        ({"total_steps": 1.5}, "total_steps"),
+        ({"checkpoint_every": -1}, "checkpoint_every"),
+        ({"checkpoint_every": True}, "checkpoint_every"),
+        ({"target_solved": "x"}, "target_solved"),
+        ({"target_solved": 1.5}, "target_solved"),
+        ({"target_solved": float("nan")}, "target_solved"),
+        ({"env": {"name": "flex_ext_arm", "n_flexors": 0}}, "n_flexors"),
+        ({"env": {"name": "flex_ext_arm", "n_extensors": 0}}, "n_extensors"),
+        ({"env": {"name": "point_reacher", "pairs_per_axis": 0}},
+         "pairs_per_axis")])
+    def test_bad_budget_or_group_field(self, raw, field):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("target", [None, 0, 0.5, 1])
+    def test_target_solved_accepted(self, target):
+        assert RunConfig.from_dict(
+            {"target_solved": target}).target_solved == target
+
     def test_empty_hiddens_allowed(self):
         assert RunConfig.from_dict({"hiddens": []}).hiddens == []
 

@@ -160,6 +160,12 @@ class TestFlexExtArm:
         env.set_state(state)
         np.testing.assert_array_equal(env.observe(), obs_before)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_flexors": 0}, {"n_extensors": 0}, {"n_flexors": -2}])
+    def test_rejects_empty_group(self, kwargs):
+        with pytest.raises(ValueError, match="n_flexors and n_extensors"):
+            FlexExtArm(**kwargs)
+
     def test_actuator_groups(self):
         env = FlexExtArm(n_flexors=2, n_extensors=3)
         groups = env.actuator_groups
@@ -222,6 +228,10 @@ class TestPointReacher:
         env.reset()
         a = np.array([1.0, 1.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5])
         np.testing.assert_allclose(env.accel_of(a), [10.0, 0.0])
+
+    def test_rejects_empty_group(self):
+        with pytest.raises(ValueError, match="pairs_per_axis"):
+            PointReacher(pairs_per_axis=0)
 
     def test_groups_partition(self):
         env = PointReacher(pairs_per_axis=3)

@@ -1,11 +1,17 @@
 """Policy networks and hand-derived gradients for log-probability and
 entropy, checked against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from latticerl.errors import DimensionMismatch
-from latticerl.exploration import LatticeConfig
+from latticerl.exploration import (
+    LatticeConfig,
+    distribution_std,
+    lattice_covariance,
+)
 from latticerl.gauss import LOG_2PI
 from latticerl.policy import (
     ACTIVATIONS,
@@ -83,6 +89,46 @@ class TestLatentExposure:
         np.testing.assert_array_equal(it.mean, mean_fwd)
 
 
+class TestCovarianceAlgebra:
+    @pytest.mark.parametrize("full_std", [False, True])
+    def test_rows_match_single_state_oracle(self, full_std,
+                                            small_policy_factory):
+        # B and N_a both >= 3 and distinct, so a transposed reshape shows
+        cfg = LatticeConfig(alpha=0.7, full_std=full_std, init_log_std=-0.3)
+        policy, _ = small_policy_factory(cfg=cfg, action_dim=3, seed=31)
+        rng = np.random.default_rng(32)
+        for name in ("log_std_x", "log_std_a"):
+            policy.params[name] += rng.normal(0.0, 0.4,
+                                              policy.params[name].shape)
+        obs = rng.standard_normal((5, 3))
+        it = dist_internals(policy, obs, cfg)
+        s_x, s_a = distribution_std(policy.noise_std, cfg, 3)
+        for b in range(5):
+            ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
+                                     cfg.gamma)
+            np.testing.assert_allclose(it.cov[b], ref, rtol=1e-12,
+                                       atol=1e-15)
+            np.testing.assert_allclose(it.cov_inv[b] @ ref, np.eye(3),
+                                       atol=1e-10)
+
+    def test_peak_memory_at_analysis_batch(self):
+        # 2048 rows at N_x = 256, N_a = 8 as in a covariance analysis: the
+        # forward pass and the (B, N_a, N_a) arrays fit in ~16 MiB, while one
+        # (B, N_a, N_x) temporary would add 32 MiB
+        cfg = LatticeConfig(alpha=1.0)
+        policy = MlpPolicy(4, 8, cfg, hiddens=(256, 256),
+                           rng=np.random.default_rng(0))
+        obs = np.random.default_rng(1).standard_normal((2048, 4))
+        tracemalloc.start()
+        try:
+            it = dist_internals(policy, obs, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert it.cov.shape == (2048, 8, 8)
+        assert peak < 24 * 2 ** 20
+
+
 FD_CASES = [
     dict(strategy="lattice", alpha=1.0, full=True, stop=False, act="tanh"),
     dict(strategy="lattice", alpha=1.0, full=False, stop=False, act="relu"),
@@ -112,6 +158,24 @@ class TestLogProbGradients:
                                                   policy.params[name].shape)
         obs = rng.standard_normal((4, 3))
         actions = rng.standard_normal((4, 2))
+        worst = logp_gradient_check(policy, cfg, obs, actions)
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("full", [False, True],
+                             ids=["reduced", "full"])
+    def test_finite_differences_non_square_batch(self, full,
+                                                 small_policy_factory):
+        # B = 5 rows and N_a = 3 actions: no reshape of a (B, N_a, N_a) or
+        # (B, N_a^2) array can be confused with a square one
+        cfg = LatticeConfig(alpha=0.8, full_std=full, init_log_std=-0.2)
+        policy, _ = small_policy_factory(cfg=cfg, action_dim=3,
+                                         activation="tanh", seed=41)
+        rng = np.random.default_rng(42)
+        for name in ("log_std_x", "log_std_a"):
+            policy.params[name] += rng.normal(0.0, 0.3,
+                                              policy.params[name].shape)
+        obs = rng.standard_normal((5, 3))
+        actions = rng.standard_normal((5, 3))
         worst = logp_gradient_check(policy, cfg, obs, actions)
         assert worst < 1e-4
 
@@ -221,12 +285,28 @@ class TestEntropy:
                                                  small_policy_factory):
         cfg = LatticeConfig(alpha=0.9 if strategy == "lattice" else 1.0,
                             stop_variance_gradient=stop, full_std=True)
+        self._check_entropy_gradient(strategy, stop, cfg,
+                                     small_policy_factory)
+
+    @pytest.mark.parametrize("strategy,stop", [
+        ("lattice", False), ("lattice", True), ("gsde", False),
+    ])
+    def test_entropy_gradient_finite_differences_reduced_std(
+            self, strategy, stop, small_policy_factory):
+        # the (1, N_x) log-std rows, whose gradients sum over the rows of
+        # the full matrices they stand for
+        cfg = LatticeConfig(alpha=0.9 if strategy == "lattice" else 1.0,
+                            stop_variance_gradient=stop, full_std=False)
+        self._check_entropy_gradient(strategy, stop, cfg,
+                                     small_policy_factory)
+
+    @staticmethod
+    def _check_entropy_gradient(strategy, stop, cfg, small_policy_factory):
         policy, _ = small_policy_factory(strategy=strategy, cfg=cfg, seed=18)
         obs = np.random.default_rng(19).standard_normal((2, 3))
         tape = GradientTape(policy.params)
         it = dist_internals(policy, obs, cfg, need_cache=True)
         entropy_and_grad(policy, cfg, tape, it)
-        base_it = dist_internals(policy, obs, cfg)
         worst = 0.0
         for name, arr in policy.params.items():
             is_noise = name in ("log_std_x", "log_std_a", "log_sigma")

@@ -60,6 +60,33 @@ class TestAdam:
         assert params["a"][0] != 1.0
         assert params["b"][0] == 1.0
 
+    def test_in_place_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        shapes = {"w": (7, 5), "b": (5,), "frozen": (3,)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref_p = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+        opt = Adam(params, lr=3e-3)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+        for t in range(1, 201):
+            grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(
+                -6, 3) for k, v in params.items()}
+            opt.step(params, grads, skip={"frozen"})
+            bc1 = 1.0 - b1 ** t
+            bc2 = 1.0 - b2 ** t
+            for k in ("w", "b"):
+                g = grads[k]
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g * g
+                m_hat = ref_m[k] / bc1
+                v_hat = ref_v[k] / bc2
+                ref_p[k] = ref_p[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k in params:
+            assert params[k].tobytes() == ref_p[k].tobytes(), k
+            assert opt.m[k].tobytes() == ref_m[k].tobytes(), k
+            assert opt.v[k].tobytes() == ref_v[k].tobytes(), k
+
     def test_quadratic_convergence(self):
         params = {"a": np.array([5.0])}
         opt = Adam(params, lr=0.1)
@@ -191,6 +218,22 @@ class TestNoiseSampler:
         buf = small_trainer(**kwargs).collect_rollout(20)
         expected = per_env_reference_actions(small_trainer(**kwargs), 20)
         assert buf.actions.tobytes() == expected.tobytes()
+
+    def test_windows_released_after_last_step(self):
+        # episodes of 8 steps at period 4: every window closes exactly when
+        # a step count divisible by 4 has been sampled
+        ppo = dataclasses.replace(TINY_PPO, n_envs=3)
+        tr = small_trainer(cfg=LatticeConfig(period=4), ppo=ppo,
+                           env_kwargs={"max_steps": 8})
+        tr.collect_rollout(8)
+        assert tr.noise.perturbations == [None] * 3
+        tr.collect_rollout(2)
+        held = tr.noise.perturbations
+        assert all(p is not None for p in held)
+        tr.collect_rollout(1)
+        assert all(a is b for a, b in zip(tr.noise.perturbations, held))
+        tr.collect_rollout(1)
+        assert tr.noise.perturbations == [None] * 3
 
     @staticmethod
     def _period_one_noise(n_envs=8, n_steps=2500, push_past_std_max=False,
