@@ -8,7 +8,7 @@ from scipy.stats import wilcoxon
 
 from .envs import linear_ideal_policy
 from .errors import EmptyGroup, InsufficientSamples, StateSyncUnsupported
-from .exploration import LatticeConfig, distribution_std
+from .exploration import LatticeConfig, clip_std, sampling_log_std
 from .policy import MlpPolicy, dist_internals
 
 
@@ -164,14 +164,19 @@ def _pca_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def analytic_latent_noise_cov(policy: MlpPolicy, states: np.ndarray,
                               cfg: LatticeConfig) -> np.ndarray:
-    """alpha^2 W Diag(S_x^2 x^2) W^T averaged over the given states."""
+    """alpha^2 W Diag(S_x^2 x^2) W^T averaged over the given states.
+
+    Formed directly, without factorizing: at gamma = 0 a zero latent gives
+    a zero matrix, not an error.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     x, _ = policy.forward(states)
-    s_x, _ = distribution_std(policy.noise_std, cfg, policy.action_dim)
+    eff = sampling_log_std(policy.noise_std, cfg)
+    s_x = clip_std(np.exp(eff.log_std_x), cfg.std_min, cfg.std_max)
+    # mean over states of c_x, (R_x,) with the stored row count of s_x
+    c_bar = np.mean((x * x) @ (s_x * s_x).T, axis=0)
     w = policy.W
-    c_x = (x * x) @ (s_x * s_x).T  # (B, N_x)
-    alpha2 = policy.alpha ** 2
-    return alpha2 * np.einsum("ak,bk,mk->am", w, c_x, w) / states.shape[0]
+    return policy.alpha ** 2 * ((w * c_bar) @ w.T)
 
 
 def covariance_report(action_log: np.ndarray,

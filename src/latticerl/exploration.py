@@ -145,9 +145,13 @@ def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
                            n_actions: int,
                            rng: np.random.Generator) -> PerturbationMatrices:
     """Draw fresh P matrices, entrywise N(0, S_ij^2)."""
-    s_x, s_a = sampling_std(std, cfg, n_actions)
-    p_x = rng.standard_normal(s_x.shape) * s_x
-    p_a = rng.standard_normal(s_a.shape) * s_a
+    # exp in the stored shape, broadcast by the in-place scaling: the same
+    # bytes as scaling by the expanded sampling_std
+    eff = sampling_log_std(std, cfg)
+    p_x = rng.standard_normal((std.n_latent, std.n_latent))
+    p_x *= np.exp(eff.log_std_x)
+    p_a = rng.standard_normal((n_actions, std.n_latent))
+    p_a *= np.exp(eff.log_std_a)
     return PerturbationMatrices(P_x=p_x, P_a=p_a)
 
 

@@ -59,19 +59,29 @@ ACTIVATIONS = {
 
 
 class GradientTape:
-    """Per-parameter gradient accumulators aligned with a parameter dict."""
+    """Per-parameter gradient accumulators aligned with a parameter dict.
+
+    Each entry of grads is a view of one flat buffer, so zeroing, the
+    finiteness check and the clip scale are one array operation each.
+    """
 
     def __init__(self, params: dict[str, np.ndarray]):
-        self.grads = {k: np.zeros_like(v) for k, v in params.items()}
+        self.flat = np.zeros(sum(v.size for v in params.values()))
+        self.grads = {}
+        offset = 0
+        for k, v in params.items():
+            self.grads[k] = self.flat[offset:offset + v.size].reshape(v.shape)
+            offset += v.size
 
     def zero_(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.flat.fill(0.0)
 
     def add(self, name: str, value: np.ndarray):
         self.grads[name] += value
 
     def global_norm(self) -> float:
+        # per-key partial sums, so the clip factor does not depend on the
+        # flat layout
         total = 0.0
         for g in self.grads.values():
             total += float(np.sum(g * g))
@@ -80,13 +90,15 @@ class GradientTape:
     def clip_global_norm(self, max_norm: float) -> float:
         norm = self.global_norm()
         if norm > max_norm and norm > 0.0:
-            scale = max_norm / norm
-            for g in self.grads.values():
-                g *= scale
+            self.flat *= max_norm / norm
         return norm
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(g)) for g in self.grads.values())
+        return bool(np.isfinite(self.flat).all())
+
+    def non_finite(self) -> list[str]:
+        """Names of the parameters whose gradient has a NaN or Inf."""
+        return [k for k, g in self.grads.items() if not np.isfinite(g).all()]
 
 
 class Mlp:
@@ -347,26 +359,9 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     return 2.0 * it.x * d_latent
 
 
-def log_prob(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
-             cfg: LatticeConfig,
-             internals: DistInternals | None = None) -> np.ndarray:
-    """Batched log pi(a | s) without gradient accumulation."""
-    return log_prob_and_grad(policy, obs, actions, cfg, tape=None,
-                             internals=internals)
-
-
-def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
-                      cfg: LatticeConfig, tape: GradientTape | None,
-                      weights: np.ndarray | None = None,
-                      internals: DistInternals | None = None) -> np.ndarray:
-    """Batched log pi(a | s); optionally accumulates sum_b w_b dlogp_b/dtheta.
-
-    With stop_variance_gradient set, the variance-path contributions into the
-    network weights are suppressed while the log-std matrices still receive
-    gradients.
-    """
-    it = internals if internals is not None else dist_internals(
-        policy, obs, cfg, need_cache=tape is not None)
+def log_prob_terms(policy: MlpPolicy, it: DistInternals,
+                   actions: np.ndarray):
+    """Per-row (log pi(a | s), d = mean - a, u = Sigma^-1 d)."""
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape != it.mean.shape:
         raise DimensionMismatch(
@@ -374,8 +369,7 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
     d = it.mean - actions  # (B, N_a)
     n_a = policy.action_dim
     if it.kind == "diagonal":
-        var = it.sigma * it.sigma
-        u = d / var
+        u = d / (it.sigma * it.sigma)
         logp = (-0.5 * n_a * LOG_2PI
                 - np.sum(np.log(it.sigma))
                 - 0.5 * np.sum(d * u, axis=1))
@@ -383,22 +377,79 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
         u = (it.cov_inv @ d[..., None])[..., 0]
         logp = (-0.5 * n_a * LOG_2PI - 0.5 * it.log_det
                 - 0.5 * np.sum(d * u, axis=1))
-    if tape is None:
-        return logp
+    return logp, d, u
+
+
+def log_prob(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
+             cfg: LatticeConfig,
+             internals: DistInternals | None = None) -> np.ndarray:
+    """Batched log pi(a | s) without gradient accumulation."""
+    it = internals if internals is not None else dist_internals(
+        policy, obs, cfg)
+    return log_prob_terms(policy, it, actions)[0]
+
+
+def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
+                    tape: GradientTape, it: DistInternals,
+                    w_pg: np.ndarray | None = None,
+                    w_ent: np.ndarray | None = None,
+                    terms: tuple | None = None):
+    """Accumulate sum_b w_pg[b] dlogp_b/dtheta + w_ent[b] dH_b/dtheta.
+
+    Both terms reach the policy through the mean seed -w_pg u and one
+    covariance seed wG = w_pg (u u^T - Sigma^-1) / 2 + w_ent Sigma^-1 / 2,
+    so the covariance and the network are each differentiated once. A
+    weight of None drops its term; w_pg needs terms = log_prob_terms(...)
+    of the same internals.
+
+    With stop_variance_gradient set, the variance-path contributions into the
+    network weights are suppressed while the log-std matrices still receive
+    gradients.
+    """
     if it.cache is None:
         raise ValueError("internals were built without a forward cache")
-    w = np.ones(len(logp)) if weights is None else np.asarray(weights, float)
-    d_mean = -(w[:, None] * u)
+    if w_pg is not None:
+        _, d, u = terms
+        d_mean = -(w_pg[:, None] * u)
+    else:
+        d_mean = np.zeros_like(it.mean)
     if it.kind == "diagonal":
-        var = it.sigma * it.sigma
-        tape.add("log_sigma", np.sum(w[:, None] * (d * d / var - 1.0), axis=0))
+        # the two log_sigma terms as separate adds, log-prob first
+        if w_pg is not None:
+            var = it.sigma * it.sigma
+            tape.add("log_sigma",
+                     np.sum(w_pg[:, None] * (d * d / var - 1.0), axis=0))
+        if w_ent is not None:
+            tape.add("log_sigma",
+                     np.full(policy.action_dim, float(np.sum(w_ent))))
         d_latent = None
     else:
-        G = 0.5 * (np.einsum("bi,bj->bij", u, u) - it.cov_inv)
-        wG = w[:, None, None] * G
+        half_ent = 0.0 if w_ent is None else 0.5 * w_ent
+        if w_pg is not None:
+            half_pg = 0.5 * w_pg
+            wG = (half_pg[:, None] * u)[:, :, None] * u[:, None, :]
+            wG += (half_ent - half_pg)[:, None, None] * it.cov_inv
+        else:
+            wG = half_ent[:, None, None] * it.cov_inv
         d_latent = _variance_backward(policy, it, cfg, wG, tape)
-    policy.net.backward(it.cache, d_mean, tape, d_latent=d_latent)
-    return logp
+    if w_pg is not None or d_latent is not None:
+        policy.net.backward(it.cache, d_mean, tape, d_latent=d_latent)
+
+
+def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
+                      cfg: LatticeConfig, tape: GradientTape | None,
+                      weights: np.ndarray | None = None,
+                      internals: DistInternals | None = None) -> np.ndarray:
+    """Batched log pi(a | s); optionally accumulates sum_b w_b dlogp_b/dtheta
+    (policy_backward without the entropy term)."""
+    it = internals if internals is not None else dist_internals(
+        policy, obs, cfg, need_cache=tape is not None)
+    terms = log_prob_terms(policy, it, actions)
+    if tape is not None:
+        w = np.ones(len(terms[0])) if weights is None \
+            else np.asarray(weights, float)
+        policy_backward(policy, cfg, tape, it, w_pg=w, terms=terms)
+    return terms[0]
 
 
 def entropy_batch(policy: MlpPolicy, it: DistInternals) -> np.ndarray:
@@ -412,17 +463,9 @@ def entropy_batch(policy: MlpPolicy, it: DistInternals) -> np.ndarray:
 def entropy_and_grad(policy: MlpPolicy, cfg: LatticeConfig,
                      tape: GradientTape, it: DistInternals,
                      weights: np.ndarray | None = None) -> np.ndarray:
-    """Batched entropy; accumulates sum_b w_b dH_b/dtheta into the tape."""
+    """Batched entropy; accumulates sum_b w_b dH_b/dtheta into the tape
+    (policy_backward without the log-prob term)."""
     h = entropy_batch(policy, it)
     w = np.ones(len(h)) if weights is None else np.asarray(weights, float)
-    if it.kind == "diagonal":
-        tape.add("log_sigma", np.full(policy.action_dim, float(np.sum(w))))
-        return h
-    if it.cache is None:
-        raise ValueError("internals were built without a forward cache")
-    wG = w[:, None, None] * (0.5 * it.cov_inv)
-    d_latent = _variance_backward(policy, it, cfg, wG, tape)
-    if d_latent is not None:
-        zero = np.zeros_like(it.mean)
-        policy.net.backward(it.cache, zero, tape, d_latent=d_latent)
+    policy_backward(policy, cfg, tape, it, w_ent=w)
     return h

@@ -21,9 +21,10 @@ from .policy import (
     Mlp,
     MlpPolicy,
     dist_internals,
-    entropy_and_grad,
+    entropy_batch,
     log_prob,
-    log_prob_and_grad,
+    log_prob_terms,
+    policy_backward,
 )
 
 CHECKPOINT_SCHEMA = 1
@@ -243,7 +244,7 @@ class PPOTrainer:
                  "approx_kl": 0.0, "clip_fraction": 0.0, "grad_norm": 0.0}
         n_batches = 0
         eps = self.ppo.clip_range
-        for _ in range(self.ppo.n_epochs):
+        for epoch in range(self.ppo.n_epochs):
             perm = self.shuffle_rng.permutation(n)
             for start in range(0, n, self.ppo.batch_size):
                 idx = perm[start:start + self.ppo.batch_size]
@@ -253,19 +254,17 @@ class PPOTrainer:
                 tape.zero_()
                 it = dist_internals(self.policy, obs[idx], self.cfg,
                                     need_cache=True)
-                # policy gradient through the clipped surrogate
-                probe = log_prob(self.policy, obs[idx], actions[idx],
-                                 self.cfg, internals=it)
-                ratio = np.exp(probe - old_logp[idx])
+                terms = log_prob_terms(self.policy, it, actions[idx])
+                logp = terms[0]
+                ent = entropy_batch(self.policy, it)
+                # clipped surrogate and entropy bonus in one policy backward
+                ratio = np.exp(logp - old_logp[idx])
                 inactive = ((adv > 0) & (ratio > 1.0 + eps)) | \
                            ((adv < 0) & (ratio < 1.0 - eps))
                 w_pg = np.where(inactive, 0.0, -(adv * ratio) / b)
-                log_prob_and_grad(self.policy, obs[idx], actions[idx],
-                                  self.cfg, tape, weights=w_pg, internals=it)
-                # entropy bonus
                 w_ent = np.full(b, -self.ppo.entropy_coef / b)
-                ent = entropy_and_grad(self.policy, self.cfg, tape, it,
-                                       weights=w_ent)
+                policy_backward(self.policy, self.cfg, tape, it, w_pg=w_pg,
+                                w_ent=w_ent, terms=terms)
                 # value loss
                 _, v_out, v_cache = self.value_net.forward(obs[idx],
                                                            need_cache=True)
@@ -281,13 +280,17 @@ class PPOTrainer:
                 total = pg_loss + value_loss \
                     - self.ppo.entropy_coef * float(np.mean(ent))
                 if not np.isfinite(total) or not tape.all_finite():
+                    bad = tape.non_finite()
+                    culprit = ("gradient of " + ", ".join(bad)) if bad \
+                        else "loss"
                     raise NonFiniteLoss(
-                        f"non-finite loss in minibatch starting at {start}")
+                        f"non-finite {culprit} in epoch {epoch}, minibatch "
+                        f"starting at {start}")
                 norm = tape.clip_global_norm(self.ppo.max_grad_norm)
                 self.optimizer.step(self.params, tape.grads, skip=self.skip)
 
                 with np.errstate(over="ignore"):
-                    log_ratio = probe - old_logp[idx]
+                    log_ratio = logp - old_logp[idx]
                 stats["pg_loss"] += pg_loss
                 stats["value_loss"] += value_loss
                 stats["entropy"] += float(np.mean(ent))

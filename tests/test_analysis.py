@@ -180,6 +180,37 @@ class TestCovarianceReport:
             acc += (cfg.alpha ** 2) * policy.W @ diag @ policy.W.T
         np.testing.assert_allclose(got, acc / len(states), atol=1e-10)
 
+    @pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+    def test_analytic_noise_cov_matches_expanded_formula(self, full):
+        cfg = LatticeConfig(alpha=0.6, full_std=full)
+        policy, _ = lattice_policy(seed=17, hiddens=(6, 7), cfg=cfg)
+        rng = np.random.default_rng(18)
+        log_std_x = policy.params["log_std_x"]
+        log_std_x += rng.normal(0.0, 0.5, log_std_x.shape)
+        # past std_max and below std_min after the width rescaling
+        log_std_x[0, :2] = [5.0, -9.0]
+        states = rng.standard_normal((9, 2))
+        got = analytic_latent_noise_cov(policy, states, cfg)
+        # the formula over the expanded (N_x, N_x) clipped stds
+        from latticerl.exploration import distribution_std
+        x, _ = policy.forward(states)
+        s_x, _ = distribution_std(policy.noise_std, cfg, 4)
+        c_x = (x * x) @ (s_x * s_x).T
+        w = policy.W
+        ref = cfg.alpha ** 2 * np.einsum("ak,bk,mk->am", w, c_x, w) / 9
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    def test_analytic_noise_cov_zero_latent_gamma_zero(self):
+        # a zero latent makes the action covariance singular at gamma = 0;
+        # the latent part is still defined and is zero
+        cfg = LatticeConfig(alpha=1.0, gamma=0.0)
+        policy, _ = lattice_policy(seed=19, cfg=cfg)
+        for name, v in policy.params.items():
+            if name.startswith("pi.") and name != policy.net.head_w_name:
+                v[...] = 0.0
+        got = analytic_latent_noise_cov(policy, np.ones((3, 2)), cfg)
+        np.testing.assert_array_equal(got, 0.0)
+
 
 class TestNoiseAllocation:
     def test_single_group(self):

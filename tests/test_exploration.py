@@ -142,6 +142,18 @@ class TestResamplePerturbations:
         np.testing.assert_array_equal(a.P_x, b.P_x)
         np.testing.assert_array_equal(a.P_a, b.P_a)
 
+    @pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+    def test_bytes_match_expanded_std_scaling(self, full):
+        std = make_std(np.random.default_rng(5), 3, 6, full=full)
+        cfg = LatticeConfig()
+        p = resample_perturbations(std, cfg, 3, np.random.default_rng(9))
+        s_x, s_a = sampling_std(std, cfg, 3)
+        rng = np.random.default_rng(9)
+        ref_x = rng.standard_normal(s_x.shape) * s_x
+        ref_a = rng.standard_normal(s_a.shape) * s_a
+        assert p.P_x.tobytes() == ref_x.tobytes()
+        assert p.P_a.tobytes() == ref_a.tobytes()
+
     def test_shapes(self):
         std = make_std(np.random.default_rng(4), 3, 5, full=False)
         p = resample_perturbations(std, LatticeConfig(), 3,

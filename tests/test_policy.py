@@ -23,6 +23,8 @@ from latticerl.policy import (
     entropy_batch,
     log_prob,
     log_prob_and_grad,
+    log_prob_terms,
+    policy_backward,
 )
 
 from conftest import finite_difference, logp_gradient_check, relative_error
@@ -329,6 +331,87 @@ class TestEntropy:
         assert worst < 1e-4
 
 
+MERGED_CASES = [
+    dict(strategy="lattice", alpha=1.0, full=False, stop=False),
+    dict(strategy="lattice", alpha=0.5, full=True, stop=False),
+    dict(strategy="lattice", alpha=0.5, full=False, stop=True),
+    dict(strategy="gsde", alpha=0.0, full=False, stop=False),
+    dict(strategy="diagonal", alpha=1.0, full=False, stop=False),
+]
+
+
+def _merged_setup(case, small_policy_factory, batch=5, action_dim=3):
+    cfg = LatticeConfig(alpha=case["alpha"], full_std=case["full"],
+                        stop_variance_gradient=case["stop"],
+                        init_log_std=-0.2)
+    policy, _ = small_policy_factory(strategy=case["strategy"], cfg=cfg,
+                                     action_dim=action_dim, seed=51)
+    rng = np.random.default_rng(52)
+    for name in ("log_std_x", "log_std_a", "log_sigma"):
+        if name in policy.params:
+            policy.params[name] += rng.normal(0.0, 0.3,
+                                              policy.params[name].shape)
+    obs = rng.standard_normal((batch, 3))
+    actions = rng.standard_normal((batch, action_dim))
+    # signed weights of PPO's size: surrogate and entropy bonus
+    w_pg = rng.standard_normal(batch) / batch
+    w_ent = rng.uniform(-2.0, 2.0, batch) / batch
+    return policy, cfg, obs, actions, w_pg, w_ent
+
+
+class TestMergedBackward:
+    @pytest.mark.parametrize("case", MERGED_CASES,
+                             ids=[f"{c['strategy']}-a{c['alpha']}-"
+                                  f"{'full' if c['full'] else 'reduced'}-"
+                                  f"{'stop' if c['stop'] else 'flow'}"
+                                  for c in MERGED_CASES])
+    def test_equals_sum_of_separate_tapes(self, case, small_policy_factory):
+        policy, cfg, obs, actions, w_pg, w_ent = _merged_setup(
+            case, small_policy_factory)
+        it = dist_internals(policy, obs, cfg, need_cache=True)
+        merged = GradientTape(policy.params)
+        policy_backward(policy, cfg, merged, it, w_pg=w_pg, w_ent=w_ent,
+                        terms=log_prob_terms(policy, it, actions))
+        tape_pg = GradientTape(policy.params)
+        log_prob_and_grad(policy, obs, actions, cfg, tape_pg, weights=w_pg,
+                          internals=it)
+        tape_ent = GradientTape(policy.params)
+        entropy_and_grad(policy, cfg, tape_ent, it, weights=w_ent)
+        for k in policy.params:
+            expected = tape_pg.grads[k] + tape_ent.grads[k]
+            if case["strategy"] == "diagonal":
+                np.testing.assert_array_equal(merged.grads[k], expected)
+            else:
+                np.testing.assert_allclose(merged.grads[k], expected,
+                                           rtol=1e-12, err_msg=k)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+    def test_finite_differences(self, full, small_policy_factory):
+        case = dict(strategy="lattice", alpha=0.8, full=full, stop=False)
+        policy, cfg, obs, actions, w_pg, w_ent = _merged_setup(
+            case, small_policy_factory)
+        it = dist_internals(policy, obs, cfg, need_cache=True)
+        tape = GradientTape(policy.params)
+        policy_backward(policy, cfg, tape, it, w_pg=w_pg, w_ent=w_ent,
+                        terms=log_prob_terms(policy, it, actions))
+
+        def objective():
+            cur = dist_internals(policy, obs, cfg)
+            return float(np.sum(w_pg * log_prob(policy, obs, actions, cfg,
+                                                internals=cur))
+                         + np.sum(w_ent * entropy_batch(policy, cur)))
+
+        worst = 0.0
+        for name, arr in policy.params.items():
+            it_nd = np.nditer(arr, flags=["multi_index"])
+            for _ in it_nd:
+                idx = it_nd.multi_index
+                num = finite_difference(objective, arr, idx)
+                worst = max(worst,
+                            relative_error(num, tape.grads[name][idx]))
+        assert worst < 1e-4
+
+
 class TestGradientTape:
     def test_clip_global_norm(self):
         params = {"a": np.zeros(3), "b": np.zeros((2, 2))}
@@ -352,3 +435,41 @@ class TestGradientTape:
         tape.zero_()
         np.testing.assert_array_equal(tape.grads["a"], 0.0)
         assert tape.all_finite()
+
+    def test_grads_are_views_of_one_buffer(self):
+        params = {"w": np.zeros((2, 3)), "b": np.zeros(3), "s": np.zeros(())}
+        tape = GradientTape(params)
+        assert tape.flat.size == 10
+        for k, v in params.items():
+            assert tape.grads[k].shape == v.shape
+            assert np.shares_memory(tape.grads[k], tape.flat)
+        tape.add("b", np.array([1.0, 2.0, 3.0]))
+        tape.add("s", 4.0)
+        np.testing.assert_array_equal(tape.flat[6:], [1.0, 2.0, 3.0, 4.0])
+
+    def test_clip_bytes_match_per_key_scaling(self):
+        rng = np.random.default_rng(5)
+        params = {"w": np.zeros((70, 50)), "b": np.zeros(50),
+                  "c": np.zeros(3)}
+        tape = GradientTape(params)
+        for k, v in params.items():
+            tape.add(k, rng.standard_normal(v.shape) * 3.0)
+        ref = {k: g.copy() for k, g in tape.grads.items()}
+        total = 0.0
+        for g in ref.values():
+            total += float(np.sum(g * g))
+        norm = float(np.sqrt(total))
+        scale = 0.7 / norm
+        for g in ref.values():
+            g *= scale
+        assert tape.clip_global_norm(0.7) == norm
+        for k in ref:
+            np.testing.assert_array_equal(tape.grads[k], ref[k])
+
+    def test_non_finite_names(self):
+        tape = GradientTape({"a": np.zeros(2), "b": np.zeros(2),
+                             "c": np.zeros(1)})
+        assert tape.non_finite() == []
+        tape.add("b", np.array([0.0, np.nan]))
+        tape.add("c", np.array([-np.inf]))
+        assert tape.non_finite() == ["b", "c"]

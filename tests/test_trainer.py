@@ -7,7 +7,9 @@ import pytest
 
 from latticerl.cli import collect_action_log
 from latticerl.envs import ENV_REGISTRY, energy_of
-from latticerl.errors import CheckpointCorrupt
+from latticerl import policy as policy_mod
+from latticerl import trainer as trainer_mod
+from latticerl.errors import CheckpointCorrupt, NonFiniteLoss
 from latticerl.exploration import (
     LatticeConfig,
     resample_perturbations,
@@ -349,6 +351,43 @@ class TestPpoUpdate:
         for key in ("pg_loss", "value_loss", "entropy", "approx_kl",
                     "clip_fraction", "grad_norm"):
             assert np.isfinite(stats[key])
+
+    def test_one_policy_backward_per_minibatch(self, monkeypatch):
+        ppo = dataclasses.replace(
+            TINY_PPO, batch_size=TINY_PPO.gradient_steps * TINY_PPO.n_envs,
+            n_epochs=1)
+        tr = small_trainer(ppo=ppo)
+        buf = tr.collect_rollout(ppo.gradient_steps)
+        calls = {"backward": 0, "variance": 0, "logp": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(policy_mod.Mlp, "backward",
+                            counted("backward", policy_mod.Mlp.backward))
+        monkeypatch.setattr(policy_mod, "_variance_backward",
+                            counted("variance",
+                                    policy_mod._variance_backward))
+        terms = counted("logp", policy_mod.log_prob_terms)
+        monkeypatch.setattr(policy_mod, "log_prob_terms", terms)
+        monkeypatch.setattr(trainer_mod, "log_prob_terms", terms)
+        tr.ppo_update(buf)
+        # one minibatch: the policy and the value net once each
+        assert calls == {"backward": 2, "variance": 1, "logp": 1}
+
+    def test_nan_reward_names_value_parameters(self):
+        tr = small_trainer()
+        buf = tr.collect_rollout(8)
+        buf.rewards[-1, :] = np.nan
+        with pytest.raises(NonFiniteLoss) as info:
+            tr.ppo_update(buf)
+        message = str(info.value)
+        assert "epoch 0" in message
+        assert "gradient of " in message
+        assert "v.w0" in message
 
     def test_surrogate_gradient_finite_differences(self,
                                                    small_policy_factory):
