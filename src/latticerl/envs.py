@@ -4,6 +4,21 @@ Both environments share the same aggregation rule: antagonist actuator groups
 drive the dynamics through their mean activation, so a 3+3 arm reduces
 analytically to the 1+1 arm and the closed-form noise-variance results carry
 over unchanged.
+
+Each environment writes its dynamics once, over a leading env axis. A single
+env steps its own scalar state with that code; BatchedEnv keeps the state of
+n copies as (n, ...) arrays and steps them all with the same code, so row i
+of a batch follows, byte for byte, the trajectory of a single env seeded
+like copy i under the same actions. An environment in ENV_REGISTRY must
+provide the interface BatchedEnv uses:
+
+- ``state_fields``: names of the attributes that hold the episode state
+  (the step count aside);
+- ``initial_state(rng)``: their values at an episode start, drawn from rng;
+- ``advance(s, a)``: move the state held by ``s`` (the env itself, or a
+  BatchedEnv) one step under clipped activations ``a`` of shape (..., A),
+  returning (reward, solved, accel);
+- ``observation(s)``: the observation of that state, (..., obs_dim).
 """
 
 from dataclasses import dataclass
@@ -26,6 +41,24 @@ def energy_of(actions) -> float:
     if actions.size == 0:
         return 0.0
     return float(np.mean(actions * actions))
+
+
+def _clipped_action(action, shape: tuple) -> np.ndarray:
+    """The action clipped to [0, 1] after checking its shape and that every
+    entry is finite; raises before anything is stepped."""
+    action = np.asarray(action, dtype=float)
+    if action.shape != shape:
+        raise DimensionMismatch(
+            f"action has shape {action.shape}, expected {shape}")
+    if not np.all(np.isfinite(action)):
+        raise NonFiniteAction("action contains NaN or Inf")
+    return np.clip(action, 0.0, 1.0)
+
+
+def _group_mean(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Mean activation of actuators start..stop-1 over the last axis (the
+    sum and division np.mean performs, without its overhead)."""
+    return np.add.reduce(a[..., start:stop], axis=-1) / (stop - start)
 
 
 @dataclass
@@ -52,6 +85,7 @@ class FlexExtArm:
     """
 
     name = "flex_ext_arm"
+    state_fields = ("theta", "theta_dot", "theta_target")
 
     def __init__(self, n_flexors: int = 3, n_extensors: int = 3,
                  gain: float = 60.0, dt: float = 0.02, max_steps: int = 100,
@@ -89,52 +123,57 @@ class FlexExtArm:
             "flexors": list(range(self.n_extensors, self.action_dim)),
         }
 
-    def _obs(self) -> np.ndarray:
-        return np.array([self.theta_target - self.theta, self.theta_dot])
+    # ---------------------------------------- dynamics over a leading axis
+
+    def initial_state(self, rng: np.random.Generator) -> tuple:
+        return 0.0, 0.0, float(rng.uniform(-self.target_range,
+                                           self.target_range))
+
+    def _accel(self, a: np.ndarray):
+        k = self.n_extensors
+        return self.gain * (_group_mean(a, 0, k)
+                            - _group_mean(a, k, self.action_dim))
+
+    def advance(self, s, a: np.ndarray):
+        accel = self._accel(a)
+        s.theta_dot = s.theta_dot + accel * self.dt
+        s.theta = s.theta + s.theta_dot * self.dt
+        delta = s.theta_target - s.theta
+        solved = np.abs(delta) < self.solved_threshold
+        return -np.abs(delta) + solved, solved, accel
+
+    def observation(self, s) -> np.ndarray:
+        obs = np.empty(np.shape(s.theta) + (2,))
+        obs[..., 0] = s.theta_target - s.theta
+        obs[..., 1] = s.theta_dot
+        return obs
+
+    # ------------------------------------------------------- one env
 
     def observe(self) -> np.ndarray:
-        return self._obs()
+        return self.observation(self)
 
     def kinematics(self) -> np.ndarray:
         """Kinematic coordinates used by perturbation analyses."""
         return np.array([self.theta])
 
     def reset(self) -> np.ndarray:
-        self.theta = 0.0
-        self.theta_dot = 0.0
-        self.theta_target = float(
-            self.rng.uniform(-self.target_range, self.target_range))
+        self.theta, self.theta_dot, self.theta_target = \
+            self.initial_state(self.rng)
         self.step_count = 0
-        return self._obs()
+        return self.observation(self)
 
     def accel_of(self, action: np.ndarray) -> float:
         """Angular acceleration produced by a (clamped) activation vector."""
-        a = self._clamp(action)
-        a_e = float(np.mean(a[: self.n_extensors]))
-        a_f = float(np.mean(a[self.n_extensors:]))
-        return self.gain * (a_e - a_f)
-
-    def _clamp(self, action) -> np.ndarray:
-        action = np.asarray(action, dtype=float)
-        if action.shape != (self.action_dim,):
-            raise DimensionMismatch(
-                f"action has shape {action.shape}, expected "
-                f"({self.action_dim},)")
-        if not np.all(np.isfinite(action)):
-            raise NonFiniteAction("action contains NaN or Inf")
-        return np.clip(action, 0.0, 1.0)
+        return self._accel(_clipped_action(action, (self.action_dim,)))
 
     def step(self, action):
-        accel = self.accel_of(action)
-        self.theta_dot += accel * self.dt
-        self.theta += self.theta_dot * self.dt
+        reward, solved, accel = self.advance(
+            self, _clipped_action(action, (self.action_dim,)))
         self.step_count += 1
-        delta = self.theta_target - self.theta
-        solved = abs(delta) < self.solved_threshold
-        reward = -abs(delta) + (1.0 if solved else 0.0)
         done = self.step_count >= self.max_steps
-        return self._obs(), float(reward), done, {"solved": solved,
-                                                  "accel": accel}
+        return self.observation(self), float(reward), done, {
+            "solved": bool(solved), "accel": accel}
 
     def get_state(self) -> tuple:
         return (self.theta, self.theta_dot, self.theta_target, self.step_count)
@@ -159,6 +198,7 @@ class PointReacher:
     """
 
     name = "point_reacher"
+    state_fields = ("pos", "vel", "target")
 
     def __init__(self, pairs_per_axis: int = 2, gain: float = 30.0,
                  dt: float = 0.02, max_steps: int = 100,
@@ -198,52 +238,57 @@ class PointReacher:
             "y_neg": list(range(3 * k, 4 * k)),
         }
 
-    def _obs(self) -> np.ndarray:
-        delta = self.target - self.pos
-        return np.concatenate([delta, self.vel])
+    # ---------------------------------------- dynamics over a leading axis
+
+    def initial_state(self, rng: np.random.Generator) -> tuple:
+        return np.zeros(2), np.zeros(2), rng.uniform(
+            -self.target_range, self.target_range, size=2)
+
+    def _accel(self, a: np.ndarray) -> np.ndarray:
+        k = self.pairs_per_axis
+        accel = np.empty(a.shape[:-1] + (2,))
+        accel[..., 0] = self.gain * (_group_mean(a, 0, k)
+                                     - _group_mean(a, k, 2 * k))
+        accel[..., 1] = self.gain * (_group_mean(a, 2 * k, 3 * k)
+                                     - _group_mean(a, 3 * k, 4 * k))
+        return accel
+
+    def advance(self, s, a: np.ndarray):
+        accel = self._accel(a)
+        s.vel = s.vel + accel * self.dt
+        s.pos = s.pos + s.vel * self.dt
+        d = s.target - s.pos
+        # the BLAS dot np.linalg.norm takes, one per row
+        dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+        solved = dist < self.solved_radius
+        return -dist + solved, solved, accel
+
+    def observation(self, s) -> np.ndarray:
+        return np.concatenate([s.target - s.pos, s.vel], axis=-1)
+
+    # ------------------------------------------------------- one env
 
     def observe(self) -> np.ndarray:
-        return self._obs()
+        return self.observation(self)
 
     def kinematics(self) -> np.ndarray:
         return self.pos.copy()
 
     def reset(self) -> np.ndarray:
-        self.pos = np.zeros(2)
-        self.vel = np.zeros(2)
-        self.target = self.rng.uniform(-self.target_range, self.target_range,
-                                       size=2)
+        self.pos, self.vel, self.target = self.initial_state(self.rng)
         self.step_count = 0
-        return self._obs()
-
-    def _clamp(self, action) -> np.ndarray:
-        action = np.asarray(action, dtype=float)
-        if action.shape != (self.action_dim,):
-            raise DimensionMismatch(
-                f"action has shape {action.shape}, expected "
-                f"({self.action_dim},)")
-        if not np.all(np.isfinite(action)):
-            raise NonFiniteAction("action contains NaN or Inf")
-        return np.clip(action, 0.0, 1.0)
+        return self.observation(self)
 
     def accel_of(self, action) -> np.ndarray:
-        a = self._clamp(action)
-        k = self.pairs_per_axis
-        ax = self.gain * (np.mean(a[0:k]) - np.mean(a[k:2 * k]))
-        ay = self.gain * (np.mean(a[2 * k:3 * k]) - np.mean(a[3 * k:4 * k]))
-        return np.array([ax, ay])
+        return self._accel(_clipped_action(action, (self.action_dim,)))
 
     def step(self, action):
-        accel = self.accel_of(action)
-        self.vel = self.vel + accel * self.dt
-        self.pos = self.pos + self.vel * self.dt
+        reward, solved, accel = self.advance(
+            self, _clipped_action(action, (self.action_dim,)))
         self.step_count += 1
-        dist = float(np.linalg.norm(self.target - self.pos))
-        solved = dist < self.solved_radius
-        reward = -dist + (1.0 if solved else 0.0)
         done = self.step_count >= self.max_steps
-        return self._obs(), float(reward), done, {"solved": solved,
-                                                  "accel": accel}
+        return self.observation(self), float(reward), done, {
+            "solved": bool(solved), "accel": accel}
 
     def get_state(self) -> tuple:
         return (self.pos.copy(), self.vel.copy(), self.target.copy(),
@@ -255,6 +300,61 @@ class PointReacher:
         self.vel = vel.copy()
         self.target = target.copy()
         self.step_count = count
+
+
+class BatchedEnv:
+    """n copies of one environment stepped as arrays.
+
+    Built from n single envs of one class and equal parameters: copy i lends
+    its rng, which draws row i's episode starts; the parameters and the
+    dynamics are copy 0's. The state fields are (n, ...) attributes of this
+    holder. step checks the whole action array before any row moves, so a
+    bad row leaves every row as it was. Rows are not reset by step; reset
+    the rows whose dones are set.
+    """
+
+    def __init__(self, envs):
+        self.env = envs[0]
+        self.rngs = [e.rng for e in envs]
+        self.n = len(envs)
+        starts = [self.env.initial_state(rng) for rng in self.rngs]
+        for j, name in enumerate(self.env.state_fields):
+            setattr(self, name, np.array([s[j] for s in starts], dtype=float))
+        self.step_count = np.zeros(self.n, dtype=int)
+
+    @property
+    def obs_dim(self) -> int:
+        return self.env.obs_dim
+
+    @property
+    def action_dim(self) -> int:
+        return self.env.action_dim
+
+    @property
+    def max_steps(self) -> int:
+        return self.env.max_steps
+
+    def observe(self) -> np.ndarray:
+        return self.env.observation(self)
+
+    def reset(self, rows) -> np.ndarray:
+        """Start a new episode in each of rows (row i draws from its own
+        rng); returns the observations of all rows."""
+        for i in rows:
+            for name, value in zip(self.env.state_fields,
+                                   self.env.initial_state(self.rngs[i])):
+                getattr(self, name)[i] = value
+            self.step_count[i] = 0
+        return self.observe()
+
+    def step(self, actions):
+        """One step of every row under actions (n, A). Returns obs
+        (n, obs_dim), rewards (n,), dones (n,) and solved (n,)."""
+        a = _clipped_action(actions, (self.n, self.env.action_dim))
+        rewards, solved, _ = self.env.advance(self, a)
+        self.step_count += 1
+        return (self.observe(), rewards, self.step_count >= self.max_steps,
+                solved)
 
 
 ENV_REGISTRY = {

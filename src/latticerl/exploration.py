@@ -181,11 +181,9 @@ class NoiseSampler:
         mean action mean[i]; advances each env's episode step."""
         policy = self.policy
         if policy.strategy == "diagonal":
-            sigma = np.exp(policy.params["log_sigma"])
-            actions = np.empty_like(mean)
-            for i, rng in enumerate(self.rngs):
-                actions[i] = mean[i] + \
-                    rng.standard_normal(policy.action_dim) * sigma
+            z = np.stack([rng.standard_normal(policy.action_dim)
+                          for rng in self.rngs])
+            actions = mean + z * np.exp(policy.params["log_sigma"])
         elif self.cfg.period_steps == 1:
             actions = mean + self._fresh_noise(x)
         else:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .buffer import RolloutBuffer, compute_gae
-from .envs import EpisodeMetrics, make_env
+from .envs import BatchedEnv, EpisodeMetrics, make_env
 from .errors import CheckpointCorrupt, NonFiniteLoss
 from .exploration import LatticeConfig, NoiseSampler
 from .policy import (
@@ -126,9 +126,14 @@ class PPOTrainer:
         self.shuffle_rng = np.random.default_rng(shuffle_ss)
         self.env_rngs = [np.random.default_rng(s) for s in env_ss]
 
-        probe = make_env(env_name, seed=0, **self.env_kwargs)
-        self.obs_dim = probe.obs_dim
-        self.action_dim = probe.action_dim
+        self.envs = BatchedEnv([
+            make_env(env_name,
+                     seed=int(np.random.default_rng(s).integers(2 ** 31)),
+                     **self.env_kwargs)
+            for s in ss.spawn(self.ppo.n_envs)
+        ])
+        self.obs_dim = self.envs.obs_dim
+        self.action_dim = self.envs.action_dim
 
         self.policy = MlpPolicy(self.obs_dim, self.action_dim, self.cfg,
                                 strategy=strategy, hiddens=self.hiddens,
@@ -144,17 +149,13 @@ class PPOTrainer:
         self.optimizer = Adam(self.params, self.ppo.learning_rate)
         self.skip: set[str] = set()
 
-        self.envs = [
-            make_env(env_name,
-                     seed=int(np.random.default_rng(s).integers(2 ** 31)),
-                     **self.env_kwargs)
-            for s in ss.spawn(self.ppo.n_envs)
-        ]
-        self._obs = np.stack([env.reset() for env in self.envs])
+        self._obs = self.envs.observe()
         self.noise = NoiseSampler(self.policy, self.cfg, self.env_rngs)
-        self._ep_rewards = [[] for _ in range(self.ppo.n_envs)]
-        self._ep_solved = [[] for _ in range(self.ppo.n_envs)]
-        self._ep_actions = [[] for _ in range(self.ppo.n_envs)]
+        # episode logs of every env, written at each env's step count
+        n, t_max = self.ppo.n_envs, self.envs.max_steps
+        self._ep_rewards = np.zeros((n, t_max))
+        self._ep_solved = np.zeros((n, t_max), dtype=bool)
+        self._ep_actions = np.zeros((n, t_max, self.action_dim))
         self.recent_episodes: list[EpisodeMetrics] = []
         self.env_steps = 0
         self.updates = 0
@@ -195,6 +196,7 @@ class PPOTrainer:
         buf = RolloutBuffer.allocate(n_steps, self.ppo.n_envs, self.obs_dim,
                                      self.action_dim)
         self.recent_episodes = []
+        rows = np.arange(self.ppo.n_envs)
         for t in range(n_steps):
             obs = self._obs
             it = dist_internals(self.policy, obs, self.cfg)
@@ -205,25 +207,22 @@ class PPOTrainer:
             buf.actions[t] = actions
             buf.log_probs[t] = logp
             buf.values[t] = values[:, 0]
-            next_obs = np.empty_like(self._obs)
-            for i, env in enumerate(self.envs):
-                o, r, done, info = env.step(actions[i])
-                buf.rewards[t, i] = r
-                buf.dones[t, i] = done
-                self._ep_rewards[i].append(r)
-                self._ep_solved[i].append(info["solved"])
-                self._ep_actions[i].append(np.clip(actions[i], 0.0, 1.0))
-                if done:
+            self._obs, rewards, dones, solved = self.envs.step(actions)
+            buf.rewards[t] = rewards
+            buf.dones[t] = dones
+            k = self.envs.step_count - 1
+            self._ep_rewards[rows, k] = rewards
+            self._ep_solved[rows, k] = solved
+            self._ep_actions[rows, k] = np.clip(actions, 0.0, 1.0)
+            if dones.any():
+                ended = np.flatnonzero(dones)
+                for i in ended:
+                    n_i = k[i] + 1
                     self.recent_episodes.append(EpisodeMetrics.from_logs(
-                        self._ep_rewards[i], self._ep_solved[i],
-                        self._ep_actions[i], env.max_steps))
-                    self._ep_rewards[i] = []
-                    self._ep_solved[i] = []
-                    self._ep_actions[i] = []
-                    o = env.reset()
+                        self._ep_rewards[i, :n_i], self._ep_solved[i, :n_i],
+                        self._ep_actions[i, :n_i], self.envs.max_steps))
                     self.noise.reset(i)
-                next_obs[i] = o
-            self._obs = next_obs
+                self._obs = self.envs.reset(ended)
             self.env_steps += self.ppo.n_envs
         return buf
 

@@ -24,10 +24,13 @@ def relative_error(numeric, analytic, floor=1e-8):
 
 class ConstantObsEnv:
     """Minimal environment whose observation never changes; used to isolate
-    the exploration noise from the policy's state dependence."""
+    the exploration noise from the policy's state dependence. It has no
+    episode state besides the step count, and implements the interface
+    BatchedEnv steps."""
 
     name = "constant_obs"
     max_steps = 100
+    state_fields = ()
 
     def __init__(self, obs_dim: int = 2, action_dim: int = 4,
                  max_steps: int = 100, seed: int | None = None):
@@ -49,21 +52,28 @@ class ConstantObsEnv:
     def actuator_groups(self):
         return {"all": list(range(self._action_dim))}
 
-    def _obs(self):
-        return np.ones(self._obs_dim)
+    def initial_state(self, rng):
+        return ()
+
+    def advance(self, s, a):
+        shape = np.shape(s.step_count)
+        return np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
+
+    def observation(self, s):
+        return np.ones(np.shape(s.step_count) + (self._obs_dim,))
 
     def observe(self):
-        return self._obs()
+        return self.observation(self)
 
     def reset(self):
         self.step_count = 0
-        return self._obs()
+        return self.observation(self)
 
     def step(self, action):
-        action = np.asarray(action, dtype=float)
         self.step_count += 1
         done = self.step_count >= self.max_steps
-        return self._obs(), 0.0, done, {"solved": False, "accel": 0.0}
+        return self.observation(self), 0.0, done, {"solved": False,
+                                                    "accel": 0.0}
 
 
 @pytest.fixture

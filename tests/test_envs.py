@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latticerl.envs import (
     ENV_REGISTRY,
+    BatchedEnv,
     EpisodeMetrics,
     FlexExtArm,
     PointReacher,
@@ -255,6 +256,113 @@ class TestPointReacher:
         _, r, _, info = env.step(np.full(env.action_dim, 0.5))
         assert info["solved"]
         assert r == pytest.approx(1.0)
+
+
+class TestStepOracles:
+    """Each env's step against its formulas written out with np.mean and
+    np.linalg.norm, to the byte; actions beyond [0, 1] check the clip."""
+
+    def test_flex_ext_arm(self):
+        env = FlexExtArm(n_flexors=2, n_extensors=3, max_steps=500, seed=3)
+        env.reset()
+        rng = np.random.default_rng(4)
+        theta = theta_dot = 0.0
+        for _ in range(300):
+            action = rng.uniform(-0.5, 1.5, env.action_dim)
+            a = np.clip(action, 0.0, 1.0)
+            accel = env.gain * (float(np.mean(a[:3])) - float(np.mean(a[3:])))
+            theta_dot += accel * env.dt
+            theta += theta_dot * env.dt
+            delta = env.theta_target - theta
+            solved = abs(delta) < env.solved_threshold
+            obs, r, _, info = env.step(action)
+            assert r == -abs(delta) + (1.0 if solved else 0.0)
+            assert info["solved"] == solved and info["accel"] == accel
+            assert obs.tobytes() == np.array([delta, theta_dot]).tobytes()
+
+    def test_point_reacher(self):
+        env = PointReacher(pairs_per_axis=3, max_steps=500,
+                           target_range=0.3, seed=3)
+        env.reset()
+        rng = np.random.default_rng(4)
+        pos, vel = np.zeros(2), np.zeros(2)
+        k = 3
+        for _ in range(300):
+            action = rng.uniform(-0.5, 1.5, env.action_dim)
+            a = np.clip(action, 0.0, 1.0)
+            accel = env.gain * np.array([
+                np.mean(a[0:k]) - np.mean(a[k:2 * k]),
+                np.mean(a[2 * k:3 * k]) - np.mean(a[3 * k:4 * k])])
+            vel = vel + accel * env.dt
+            pos = pos + vel * env.dt
+            dist = float(np.linalg.norm(env.target - pos))
+            solved = dist < env.solved_radius
+            obs, r, _, info = env.step(action)
+            assert r == -dist + (1.0 if solved else 0.0)
+            assert info["solved"] == solved
+            assert info["accel"].tobytes() == accel.tobytes()
+            assert obs.tobytes() == np.concatenate(
+                [env.target - pos, vel]).tobytes()
+
+
+class TestBatchedEnv:
+    @pytest.mark.parametrize("name,kwargs", [
+        ("flex_ext_arm", {}),
+        ("flex_ext_arm", {"n_flexors": 2, "n_extensors": 5}),
+        ("point_reacher", {}),
+        ("point_reacher", {"pairs_per_axis": 3}),
+    ])
+    def test_rows_match_single_envs(self, name, kwargs):
+        # actions beyond [0, 1] exercise the clip; rows 1 and 3 are also
+        # reset mid-episode, so the rows' episodes end at different steps
+        n = 5
+        kwargs = dict(kwargs, max_steps=7)
+        singles = [make_env(name, seed=10 + i, **kwargs) for i in range(n)]
+        batch = BatchedEnv([make_env(name, seed=10 + i, **kwargs)
+                            for i in range(n)])
+        obs = np.stack([env.reset() for env in singles])
+        assert batch.observe().tobytes() == obs.tobytes()
+        rng = np.random.default_rng(0)
+        for t in range(60):
+            actions = rng.uniform(-0.5, 1.5, (n, batch.action_dim))
+            obs, rewards, dones, solved = batch.step(actions)
+            for i, env in enumerate(singles):
+                o, r, done, info = env.step(actions[i])
+                assert o.tobytes() == obs[i].tobytes()
+                assert np.float64(r).tobytes() == rewards[i].tobytes()
+                assert done == dones[i]
+                assert info["solved"] == solved[i]
+                assert env.step_count == batch.step_count[i]
+                for f in env.state_fields:
+                    assert np.asarray(getattr(env, f), dtype=float) \
+                        .tobytes() == getattr(batch, f)[i].tobytes()
+            rows = set(np.flatnonzero(dones))
+            if t % 9 == 4:
+                rows |= {1, 3}
+            if rows:
+                obs = batch.reset(sorted(rows))
+                for i in rows:
+                    singles[i].reset()
+                assert obs.tobytes() == np.stack(
+                    [env.observe() for env in singles]).tobytes()
+        assert solved.dtype == bool and dones.dtype == bool
+
+    @pytest.mark.parametrize("name", ["flex_ext_arm", "point_reacher"])
+    def test_bad_action_changes_no_row(self, name):
+        batch = BatchedEnv([make_env(name, seed=i) for i in range(4)])
+        rng = np.random.default_rng(1)
+        batch.step(rng.uniform(0.0, 1.0, (4, batch.action_dim)))
+        fields = batch.env.state_fields + ("step_count",)
+        before = [getattr(batch, f).tobytes() for f in fields]
+        bad = rng.uniform(0.0, 1.0, (4, batch.action_dim))
+        bad[2, 1] = np.nan
+        with pytest.raises(NonFiniteAction):
+            batch.step(bad)
+        with pytest.raises(DimensionMismatch):
+            batch.step(np.zeros((4, batch.action_dim + 1)))
+        with pytest.raises(DimensionMismatch):
+            batch.step(np.zeros((3, batch.action_dim)))
+        assert [getattr(batch, f).tobytes() for f in fields] == before
 
 
 class TestRegistry:

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 from latticerl.cli import collect_action_log
-from latticerl.envs import ENV_REGISTRY, energy_of
+from latticerl.envs import (
+    ENV_REGISTRY,
+    EpisodeMetrics,
+    energy_of,
+    make_env,
+)
 from latticerl import policy as policy_mod
 from latticerl import trainer as trainer_mod
-from latticerl.errors import CheckpointCorrupt, NonFiniteLoss
+from latticerl.errors import (
+    CheckpointCorrupt,
+    NonFiniteAction,
+    NonFiniteLoss,
+)
 from latticerl.exploration import (
     LatticeConfig,
     resample_perturbations,
@@ -170,41 +179,97 @@ class TestPeriodSemantics:
         assert not np.array_equal(noise[8], noise[16])
 
 
-def per_env_reference_actions(tr, n_steps):
-    """Actions of the per-env sampling loop that NoiseSampler replaced, run
-    on tr's own envs and rngs: env i adds N(0, sigma^2) noise, or redraws
-    its P matrices from rngs[i] when its window is due, and starts a fresh
-    window when its episode ends."""
+def single_envs_like(tr):
+    """Single envs seeded as the rows of tr's batched env, each reset once
+    as the trainer's per-env loop used to do at construction."""
+    ss = np.random.SeedSequence(tr.seed)
+    ss.spawn(2 + tr.ppo.n_envs)
+    envs = [make_env(tr.env_name,
+                     seed=int(np.random.default_rng(s).integers(2 ** 31)),
+                     **tr.env_kwargs)
+            for s in ss.spawn(tr.ppo.n_envs)]
+    for env in envs:
+        env.reset()
+    return envs
+
+
+def per_env_reference_rollout(tr, n_steps):
+    """The per-env rollout loop that NoiseSampler and BatchedEnv replaced,
+    run from a fresh trainer tr: single envs seeded like tr's env rows are
+    stepped one at a time and keep list episode logs. Diagonal noise adds
+    N(0, sigma^2) per env from rngs[i]; at period > 1 or "episode" env i
+    redraws its P matrices from rngs[i] when its window is due and starts a
+    fresh window when its episode ends; at period 1 the noise is tr's own
+    NoiseSampler. Returns the buffer fields, stacked over steps, and the
+    metrics of the episodes that ended, in order."""
     period = tr.cfg.period_steps
-    windows = [None] * tr.ppo.n_envs
-    ep_step = [0] * tr.ppo.n_envs
-    obs = tr._obs.copy()
-    out = np.empty((n_steps, tr.ppo.n_envs, tr.action_dim))
+    fast = tr.strategy != "diagonal" and period == 1
+    n = tr.ppo.n_envs
+    envs = single_envs_like(tr)
+    windows = [None] * n
+    ep_step = [0] * n
+    logs = [([], [], []) for _ in range(n)]
+    obs = np.stack([env.observe() for env in envs])
+    fields = {k: [] for k in ("obs", "actions", "log_probs", "values",
+                              "rewards", "dones")}
+    episodes = []
     for t in range(n_steps):
         x, mean = tr.policy.forward(obs)
-        for i, env in enumerate(tr.envs):
-            rng = tr.env_rngs[i]
-            if tr.strategy == "diagonal":
-                sigma = np.exp(tr.params["log_sigma"])
-                out[t, i] = mean[i] + \
-                    rng.standard_normal(tr.action_dim) * sigma
-            else:
-                if windows[i] is None or (period is not None
-                                          and ep_step[i] % period == 0):
-                    windows[i] = resample_perturbations(
-                        tr.policy.noise_std, tr.cfg, tr.action_dim, rng)
-                p = windows[i]
-                out[t, i] = mean[i] + (p.P_a @ x[i] + tr.policy.alpha
-                                       * (tr.policy.W @ (p.P_x @ x[i])))
-            o, _, done, _ = env.step(out[t, i])
+        if fast:
+            actions = tr.noise.sample(x, mean)
+        else:
+            actions = np.empty((n, tr.action_dim))
+            for i in range(n):
+                rng = tr.env_rngs[i]
+                if tr.strategy == "diagonal":
+                    sigma = np.exp(tr.params["log_sigma"])
+                    actions[i] = mean[i] + \
+                        rng.standard_normal(tr.action_dim) * sigma
+                else:
+                    if windows[i] is None or (period is not None
+                                              and ep_step[i] % period == 0):
+                        windows[i] = resample_perturbations(
+                            tr.policy.noise_std, tr.cfg, tr.action_dim, rng)
+                    p = windows[i]
+                    actions[i] = mean[i] + (p.P_a @ x[i] + tr.policy.alpha
+                                            * (tr.policy.W @ (p.P_x @ x[i])))
+        logp = log_prob(tr.policy, obs, actions, tr.cfg)
+        _, values = tr.value_net.forward(obs)
+        rewards = np.empty(n)
+        dones = np.empty(n, dtype=bool)
+        next_obs = np.empty_like(obs)
+        for i, env in enumerate(envs):
+            o, r, done, info = env.step(actions[i])
+            rewards[i] = r
+            dones[i] = done
+            ep_rewards, ep_solved, ep_actions = logs[i]
+            ep_rewards.append(r)
+            ep_solved.append(info["solved"])
+            ep_actions.append(np.clip(actions[i], 0.0, 1.0))
             if done:
+                episodes.append(EpisodeMetrics.from_logs(
+                    ep_rewards, ep_solved, ep_actions, env.max_steps))
+                logs[i] = ([], [], [])
                 o = env.reset()
                 ep_step[i] = 0
                 windows[i] = None
+                if fast:
+                    tr.noise.reset(i)
             else:
                 ep_step[i] += 1
-            obs[i] = o
+            next_obs[i] = o
+        for key, value in zip(fields, (obs, actions, logp, values[:, 0],
+                                       rewards, dones)):
+            fields[key].append(value)
+        obs = next_obs
+    out = {k: np.stack(v) for k, v in fields.items()}
+    out["episodes"] = episodes
     return out
+
+
+def episode_bytes(episodes):
+    return np.array([[e.cumulative_reward, e.solved_fraction, e.energy]
+                     for e in episodes]).tobytes()
 
 
 class TestNoiseSampler:
@@ -218,8 +283,8 @@ class TestNoiseSampler:
         kwargs = dict(strategy=strategy, cfg=cfg, ppo=ppo, seed=4,
                       env_kwargs={"max_steps": 6})
         buf = small_trainer(**kwargs).collect_rollout(20)
-        expected = per_env_reference_actions(small_trainer(**kwargs), 20)
-        assert buf.actions.tobytes() == expected.tobytes()
+        expected = per_env_reference_rollout(small_trainer(**kwargs), 20)
+        assert buf.actions.tobytes() == expected["actions"].tobytes()
 
     def test_windows_released_after_last_step(self):
         # episodes of 8 steps at period 4: every window closes exactly when
@@ -308,6 +373,55 @@ class TestNoiseSampler:
         clipped = np.diag(dist_internals(tr.policy, np.ones((1, 2)),
                                          tr.cfg).cov[0]) - tr.cfg.gamma
         assert np.all(var_fast > 2.0 * clipped)
+
+
+class TestBatchedRollout:
+    @pytest.mark.parametrize("env_name", ["flex_ext_arm", "point_reacher"])
+    @pytest.mark.parametrize("strategy,period", [
+        ("diagonal", 1), ("lattice", 1), ("lattice", 4)])
+    def test_matches_per_env_loop(self, env_name, strategy, period):
+        # episodes of 6 steps end three times per env in 20 steps, and the
+        # second rollout continues the episodes the first one left open
+        ppo = dataclasses.replace(TINY_PPO, n_envs=3)
+        kwargs = dict(strategy=strategy, cfg=LatticeConfig(period=period),
+                      ppo=ppo, seed=5, env_name=env_name,
+                      env_kwargs={"max_steps": 6})
+        tr = small_trainer(**kwargs)
+        bufs, episodes = [], []
+        for n_steps in (9, 11):
+            bufs.append(tr.collect_rollout(n_steps))
+            episodes += tr.recent_episodes
+        expected = per_env_reference_rollout(small_trainer(**kwargs), 20)
+        for field in ("obs", "actions", "log_probs", "values", "rewards",
+                      "dones"):
+            got = np.concatenate([getattr(b, field) for b in bufs])
+            assert got.tobytes() == expected[field].tobytes(), field
+        assert len(episodes) == len(expected["episodes"]) == 9
+        assert episode_bytes(episodes) == \
+            episode_bytes(expected["episodes"])
+
+    def test_bad_action_row_changes_no_env_state_or_log(self, monkeypatch):
+        tr = small_trainer(env_kwargs={"max_steps": 6})
+        tr.collect_rollout(4)
+
+        def snapshot():
+            arrays = [getattr(tr.envs, f) for f in tr.envs.env.state_fields]
+            arrays += [tr.envs.step_count, tr._ep_rewards, tr._ep_solved,
+                       tr._ep_actions, tr._obs]
+            return [a.tobytes() for a in arrays] + [tr.env_steps]
+
+        before = snapshot()
+        sample = tr.noise.sample
+
+        def nan_in_row_two(x, mean):
+            actions = sample(x, mean)
+            actions[2, 1] = np.nan
+            return actions
+
+        monkeypatch.setattr(tr.noise, "sample", nan_in_row_two)
+        with pytest.raises(NonFiniteAction):
+            tr.collect_rollout(3)
+        assert snapshot() == before
 
 
 class TestPpoUpdate:
