@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass, field
 
 from .envs import ENV_REGISTRY, make_env
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .exploration import STRATEGIES, LatticeConfig
 from .policy import ACTIVATIONS
 from .trainer import PpoConfig
@@ -43,13 +43,13 @@ class RunConfig:
             make_env(name, seed=0, **self.env_kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'env': {exc}") from exc
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ConfigError(
                 f"field 'seed': {self.seed!r} is not an integer >= 0")
         for key in ("hiddens", "critic_hiddens"):
             sizes = getattr(self, key)
             if not isinstance(sizes, (list, tuple)) or not all(
-                    _is_int(n) and n >= 1 for n in sizes):
+                    is_int(n) and n >= 1 for n in sizes):
                 raise ConfigError(
                     f"field {key!r}: {sizes!r} is not a list of positive "
                     f"integers")
@@ -57,11 +57,11 @@ class RunConfig:
             raise ConfigError(
                 f"field 'activation': {self.activation!r} not in "
                 f"{sorted(ACTIVATIONS)}")
-        if not _is_int(self.total_steps) or self.total_steps < 1:
+        if not is_int(self.total_steps) or self.total_steps < 1:
             raise ConfigError(
                 f"field 'total_steps': {self.total_steps!r} is not an "
                 f"integer >= 1")
-        if not _is_int(self.checkpoint_every) or self.checkpoint_every < 0:
+        if not is_int(self.checkpoint_every) or self.checkpoint_every < 0:
             raise ConfigError(
                 f"field 'checkpoint_every': {self.checkpoint_every!r} is not "
                 f"an integer >= 0")
@@ -100,13 +100,12 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(raw)
-        try:
-            if "lattice" in kwargs:
-                kwargs["lattice"] = LatticeConfig(**kwargs["lattice"])
-            if "ppo" in kwargs:
-                kwargs["ppo"] = PpoConfig(**kwargs["ppo"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'lattice'/'ppo': {exc}") from exc
+        for key, cls_ in (("lattice", LatticeConfig), ("ppo", PpoConfig)):
+            if key in kwargs:
+                try:
+                    kwargs[key] = cls_(**kwargs[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"field {key!r}: {exc}") from exc
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -124,7 +123,3 @@ class RunConfig:
                 f"{path}: invalid JSON at line {exc.lineno}, column "
                 f"{exc.colno}: {exc.msg}") from exc
         return cls.from_dict(raw)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

@@ -6,18 +6,28 @@ periodically resampled Gaussian matrices, which induces a full-covariance
 action distribution. gSDE is the alpha = 0 special case and shares the same
 code path, so the two are bit-identical when alpha is zero.
 
-At period 1 the matrices would be redrawn at every step, so NoiseSampler
-draws P_x x and P_a x directly: N_x + N_a normals per step instead of
-N_x^2 + N_a N_x. The action distribution is the same as the matrix path's,
-the random stream is not, so period-1 results recorded with the matrix
-sampler moved; runs stay bit-reproducible from config and seed.
+The sampler only ever uses P_x x and P_a x, so with the reduced (1, N_x)
+stds NoiseSampler forms no matrix at any integer period. A window draws
+N_x + N_a normals for each new latent direction it meets, its products
+P_x x, P_a x taken from their Gaussian conditional on the window's earlier
+ones, instead of the N_x^2 + N_a N_x entries of the two matrices. At period
+1 that is one draw per step, exactly as before; at longer periods the
+action distribution and the time correlation are the matrix path's but the
+random stream is not, so period > 1 results recorded with the matrix
+sampler moved. full_std at period > 1 and "episode" still draw the
+matrices. Runs stay bit-reproducible from config and seed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    is_finite_number,
+    is_int,
+)
 from .gauss import FullCovGaussian
 
 STRATEGIES = ("diagonal", "gsde", "lattice")
@@ -44,20 +54,23 @@ class LatticeConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if isinstance(self.period, str):
-            if self.period != "episode":
-                raise ValueError("period must be a positive integer or 'episode'")
-        elif int(self.period) < 1:
-            raise ValueError("period must be >= 1")
+        if self.period != "episode" and not (is_int(self.period)
+                                             and self.period >= 1):
+            raise ValueError(f"period must be an integer >= 1 or 'episode', "
+                             f"got {self.period!r}")
         if not 0.0 < self.std_min < self.std_max:
             raise ValueError("need 0 < std_min < std_max")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
+        if not (is_finite_number(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be a finite number >= 0, got "
+                             f"{self.gamma!r}")
+        if not is_finite_number(self.init_log_std):
+            raise ValueError(f"init_log_std must be a finite number, got "
+                             f"{self.init_log_std!r}")
 
     @property
     def period_steps(self) -> int | None:
         """Numeric period, or None for episode mode."""
-        return None if self.period == "episode" else int(self.period)
+        return None if self.period == "episode" else self.period
 
 
 @dataclass
@@ -155,16 +168,60 @@ def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
     return PerturbationMatrices(P_x=p_x, P_a=p_a)
 
 
+# Relative residual (in the metric D) below which a latent lies in the span
+# of its window's earlier latents and opens no new direction.
+SPAN_TOL = 1e-12
+
+
+@dataclass
+class _Windows:
+    """The open windows of a reduced-std sampler, one row per env.
+
+    Row i keeps D = Diag(S^2) of the stds at its window's opening, for the
+    P_x rows (metric 0) and the P_a rows (metric 1); the latents it has met
+    with their products P_x x | P_a x; and per metric a D-orthonormal basis
+    q_j of those latents with y_j = P_x q_x,j | P_a q_a,j, the standard
+    normals the window drew for direction j. Slots past a row's counts are
+    zero.
+    """
+
+    s2: np.ndarray      # (n_envs, 2, N_x)
+    seen: np.ndarray    # (n_envs, T, N_x)
+    p: np.ndarray       # (n_envs, T, N_x + N_a)
+    n_seen: np.ndarray  # (n_envs,)
+    q: np.ndarray       # (n_envs, 2, T, N_x)
+    y: np.ndarray       # (n_envs, T, N_x + N_a)
+    n_dir: np.ndarray   # (n_envs,)
+
+    @classmethod
+    def allocate(cls, n_envs: int, period: int, n_x: int, n_a: int):
+        return cls(s2=np.zeros((n_envs, 2, n_x)),
+                   seen=np.zeros((n_envs, period, n_x)),
+                   p=np.zeros((n_envs, period, n_x + n_a)),
+                   n_seen=np.zeros(n_envs, dtype=int),
+                   q=np.zeros((n_envs, 2, period, n_x)),
+                   y=np.zeros((n_envs, period, n_x + n_a)),
+                   n_dir=np.zeros(n_envs, dtype=int))
+
+
 class NoiseSampler:
     """The action-noise process of a policy over a batch of environments.
 
-    Env i draws only from rngs[i] and owns its perturbation window. At
-    period 1, gSDE included, each env draws N_x + N_a normals per step: P_x x
-    is exactly N(0, Diag(S_x^2 x^2)) and P_a x is N(0, Diag(S_a^2 x^2)) when
-    the matrices are fresh at every step, so no matrix is formed. Longer
-    periods and "episode" draw P_x and P_a through resample_perturbations
-    and hold them for the window. Diagonal noise draws N(0, sigma^2) per
-    action.
+    Env i draws only from rngs[i] and owns its perturbation window. The rows
+    of P_x are iid N(0, D_x), D_x = Diag(S_x^2) with the unclipped sampling
+    stds, and those of P_a iid N(0, D_a). With reduced stds a window keeps
+    no matrix: for a latent x it forms c = Q^T D x, r = x - Q c and
+    rho^2 = r^T D r over the D-orthonormal basis Q of the latents met so
+    far, and P x = Y c + rho z, where only a new direction (relative
+    residual above SPAN_TOL) draws, N_x + N_a normals from rngs[i] for z.
+    A latent equal to one met earlier in the window gets that step's
+    products back, so a repeated state gets byte-equal noise. The opening
+    step holds no direction and gives sd * z with sd^2 = x^2 S^2^T; at
+    period 1 every step opens a window, so that is all it does (full_std
+    included). A window uses the stds of its opening step and the current
+    W, as held matrices would. full_std at period > 1 and "episode" draw
+    P_x and P_a through resample_perturbations and hold them. Diagonal
+    noise draws N(0, sigma^2) per action.
     """
 
     def __init__(self, policy, cfg: LatticeConfig,
@@ -172,8 +229,11 @@ class NoiseSampler:
         self.policy = policy
         self.cfg = cfg
         self.rngs = list(rngs)
+        period = cfg.period_steps
+        self.matrix_path = period is None or (cfg.full_std and period > 1)
         self.perturbations: list[PerturbationMatrices | None] = \
             [None] * len(self.rngs)
+        self.windows: _Windows | None = None
         self.ep_step = np.zeros(len(self.rngs), dtype=int)
 
     def sample(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -184,42 +244,41 @@ class NoiseSampler:
             z = np.stack([rng.standard_normal(policy.action_dim)
                           for rng in self.rngs])
             actions = mean + z * np.exp(policy.params["log_sigma"])
-        elif self.cfg.period_steps == 1:
-            actions = mean + self._fresh_noise(x)
-        else:
+        elif self.matrix_path:
             actions = np.empty_like(mean)
             for i in range(len(self.rngs)):
-                p = self._window(i)
+                p = self._matrices(i)
                 actions[i] = mean[i] + (p.P_a @ x[i] + policy.alpha
                                         * (policy.W @ (p.P_x @ x[i])))
+        else:
+            p_x, p_a = self._window_products(x)
+            actions = mean + (p_a + policy.alpha * (p_x @ policy.W.T))
         self.ep_step += 1
         period = self.cfg.period_steps
         if period is not None and period > 1:
             # a window is dead once it has served its last step
-            for i in np.flatnonzero(self.ep_step % period == 0):
-                self.perturbations[i] = None
+            self._close(np.flatnonzero(self.ep_step % period == 0))
         return actions
 
     def reset(self, i: int):
         """Env i starts a new episode: its next step opens a fresh window."""
         self.ep_step[i] = 0
-        self.perturbations[i] = None
+        self._close([i])
 
-    def _fresh_noise(self, x: np.ndarray) -> np.ndarray:
-        """P_a x + alpha W P_x x for matrices drawn anew at this step."""
-        policy = self.policy
-        n_x, n_a = policy.n_latent, policy.action_dim
-        z = np.stack([rng.standard_normal(n_x + n_a) for rng in self.rngs])
-        eff = sampling_log_std(policy.noise_std, self.cfg)
-        x2 = x * x
-        # unclipped S^2 in the stored shape: a reduced (1, N_x) row gives one
-        # sd per sample, broadcast over the N_x or N_a outputs
-        sd_x = np.sqrt(x2 @ np.exp(2.0 * eff.log_std_x).T)
-        sd_a = np.sqrt(x2 @ np.exp(2.0 * eff.log_std_a).T)
-        return sd_a * z[:, n_x:] + policy.alpha * ((sd_x * z[:, :n_x])
-                                                   @ policy.W.T)
+    def _close(self, rows):
+        for i in rows:
+            self.perturbations[i] = None
+        w = self.windows
+        if w is not None:
+            w.n_seen[rows] = 0
+            w.n_dir[rows] = 0
+            if not w.n_seen.any():
+                self.windows = None
+            else:
+                w.q[rows] = 0.0
+                w.y[rows] = 0.0
 
-    def _window(self, i: int) -> PerturbationMatrices:
+    def _matrices(self, i: int) -> PerturbationMatrices:
         """Env i's perturbation matrices, drawn when its window opens."""
         p = self.perturbations[i]
         if p is None:
@@ -227,6 +286,131 @@ class NoiseSampler:
                 self.policy.noise_std, self.cfg, self.policy.action_dim,
                 self.rngs[i])
         return p
+
+    def _normals(self, rngs) -> np.ndarray:
+        n = self.policy.n_latent + self.policy.action_dim
+        return np.stack([rng.standard_normal(n) for rng in rngs])
+
+    def _window_products(self, x: np.ndarray):
+        """P_x x and P_a x of every env under its window's matrices."""
+        w = self.windows
+        if w is None:
+            # every env opens a window, as at each step of period 1
+            return self._open(x)
+        fresh = np.flatnonzero(w.n_seen == 0)
+        p_x = np.empty((len(x), self.policy.n_latent))
+        p_a = np.empty((len(x), self.policy.action_dim))
+        if fresh.size:
+            p_x[fresh], p_a[fresh] = self._open(x, fresh)
+        self._continue(np.flatnonzero(w.n_seen > 0), x, p_x, p_a)
+        return p_x, p_a
+
+    def _open(self, x, rows=None):
+        """Products sd * z of the opening step of envs rows, or of every
+        env; keeps the windows that outlive the step."""
+        policy = self.policy
+        n_x = policy.n_latent
+        eff = sampling_log_std(policy.noise_std, self.cfg)
+        s2_x = np.exp(2.0 * eff.log_std_x)
+        s2_a = np.exp(2.0 * eff.log_std_a)
+        x2 = x * x
+        # unclipped S^2 in the stored shape: a reduced (1, N_x) row gives
+        # one sd per sample, broadcast over the N_x or N_a outputs. The sds
+        # of every row, so that a row's bytes do not depend on which rows
+        # open a window with it.
+        sd_x = np.sqrt(x2 @ s2_x.T)
+        sd_a = np.sqrt(x2 @ s2_a.T)
+        if rows is None:
+            rngs = self.rngs
+        else:
+            sd_x, sd_a, x = sd_x[rows], sd_a[rows], x[rows]
+            rngs = [self.rngs[i] for i in rows]
+        z = self._normals(rngs)
+        p_x = sd_x * z[:, :n_x]
+        p_a = sd_a * z[:, n_x:]
+        period = self.cfg.period_steps
+        if period > 1:
+            if rows is None:
+                rows = np.arange(len(self.rngs))
+            kept = (self.ep_step[rows] + 1) % period != 0
+            if kept.any():
+                rho = np.concatenate([sd_x, sd_a], axis=1)
+                self._keep(rows[kept], x[kept], np.concatenate([s2_x, s2_a]),
+                           p_x[kept], p_a[kept], rho[kept], z[kept])
+        return p_x, p_a
+
+    def _keep(self, rows, x, s2, p_x, p_a, rho, z):
+        """Hold the windows of envs rows after their opening step."""
+        if self.windows is None:
+            self.windows = _Windows.allocate(
+                len(self.rngs), self.cfg.period_steps, self.policy.n_latent,
+                self.policy.action_dim)
+        self.windows.s2[rows] = s2
+        self._remember(rows, x, p_x, p_a)
+        # the residual of a first latent is the latent itself; x = 0 opens
+        # no direction
+        new = np.any(rho > 0.0, axis=1)
+        r = np.broadcast_to(x[new, None], (np.count_nonzero(new), 2,
+                                           x.shape[1]))
+        self._add_directions(rows[new], r, rho[new], z[new])
+
+    def _continue(self, rows, x, p_x, p_a):
+        """Products of envs rows, whose windows have met a latent already."""
+        w = self.windows
+        n_x = self.policy.n_latent
+        x = x[rows]
+        n = w.n_seen[rows].max()
+        same = np.all(w.seen[rows, :n] == x[:, None], axis=2)
+        same &= np.arange(n) < w.n_seen[rows, None]
+        repeat = same.any(axis=1)
+        if repeat.any():
+            p = w.p[rows[repeat], same[repeat].argmax(axis=1)]
+            p_x[rows[repeat]] = p[:, :n_x]
+            p_a[rows[repeat]] = p[:, n_x:]
+            rows, x = rows[~repeat], x[~repeat]
+            if not rows.size:
+                return
+        m = w.n_dir[rows].max()
+        q = w.q[rows, :, :m]                      # (k, 2, m, N_x)
+        d = w.s2[rows]                            # (k, 2, N_x)
+        dx = d * x[:, None]
+        c = (q @ dx[..., None])[..., 0]           # (k, 2, m)
+        r = x[:, None] - (c[..., None, :] @ q)[..., 0, :]
+        # a second pass restores the D-orthogonality rounding takes from
+        # the first ("twice is enough")
+        c2 = (q @ (d * r)[..., None])[..., 0]
+        r -= (c2[..., None, :] @ q)[..., 0, :]
+        c += c2
+        rho = np.sqrt(np.sum(d * r * r, axis=2))  # (k, 2)
+        norm = np.sqrt(np.sum(dx * x[:, None], axis=2))
+        y = w.y[rows, :m]                         # (k, m, N_x + N_a)
+        p_x[rows] = (c[:, 0, None] @ y[:, :, :n_x])[:, 0]
+        p_a[rows] = (c[:, 1, None] @ y[:, :, n_x:])[:, 0]
+        new = np.any(rho > SPAN_TOL * norm, axis=1)
+        if new.any():
+            z = self._normals([self.rngs[i] for i in rows[new]])
+            p_x[rows[new]] += rho[new, :1] * z[:, :n_x]
+            p_a[rows[new]] += rho[new, 1:] * z[:, n_x:]
+            self._add_directions(rows[new], r[new], rho[new], z)
+        self._remember(rows, x, p_x[rows], p_a[rows])
+
+    def _remember(self, rows, x, p_x, p_a):
+        w = self.windows
+        t = w.n_seen[rows]
+        w.seen[rows, t] = x
+        w.p[rows, t] = np.concatenate([p_x, p_a], axis=1)
+        w.n_seen[rows] += 1
+
+    def _add_directions(self, rows, r, rho, z):
+        """Append r / rho (per metric) to the bases of envs rows, with the
+        normals z their windows drew on it."""
+        w = self.windows
+        rho = rho[..., None]
+        j = w.n_dir[rows]
+        w.q[rows, :, j] = np.divide(r, rho, out=np.zeros(r.shape),
+                                    where=rho > 0)
+        w.y[rows, j] = z
+        w.n_dir[rows] += 1
 
 
 def perturbed_action(x: np.ndarray, W: np.ndarray, P: PerturbationMatrices,

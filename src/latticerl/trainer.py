@@ -14,7 +14,12 @@ import numpy as np
 
 from .buffer import RolloutBuffer, compute_gae
 from .envs import BatchedEnv, EpisodeMetrics, make_env
-from .errors import CheckpointCorrupt, NonFiniteLoss
+from .errors import (
+    CheckpointCorrupt,
+    NonFiniteLoss,
+    is_finite_number,
+    is_int,
+)
 from .exploration import LatticeConfig, NoiseSampler
 from .policy import (
     GradientTape,
@@ -49,12 +54,28 @@ class PpoConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "gradient_steps", "n_epochs", "n_envs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got "
+                                 f"{value!r}")
         if not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be >= 0")
         if not self.clip_range > 0.0:
             raise ValueError("clip_range must be > 0")
+        for name in ("gamma", "gae_lambda"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got "
+                                 f"{value!r}")
+        for name in ("entropy_coef", "value_coef"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got "
+                                 f"{value!r}")
+        if not (is_finite_number(self.max_grad_norm)
+                and self.max_grad_norm > 0.0):
+            raise ValueError(f"max_grad_norm must be a finite number > 0, got "
+                             f"{self.max_grad_norm!r}")
 
 
 class Adam:

@@ -217,6 +217,29 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("lattice", "period", 2.5), ("lattice", "period", True),
+        ("lattice", "gamma", float("nan")),
+        ("lattice", "init_log_std", float("inf")),
+        ("ppo", "batch_size", 32.5), ("ppo", "gamma", float("nan")),
+        ("ppo", "gae_lambda", float("nan")),
+        ("ppo", "max_grad_norm", 0.0)])
+    def test_invalid_lattice_or_ppo_value_exit_code(self, tmp_path, capsys,
+                                                    section, field, value):
+        # these used to train at a truncated period, die with a TypeError
+        # traceback, or exit 2 mid-run after writing a partial run directory
+        small = {"total_steps": 32, "hiddens": [8], "critic_hiddens": [8],
+                 "ppo": {"gradient_steps": 8, "n_envs": 2, "batch_size": 16,
+                         "n_epochs": 1}}
+        small.setdefault(section, {})[field] = value
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(small))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field '{section}': {field}")
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_seed_override_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", tiny_config())
         assert main(["train", "--config", str(path), "--seed", "-1",

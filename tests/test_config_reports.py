@@ -52,10 +52,33 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("gradient_steps", 0), ("n_epochs", 0),
         ("n_envs", 0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
-        ("clip_range", 0.0)])
+        ("clip_range", 0.0), ("batch_size", 32.5), ("n_envs", True),
+        ("gradient_steps", 8.0), ("n_epochs", "2"), ("gamma", float("nan")),
+        ("gamma", 1.5), ("gae_lambda", float("nan")), ("gae_lambda", -0.1),
+        ("entropy_coef", -1e-3), ("entropy_coef", float("inf")),
+        ("value_coef", float("nan")), ("max_grad_norm", 0.0),
+        ("max_grad_norm", float("inf"))])
     def test_bad_nested_ppo(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict({"ppo": {field: value}})
+
+    @pytest.mark.parametrize("field,value", [
+        ("period", 2.5), ("period", True), ("gamma", float("nan")),
+        ("gamma", float("inf")), ("init_log_std", float("inf")),
+        ("init_log_std", float("nan"))])
+    def test_bad_lattice_value(self, field, value):
+        # each of these used to train: at a silently truncated period, or
+        # until a non-finite gradient or action stopped the run
+        with pytest.raises(ConfigError, match=f"field 'lattice': {field}"):
+            RunConfig.from_dict({"lattice": {field: value}})
+
+    def test_integral_values_for_float_fields(self):
+        cfg = RunConfig.from_dict({
+            "lattice": {"gamma": 0, "init_log_std": -1, "period": 4},
+            "ppo": {"gamma": 1, "gae_lambda": 0, "entropy_coef": 0,
+                    "max_grad_norm": 1}})
+        assert cfg.lattice.period_steps == 4
+        assert cfg.ppo.gamma == 1
 
     @pytest.mark.parametrize("raw,field", [
         ({"seed": -1}, "seed"), ({"activation": "sigmoid"}, "activation"),

@@ -1,5 +1,8 @@
 """Exploration strategies: config validation, rescaling, clipping,
-perturbation sampling, and the analytic action distribution."""
+perturbation sampling, the window sampler, and the analytic action
+distribution."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
+    NoiseSampler,
     NoiseStdMatrices,
     PerturbationMatrices,
     action_distribution,
@@ -19,9 +23,11 @@ from latticerl.exploration import (
     perturbed_action,
     resample_perturbations,
     rescaled_log_std,
+    sampling_log_std,
     sampling_std,
 )
 from latticerl.gauss import min_eigenvalue
+from latticerl.policy import MlpPolicy
 
 
 def make_std(rng, n_actions, n_latent, scale=0.3, full=True):
@@ -160,6 +166,169 @@ class TestResamplePerturbations:
                                    np.random.default_rng(0))
         assert p.P_x.shape == (5, 5)
         assert p.P_a.shape == (3, 5)
+
+
+N_X, N_A = 5, 3
+
+
+def window_sampler(period=4, n_envs=3, full_std=False, alpha=0.8):
+    """A sampler over n_envs rngs for a small policy whose stds differ per
+    latent column, so that D_x and D_a are not multiples of I. Equal
+    arguments give equal policies and rng states."""
+    cfg = LatticeConfig(alpha=alpha, period=period, full_std=full_std)
+    rng = np.random.default_rng(0)
+    policy = MlpPolicy(2, N_A, cfg, hiddens=(N_X,), rng=rng)
+    for k in ("log_std_x", "log_std_a"):
+        policy.params[k][...] = rng.normal(0.0, 0.5, policy.params[k].shape)
+    return NoiseSampler(policy, cfg, [np.random.default_rng(100 + i)
+                                      for i in range(n_envs)])
+
+
+def window_noise(sampler, x):
+    return sampler.sample(x, np.zeros((len(x), N_A)))
+
+
+def rng_states(rngs):
+    return [r.bit_generator.state for r in rngs]
+
+
+class TestWindowSampler:
+    def test_window_is_a_matrix(self):
+        # a held window acts as the matrices P_x = sum_j y_j (D q_j)^T and
+        # P_a, rebuilt from its state, on every latent it has met: one in
+        # the span of earlier ones, a repeat, and one a relative 1e-8 off
+        # a latent met before
+        s = window_sampler(period=8)
+        rng = np.random.default_rng(1)
+        x1, x2, x4, x6 = (rng.standard_normal((3, N_X)) for _ in range(4))
+        xs = [x1, x2, 0.3 * x1 - 1.7 * x2, x4, x2, x1 + 1e-8 * x6]
+        eff = sampling_log_std(s.policy.noise_std, s.cfg)
+        noise = [window_noise(s, xs[0])]
+        # stds that change inside the window do not reach it
+        s.policy.params["log_std_x"] += 0.3
+        s.policy.params["log_std_a"] -= 0.2
+        noise += [window_noise(s, x) for x in xs[1:]]
+        w = s.windows
+        np.testing.assert_array_equal(w.n_seen, 5)
+        np.testing.assert_array_equal(w.n_dir, 4)
+        np.testing.assert_array_equal(w.s2[:, 0], np.exp(2.0 * eff.log_std_x)
+                                      .repeat(3, axis=0))
+        np.testing.assert_array_equal(w.s2[:, 1], np.exp(2.0 * eff.log_std_a)
+                                      .repeat(3, axis=0))
+        W, alpha = s.policy.W, s.policy.alpha
+        for i in range(3):
+            k = w.n_dir[i]
+            y, q, d = w.y[i, :k], w.q[i, :, :k], w.s2[i]
+            p_x = y[:, :N_X].T @ (q[0] * d[0])
+            p_a = y[:, N_X:].T @ (q[1] * d[1])
+            for x, n in zip(xs, noise):
+                np.testing.assert_allclose(
+                    n[i], p_a @ x[i] + alpha * (W @ (p_x @ x[i])),
+                    rtol=0.0, atol=1e-12)
+        # a latent met before gets its noise back byte for byte
+        assert noise[4].tobytes() == noise[1].tobytes()
+
+    def test_joint_covariance_and_independent_windows(self):
+        # 2e4 windows of 4 steps over 4 fixed distinct latents: the 12 x 12
+        # covariance has the blocks (x_s^T D_a x_t) I
+        # + alpha^2 (x_s^T D_x x_t) W W^T, with a relative Frobenius
+        # standard error near 0.01
+        n_envs, n_windows = 2000, 10
+        s = window_sampler(period=4, n_envs=n_envs)
+        xs = np.random.default_rng(2).standard_normal((4, N_X))
+        noise = np.stack([window_noise(s, np.tile(x, (n_envs, 1)))
+                          for _ in range(n_windows) for x in xs])
+        blocks = noise.reshape(n_windows, 4, n_envs, N_A).transpose(
+            0, 2, 1, 3).reshape(-1, 4 * N_A)
+        emp = blocks.T @ blocks / len(blocks)
+        eff = sampling_log_std(s.policy.noise_std, s.cfg)
+        d_x, d_a = np.exp(2.0 * eff.log_std_x[0]), np.exp(2.0 * eff.log_std_a[0])
+        W, alpha = s.policy.W, s.policy.alpha
+        cov = np.block([[(xs[a] * d_a) @ xs[b] * np.eye(N_A)
+                         + alpha ** 2 * ((xs[a] * d_x) @ xs[b]) * (W @ W.T)
+                         for b in range(4)] for a in range(4)])
+        assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
+        # the same latent opens consecutive windows: no correlation
+        first = noise[::4]
+        corr = [abs(np.corrcoef(first[:-1, :, k].ravel(),
+                                first[1:, :, k].ravel())[0, 1])
+                for k in range(N_A)]
+        assert max(corr) < 0.05
+
+    def test_window_opens_like_period_one(self):
+        x = np.random.default_rng(3).standard_normal((3, N_X))
+        s4, s1 = window_sampler(period=4), window_sampler(period=1)
+        assert window_noise(s4, x).tobytes() == window_noise(s1, x).tobytes()
+        window_noise(s4, x)
+        # a reset mid-window opens a fresh one at the env's next step
+        s1.rngs = copy.deepcopy(s4.rngs)
+        s4.reset(1)
+        x2 = 2.0 * x + 1.0
+        n4, n1 = window_noise(s4, x2), window_noise(s1, x2)
+        assert n4[1].tobytes() == n1[1].tobytes()
+        np.testing.assert_array_equal(s4.windows.n_seen, [2, 1, 2])
+        np.testing.assert_array_equal(s4.windows.n_dir, [2, 1, 2])
+
+    @pytest.mark.parametrize("full_std", [False, True])
+    def test_period_one_stream(self, full_std):
+        # period 1 draws N_x + N_a normals per env and step and scales them
+        # by sd = sqrt(x^2 S^2^T), in this operation order
+        s = window_sampler(period=1, full_std=full_std)
+        rngs = copy.deepcopy(s.rngs)
+        x = np.random.default_rng(4).standard_normal((3, N_X))
+        eff = sampling_log_std(s.policy.noise_std, s.cfg)
+        for _ in range(3):
+            z = np.stack([r.standard_normal(N_X + N_A) for r in rngs])
+            sd_x = np.sqrt((x * x) @ np.exp(2.0 * eff.log_std_x).T)
+            sd_a = np.sqrt((x * x) @ np.exp(2.0 * eff.log_std_a).T)
+            expected = sd_a * z[:, N_X:] + s.policy.alpha * (
+                (sd_x * z[:, :N_X]) @ s.policy.W.T)
+            assert window_noise(s, x).tobytes() == expected.tobytes()
+            assert s.windows is None
+
+    def test_draws_only_for_new_directions(self):
+        s = window_sampler(period=8, n_envs=2)
+        ref = copy.deepcopy(s.rngs)
+
+        def drawn(k):
+            # the rngs have advanced by exactly k draws of N_x + N_a normals
+            rngs = copy.deepcopy(ref)
+            for r in rngs:
+                for _ in range(k):
+                    r.standard_normal(N_X + N_A)
+            return rng_states(rngs) == rng_states(s.rngs)
+
+        rng = np.random.default_rng(5)
+        x1, x2, x3 = (rng.standard_normal((2, N_X)) for _ in range(3))
+        n1 = window_noise(s, x1)
+        assert drawn(1)
+        np.testing.assert_array_equal(window_noise(s, np.zeros((2, N_X))),
+                                      0.0)
+        np.testing.assert_allclose(window_noise(s, 2.0 * x1), 2.0 * n1,
+                                   rtol=1e-12, atol=1e-14)
+        assert drawn(1)
+        window_noise(s, x2)
+        assert drawn(2)
+        window_noise(s, x1)
+        window_noise(s, 0.5 * x1 + 3.0 * x2)
+        assert drawn(2)
+        window_noise(s, x3)
+        assert drawn(3)
+        np.testing.assert_array_equal(s.windows.n_dir, 3)
+
+    def test_zero_first_latent_opens_no_direction(self):
+        # the opening step always draws, as at period 1; a zero latent
+        # leaves the window without a direction
+        s = window_sampler(period=4, n_envs=2)
+        ref = copy.deepcopy(s.rngs)
+        np.testing.assert_array_equal(window_noise(s, np.zeros((2, N_X))),
+                                      0.0)
+        np.testing.assert_array_equal(s.windows.n_dir, 0)
+        for r in ref:
+            r.standard_normal(N_X + N_A)
+        assert rng_states(ref) == rng_states(s.rngs)
+        window_noise(s, np.ones((2, N_X)))
+        np.testing.assert_array_equal(s.windows.n_dir, 1)
 
 
 class TestPerturbedAction:

@@ -197,13 +197,15 @@ def per_env_reference_rollout(tr, n_steps):
     """The per-env rollout loop that NoiseSampler and BatchedEnv replaced,
     run from a fresh trainer tr: single envs seeded like tr's env rows are
     stepped one at a time and keep list episode logs. Diagonal noise adds
-    N(0, sigma^2) per env from rngs[i]; at period > 1 or "episode" env i
-    redraws its P matrices from rngs[i] when its window is due and starts a
-    fresh window when its episode ends; at period 1 the noise is tr's own
+    N(0, sigma^2) per env from rngs[i]; with full_std at period > 1 or at
+    "episode" env i redraws its P matrices from rngs[i] when its window is
+    due and starts a fresh window when its episode ends; with reduced stds
+    at any integer period, and at period 1, the noise is tr's own
     NoiseSampler. Returns the buffer fields, stacked over steps, and the
     metrics of the episodes that ended, in order."""
     period = tr.cfg.period_steps
-    fast = tr.strategy != "diagonal" and period == 1
+    fast = tr.strategy != "diagonal" and period is not None and (
+        period == 1 or not tr.cfg.full_std)
     n = tr.ppo.n_envs
     envs = single_envs_like(tr)
     windows = [None] * n
@@ -273,12 +275,14 @@ def episode_bytes(episodes):
 
 
 class TestNoiseSampler:
-    @pytest.mark.parametrize("strategy,period", [
-        ("lattice", 4), ("lattice", "episode"), ("diagonal", 1)])
+    @pytest.mark.parametrize("strategy,period,full_std", [
+        ("lattice", 4, True), ("lattice", "episode", False),
+        ("diagonal", 1, False)],
+        ids=["lattice-4-full_std", "lattice-episode", "diagonal-1"])
     def test_rng_contract_of_matrix_and_diagonal_paths(self, strategy,
-                                                       period):
+                                                       period, full_std):
         # episodes of 6 steps cut the period-4 windows at every reset
-        cfg = LatticeConfig(alpha=0.7, period=period)
+        cfg = LatticeConfig(alpha=0.7, period=period, full_std=full_std)
         ppo = dataclasses.replace(TINY_PPO, n_envs=3)
         kwargs = dict(strategy=strategy, cfg=cfg, ppo=ppo, seed=4,
                       env_kwargs={"max_steps": 6})
@@ -293,6 +297,22 @@ class TestNoiseSampler:
         tr = small_trainer(cfg=LatticeConfig(period=4), ppo=ppo,
                            env_kwargs={"max_steps": 8})
         tr.collect_rollout(8)
+        assert tr.noise.windows is None
+        tr.collect_rollout(2)
+        held = tr.noise.windows
+        np.testing.assert_array_equal(held.n_seen, 2)
+        assert np.all(held.n_dir <= 2)
+        tr.collect_rollout(1)
+        assert tr.noise.windows is held
+        np.testing.assert_array_equal(held.n_seen, 3)
+        tr.collect_rollout(1)
+        assert tr.noise.windows is None
+        assert tr.noise.perturbations == [None] * 3
+
+        # full_std at period 4 holds perturbation matrices instead
+        tr = small_trainer(cfg=LatticeConfig(period=4, full_std=True),
+                           ppo=ppo, env_kwargs={"max_steps": 8})
+        tr.collect_rollout(8)
         assert tr.noise.perturbations == [None] * 3
         tr.collect_rollout(2)
         held = tr.noise.perturbations
@@ -301,6 +321,7 @@ class TestNoiseSampler:
         assert all(a is b for a, b in zip(tr.noise.perturbations, held))
         tr.collect_rollout(1)
         assert tr.noise.perturbations == [None] * 3
+        assert tr.noise.windows is None
 
     @staticmethod
     def _period_one_noise(n_envs=8, n_steps=2500, push_past_std_max=False,
