@@ -171,6 +171,8 @@ def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
 # Relative residual (in the metric D) below which a latent lies in the span
 # of its window's earlier latents and opens no new direction.
 SPAN_TOL = 1e-12
+# Latent slots a window starts with; they double as a window meets more.
+WINDOW_SLOTS = 16
 
 
 @dataclass
@@ -182,7 +184,8 @@ class _Windows:
     with their products P_x x | P_a x; and per metric a D-orthonormal basis
     q_j of those latents with y_j = P_x q_x,j | P_a q_a,j, the standard
     normals the window drew for direction j. Slots past a row's counts are
-    zero.
+    zero, and there are only as many as the windows have needed, so a long
+    period costs what its windows meet rather than its length.
     """
 
     s2: np.ndarray      # (n_envs, 2, N_x)
@@ -194,14 +197,26 @@ class _Windows:
     n_dir: np.ndarray   # (n_envs,)
 
     @classmethod
-    def allocate(cls, n_envs: int, period: int, n_x: int, n_a: int):
+    def allocate(cls, n_envs: int, slots: int, n_x: int, n_a: int):
         return cls(s2=np.zeros((n_envs, 2, n_x)),
-                   seen=np.zeros((n_envs, period, n_x)),
-                   p=np.zeros((n_envs, period, n_x + n_a)),
+                   seen=np.zeros((n_envs, slots, n_x)),
+                   p=np.zeros((n_envs, slots, n_x + n_a)),
                    n_seen=np.zeros(n_envs, dtype=int),
-                   q=np.zeros((n_envs, 2, period, n_x)),
-                   y=np.zeros((n_envs, period, n_x + n_a)),
+                   q=np.zeros((n_envs, 2, slots, n_x)),
+                   y=np.zeros((n_envs, slots, n_x + n_a)),
                    n_dir=np.zeros(n_envs, dtype=int))
+
+    def reserve(self, n: int):
+        """Make room for n latents in every window."""
+        slots = self.seen.shape[1]
+        if n > slots:
+            more = max(n, 2 * slots) - slots
+            for name, axis in (("seen", 1), ("p", 1), ("q", 2), ("y", 1)):
+                a = getattr(self, name)
+                pad = list(a.shape)
+                pad[axis] = more
+                setattr(self, name, np.concatenate([a, np.zeros(pad)],
+                                                   axis=axis))
 
 
 class NoiseSampler:
@@ -343,8 +358,8 @@ class NoiseSampler:
         """Hold the windows of envs rows after their opening step."""
         if self.windows is None:
             self.windows = _Windows.allocate(
-                len(self.rngs), self.cfg.period_steps, self.policy.n_latent,
-                self.policy.action_dim)
+                len(self.rngs), min(self.cfg.period_steps, WINDOW_SLOTS),
+                self.policy.n_latent, self.policy.action_dim)
         self.windows.s2[rows] = s2
         self._remember(rows, x, p_x, p_a)
         # the residual of a first latent is the latent itself; x = 0 opens
@@ -370,6 +385,8 @@ class NoiseSampler:
             rows, x = rows[~repeat], x[~repeat]
             if not rows.size:
                 return
+        # this step stores one latent and may open one direction per row
+        w.reserve(w.n_seen[rows].max() + 1)
         m = w.n_dir[rows].max()
         q = w.q[rows, :, :m]                      # (k, 2, m, N_x)
         d = w.s2[rows]                            # (k, 2, N_x)

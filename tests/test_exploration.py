@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticerl import exploration
 from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
@@ -315,6 +316,19 @@ class TestWindowSampler:
         window_noise(s, x3)
         assert drawn(3)
         np.testing.assert_array_equal(s.windows.n_dir, 3)
+
+    def test_long_period_grows_its_window(self, monkeypatch):
+        # a window's slots grow with the latents it meets, not its period,
+        # and the noise does not depend on how many slots it started with
+        xs = np.random.default_rng(6).standard_normal((40, 2, N_X))
+        roomy = window_sampler(period=10 ** 9, n_envs=2)
+        noise = [window_noise(roomy, x).tobytes() for x in xs]
+        assert roomy.windows.seen.shape[1] == 64
+        monkeypatch.setattr(exploration, "WINDOW_SLOTS", 1)
+        tight = window_sampler(period=10 ** 9, n_envs=2)
+        assert [window_noise(tight, x).tobytes() for x in xs] == noise
+        np.testing.assert_array_equal(tight.windows.n_seen, 40)
+        np.testing.assert_array_equal(tight.windows.n_dir, N_X)
 
     def test_zero_first_latent_opens_no_direction(self):
         # the opening step always draws, as at period 1; a zero latent
