@@ -189,11 +189,11 @@ class _Windows:
     """
 
     s2: np.ndarray      # (n_envs, 2, N_x)
-    seen: np.ndarray    # (n_envs, T, N_x)
-    p: np.ndarray       # (n_envs, T, N_x + N_a)
+    seen: np.ndarray    # (n_envs, slots, N_x)
+    p: np.ndarray       # (n_envs, slots, N_x + N_a)
     n_seen: np.ndarray  # (n_envs,)
-    q: np.ndarray       # (n_envs, 2, T, N_x)
-    y: np.ndarray       # (n_envs, T, N_x + N_a)
+    q: np.ndarray       # (n_envs, 2, slots, N_x)
+    y: np.ndarray       # (n_envs, slots, N_x + N_a)
     n_dir: np.ndarray   # (n_envs,)
 
     @classmethod
