@@ -253,6 +253,14 @@ class DistInternals:
     and the c_a / c_x seeds keep the stored row count R of their log-std
     matrix: R = 1 for the reduced (1, N_x) shape, whose single row stands for
     every row of the full matrix, or N_a / N_x with full_std.
+
+    With reduced stds every row's covariance is
+    Sigma_b = (c_a,b + gamma) I + alpha^2 c_x,b W W^T, so all rows share the
+    eigenvectors V of W W^T = V diag(lam) V^T and row b has eigenvalues
+    eig[b] = c_a,b + gamma + alpha^2 c_x,b lam. Nothing of shape
+    (B, N_a, N_a) is formed: cov, chol and cov_inv are built from V and eig
+    each time they are read. full_std rows share no basis, so that path
+    factorizes the batched covariance and stores all three.
     """
 
     x: np.ndarray            # (B, N_x)
@@ -266,13 +274,39 @@ class DistInternals:
     mask_x: np.ndarray | None = None
     c_a: np.ndarray | None = None       # (B, R_a) = (x * x) @ (s_a * s_a).T
     c_x: np.ndarray | None = None       # (B, R_x) = (x * x) @ (s_x * s_x).T
-    k_x: np.ndarray | None = None       # (R_x, N_a^2), row k = vec(w_k w_k^T)
-    cov: np.ndarray | None = None       # (B, N_a, N_a)
-    chol: np.ndarray | None = None
-    cov_inv: np.ndarray | None = None
     log_det: np.ndarray | None = None   # (B,)
+    # reduced stds: the shared eigenbasis
+    basis: np.ndarray | None = None     # (N_a, N_a), V
+    lam: np.ndarray | None = None       # (N_a,), eigenvalues of W W^T
+    eig: np.ndarray | None = None       # (B, N_a), eigenvalues of Sigma_b
+    # full_std: the batched covariance and its factors
+    k_x: np.ndarray | None = None       # (N_x, N_a^2), row k = vec(w_k w_k^T)
+    full_cov: np.ndarray | None = None  # (B, N_a, N_a)
+    full_chol: np.ndarray | None = None
+    full_inv: np.ndarray | None = None
     # diagonal fields
     sigma: np.ndarray | None = None     # (N_a,)
+
+    @property
+    def cov(self) -> np.ndarray:
+        """(B, N_a, N_a) action covariances."""
+        if self.eig is None:
+            return self.full_cov
+        return (self.basis * self.eig[:, None, :]) @ self.basis.T
+
+    @property
+    def chol(self) -> np.ndarray:
+        """(B, N_a, N_a) lower Cholesky factors of cov."""
+        if self.eig is None:
+            return self.full_chol
+        return np.linalg.cholesky(self.cov)
+
+    @property
+    def cov_inv(self) -> np.ndarray:
+        """(B, N_a, N_a) inverses of cov."""
+        if self.eig is None:
+            return self.full_inv
+        return (self.basis / self.eig[:, None, :]) @ self.basis.T
 
 
 def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
@@ -300,11 +334,22 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
     c_a = x2 @ (s_a * s_a).T
     c_x = x2 @ (s_x * s_x).T
     W = policy.W
-    if s_x.shape[0] == 1:
-        # every latent column shares one c_x, so sum_k w_k w_k^T = W W^T
-        k_x = (W @ W.T).reshape(1, n_a * n_a)
-    else:
-        k_x = (W.T[:, :, None] * W.T[:, None, :]).reshape(-1, n_a * n_a)
+    if c_a.shape[1] == c_x.shape[1] == 1:
+        # reduced stds (or full_std at N_x = N_a = 1): one c_a and one c_x
+        # per row. A full_std head at N_x = 1 has a (1, 1) s_x but N_a rows
+        # of s_a, so both are checked.
+        lam, basis = np.linalg.eigh(W @ W.T)
+        eig = c_a + cfg.gamma + (alpha * alpha) * c_x * lam
+        if not (eig > 0.0).all():
+            raise NotPositiveDefinite(
+                "batched action covariance is singular; check gamma and the "
+                "latent state")
+        return DistInternals(x=x, mean=mean, cache=cache, kind=policy.strategy,
+                             s_a=s_a, s_x=s_x, mask_a=mask_a, mask_x=mask_x,
+                             c_a=c_a, c_x=c_x,
+                             log_det=np.sum(np.log(eig), axis=1),
+                             basis=basis, lam=lam, eig=eig)
+    k_x = (W.T[:, :, None] * W.T[:, None, :]).reshape(-1, n_a * n_a)
     cov = ((alpha * alpha) * (c_x @ k_x)).reshape(-1, n_a, n_a)
     idx = np.arange(n_a)
     cov[:, idx, idx] += c_a + cfg.gamma
@@ -315,45 +360,75 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
             "batched action covariance is singular; check gamma and the "
             "latent state") from exc
     log_det = 2.0 * np.sum(np.log(chol[:, idx, idx]), axis=1)
-    cov_inv = np.linalg.inv(cov)
     return DistInternals(x=x, mean=mean, cache=cache, kind=policy.strategy,
                          s_a=s_a, s_x=s_x, mask_a=mask_a, mask_x=mask_x,
-                         c_a=c_a, c_x=c_x, k_x=k_x, cov=cov, chol=chol,
-                         cov_inv=cov_inv, log_det=log_det)
+                         c_a=c_a, c_x=c_x, log_det=log_det, k_x=k_x,
+                         full_cov=cov, full_chol=chol,
+                         full_inv=np.linalg.inv(cov))
 
 
 def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
-                       wG: np.ndarray, tape: GradientTape) -> np.ndarray | None:
-    """Chain a weighted dL/dSigma seed (wG, shape (B, N_a, N_a)) through the
-    covariance construction. Writes log-std (and variance-path W) grads and
-    returns the latent seed d_latent, or None when it vanishes."""
-    n_a = policy.action_dim
-    idx = np.arange(n_a)
-    g_ca = wG[:, idx, idx]  # (B, N_a) = dL/dc_a
-    if it.kind == "diagonal":
-        var = it.sigma * it.sigma
-        tape.add("log_sigma", 2.0 * var * g_ca.sum(axis=0))
-        return None
+                       tape: GradientTape, half_inv: np.ndarray,
+                       half_pg: np.ndarray | None = None,
+                       u: np.ndarray | None = None) -> np.ndarray | None:
+    """Chain the weighted dL/dSigma seed
+    wG_b = half_pg[b] u_b u_b^T + half_inv[b] Sigma_b^-1 through the
+    covariance construction (half_pg = None drops the u u^T part). Writes
+    log-std (and variance-path W) grads and returns the latent seed
+    d_latent, or None when it vanishes."""
+    alpha2 = policy.alpha * policy.alpha
+    flow = not cfg.stop_variance_gradient
+    if it.eig is not None:
+        # in the shared eigenbasis: tr wG_b and <wG_b, W W^T> from |u|^2,
+        # |W^T u|^2, sum 1/e and sum lam/e
+        inv_e = 1.0 / it.eig
+        g_ca = half_inv * np.sum(inv_e, axis=1)
+        if half_pg is not None:
+            g_ca += half_pg * np.sum(u * u, axis=1)
+        g_ca = g_ca[:, None]
+        if alpha2 != 0.0:
+            g_cx = half_inv * (inv_e @ it.lam)
+            if half_pg is not None:
+                wu = u @ policy.W
+                g_cx += half_pg * np.sum(wu * wu, axis=1)
+            g_cx = alpha2 * g_cx[:, None]
+            if flow:
+                # dL/dW = 2 alpha^2 (sum_b c_x,b wG_b) W: a rank-B part plus
+                # V diag(sum_b c_x,b half_inv[b] / e_b) V^T
+                c_x = it.c_x[:, 0]
+                m = (it.basis * ((c_x * half_inv) @ inv_e)) @ it.basis.T
+                if half_pg is not None:
+                    m += (u * (c_x * half_pg)[:, None]).T @ u
+                grad_w = (2.0 * alpha2) * (m @ policy.W)
+    else:
+        n_a = policy.action_dim
+        idx = np.arange(n_a)
+        if half_pg is not None:
+            wG = (half_pg[:, None] * u)[:, :, None] * u[:, None, :]
+            wG += half_inv[:, None, None] * it.full_inv
+        else:
+            wG = half_inv[:, None, None] * it.full_inv
+        g_ca = wG[:, idx, idx]  # (B, N_a) = dL/dc_a
+        if alpha2 != 0.0:
+            # dL/dc_x = alpha^2 * w_k^T G w_k
+            wG_flat = wG.reshape(-1, n_a * n_a)
+            g_cx = alpha2 * (wG_flat @ it.k_x.T)
+            if flow:
+                # dL/dW[a, k] = 2 alpha^2 sum_m W[m, k] sum_b wG[b, a, m]
+                # c_x[b, k]
+                gc = (wG_flat.T @ it.c_x).reshape(n_a, n_a, -1)
+                grad_w = 2.0 * alpha2 * np.sum(gc * policy.W, axis=1)
     x2 = it.x * it.x
-    if it.s_a.shape[0] == 1:
-        g_ca = g_ca.sum(axis=1, keepdims=True)  # onto the shared c_a
-    alpha = policy.alpha
     sa2 = it.s_a * it.s_a
     sx2 = it.s_x * it.s_x
     tape.add("log_std_a", 2.0 * sa2 * it.mask_a * (g_ca.T @ x2))
-    if alpha != 0.0:
-        # dL/dc_x = alpha^2 * w_k^T G w_k, summed over the rows c_x stands for
-        wG_flat = wG.reshape(-1, n_a * n_a)
-        g_cx = (alpha * alpha) * (wG_flat @ it.k_x.T)
+    if alpha2 != 0.0:
         tape.add("log_std_x", 2.0 * sx2 * it.mask_x * (g_cx.T @ x2))
-    if cfg.stop_variance_gradient:
+    if not flow:
         return None
     d_latent = g_ca @ sa2
-    if alpha != 0.0:
-        # variance path into the final linear map:
-        # dL/dW[a, k] = 2 alpha^2 sum_m W[m, k] sum_b wG[b, a, m] c_x[b, k]
-        gc = (wG_flat.T @ it.c_x).reshape(n_a, n_a, -1)
-        grad_w = 2.0 * (alpha * alpha) * np.sum(gc * policy.W, axis=1)
+    if alpha2 != 0.0:
+        # variance path into the final linear map
         tape.add(policy.net.head_w_name, grad_w)
         d_latent += g_cx @ sx2
     return 2.0 * it.x * d_latent
@@ -374,7 +449,10 @@ def log_prob_terms(policy: MlpPolicy, it: DistInternals,
                 - np.sum(np.log(it.sigma))
                 - 0.5 * np.sum(d * u, axis=1))
     else:
-        u = (it.cov_inv @ d[..., None])[..., 0]
+        if it.eig is not None:
+            u = ((d @ it.basis) / it.eig) @ it.basis.T
+        else:
+            u = (it.full_inv @ d[..., None])[..., 0]
         logp = (-0.5 * n_a * LOG_2PI - 0.5 * it.log_det
                 - 0.5 * np.sum(d * u, axis=1))
     return logp, d, u
@@ -427,11 +505,10 @@ def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
         half_ent = 0.0 if w_ent is None else 0.5 * w_ent
         if w_pg is not None:
             half_pg = 0.5 * w_pg
-            wG = (half_pg[:, None] * u)[:, :, None] * u[:, None, :]
-            wG += (half_ent - half_pg)[:, None, None] * it.cov_inv
+            d_latent = _variance_backward(policy, it, cfg, tape,
+                                          half_ent - half_pg, half_pg, u)
         else:
-            wG = half_ent[:, None, None] * it.cov_inv
-        d_latent = _variance_backward(policy, it, cfg, wG, tape)
+            d_latent = _variance_backward(policy, it, cfg, tape, half_ent)
     if w_pg is not None or d_latent is not None:
         policy.net.backward(it.cache, d_mean, tape, d_latent=d_latent)
 

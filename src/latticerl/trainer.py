@@ -203,9 +203,9 @@ class PPOTrainer:
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
         if deterministic:
             return self.policy.forward(obs)[1]
-        it = dist_internals(self.policy, obs, self.cfg)
         if rng is None:
             raise ValueError("stochastic predict needs an rng")
+        it = dist_internals(self.policy, obs, self.cfg)
         if it.kind == "diagonal":
             return it.mean + rng.standard_normal(it.mean.shape) * it.sigma
         z = rng.standard_normal(it.mean.shape)

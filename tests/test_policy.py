@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticerl.errors import DimensionMismatch
+from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
     distribution_std,
@@ -103,19 +105,93 @@ class TestCovarianceAlgebra:
             policy.params[name] += rng.normal(0.0, 0.4,
                                               policy.params[name].shape)
         obs = rng.standard_normal((5, 3))
+        actions = rng.standard_normal((5, 3))
         it = dist_internals(policy, obs, cfg)
+        _, d, u = log_prob_terms(policy, it, actions)
+        cov, cov_inv, chol = it.cov, it.cov_inv, it.chol
         s_x, s_a = distribution_std(policy.noise_std, cfg, 3)
         for b in range(5):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
                                      cfg.gamma)
-            np.testing.assert_allclose(it.cov[b], ref, rtol=1e-12,
+            np.testing.assert_allclose(cov[b], ref, rtol=1e-12,
                                        atol=1e-15)
-            np.testing.assert_allclose(it.cov_inv[b] @ ref, np.eye(3),
+            np.testing.assert_allclose(cov_inv[b] @ ref, np.eye(3),
                                        atol=1e-10)
+            sign, ref_log_det = np.linalg.slogdet(ref)
+            assert sign == 1.0
+            assert it.log_det[b] == pytest.approx(ref_log_det, rel=1e-12,
+                                                  abs=1e-12)
+            np.testing.assert_allclose(u[b], np.linalg.solve(ref, d[b]),
+                                       rtol=1e-10)
+            np.testing.assert_array_equal(chol[b], np.tril(chol[b]))
+            np.testing.assert_allclose(chol[b] @ chol[b].T, ref, rtol=1e-12,
+                                       atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 6), n_a=st.integers(1, 6),
+           n_x=st.integers(1, 6), alpha=st.floats(0.0, 1.0),
+           log_gamma=st.floats(-4.0, 0.0), full_std=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_log_prob_matches_oracle(self, batch, n_a, n_x, alpha,
+                                     log_gamma, full_std, seed):
+        # N_a > N_x included: W W^T is then rank-deficient, and its
+        # eigenvalues may come out a rounding error below zero
+        cfg = LatticeConfig(alpha=alpha, gamma=10.0 ** log_gamma,
+                            full_std=full_std, init_log_std=-0.5)
+        rng = np.random.default_rng(seed)
+        policy = MlpPolicy(3, n_a, cfg, hiddens=(n_x,), activation="tanh",
+                           rng=rng)
+        for name in ("log_std_x", "log_std_a"):
+            policy.params[name] += rng.normal(0.0, 0.5,
+                                              policy.params[name].shape)
+        obs = rng.standard_normal((batch, 3))
+        actions = rng.standard_normal((batch, n_a))
+        it = dist_internals(policy, obs, cfg)
+        logp, d, u = log_prob_terms(policy, it, actions)
+        s_x, s_a = distribution_std(policy.noise_std, cfg, n_a)
+        for b in range(batch):
+            ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
+                                     cfg.gamma)
+            ref_u = np.linalg.solve(ref, d[b])
+            _, ref_log_det = np.linalg.slogdet(ref)
+            quad = float(d[b] @ ref_u)
+            ref_logp = -0.5 * (n_a * LOG_2PI + ref_log_det + quad)
+            scale = 0.5 * (n_a * LOG_2PI + abs(ref_log_det) + quad)
+            assert abs(logp[b] - ref_logp) <= 1e-10 * scale
+            assert np.linalg.norm(u[b] - ref_u) \
+                <= 1e-10 * np.linalg.norm(ref_u)
+
+    @pytest.mark.parametrize("full_std", [False, True],
+                             ids=["reduced", "full"])
+    def test_zero_latent_without_jitter_is_singular(self, full_std):
+        # relu hidden layers with zero biases map obs = 0 to the zero latent,
+        # where Sigma = gamma I
+        cfg = LatticeConfig(alpha=1.0, gamma=0.0, full_std=full_std)
+        policy = MlpPolicy(3, 4, cfg, hiddens=(5,), activation="relu",
+                           rng=np.random.default_rng(61))
+        with pytest.raises(NotPositiveDefinite):
+            dist_internals(policy, np.zeros((2, 3)), cfg)
+
+    def test_rank_deficient_head_without_jitter_is_regular(self):
+        # N_a = 5 > N_x = 2: W W^T has three zero eigenvalues, which eigh
+        # may return a rounding error below zero; c_a > 0 keeps Sigma regular
+        cfg = LatticeConfig(alpha=1.0, gamma=0.0)
+        policy = MlpPolicy(3, 5, cfg, hiddens=(2,), activation="tanh",
+                           rng=np.random.default_rng(62))
+        obs = np.random.default_rng(63).standard_normal((4, 3))
+        it = dist_internals(policy, obs, cfg)
+        assert np.max(np.abs(it.lam[:3])) < 1e-12
+        s_x, s_a = distribution_std(policy.noise_std, cfg, 5)
+        for b in range(4):
+            ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
+                                     cfg.gamma)
+            assert it.log_det[b] == pytest.approx(np.linalg.slogdet(ref)[1],
+                                                  rel=1e-10)
 
     def test_peak_memory_at_analysis_batch(self):
         # 2048 rows at N_x = 256, N_a = 8 as in a covariance analysis: the
-        # forward pass and the (B, N_a, N_a) arrays fit in ~16 MiB, while one
+        # forward pass and the (B, N_a) eigenvalues fit in ~16 MiB, as the
+        # (B, N_a, N_a) covariance is built only when read, while one
         # (B, N_a, N_x) temporary would add 32 MiB
         cfg = LatticeConfig(alpha=1.0)
         policy = MlpPolicy(4, 8, cfg, hiddens=(256, 256),

@@ -21,6 +21,8 @@ from latticerl.errors import (
 )
 from latticerl.exploration import (
     LatticeConfig,
+    distribution_std,
+    lattice_covariance,
     resample_perturbations,
     sampling_std,
 )
@@ -513,6 +515,29 @@ class TestPpoUpdate:
         # one minibatch: the policy and the value net once each
         assert calls == {"backward": 2, "variance": 1, "logp": 1}
 
+    @pytest.mark.parametrize("strategy,cfg", [
+        ("lattice", LatticeConfig()), ("lattice", LatticeConfig(period=4)),
+        ("gsde", LatticeConfig()), ("lattice", LatticeConfig(full_std=True))],
+        ids=["lattice-1", "lattice-4", "gsde", "lattice-full_std"])
+    def test_reduced_stds_factorize_nothing(self, strategy, cfg, monkeypatch):
+        # reduced stds work in the shared eigenbasis of W W^T; only
+        # full_std rows, which share no basis, need the batched factors
+        class Refused(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Refused
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        tr = small_trainer(strategy=strategy, cfg=cfg)
+        if cfg.full_std:
+            with pytest.raises(Refused):
+                tr.ppo_update(tr.collect_rollout(8))
+        else:
+            stats = tr.ppo_update(tr.collect_rollout(8))
+            assert np.isfinite(stats["grad_norm"])
+
     def test_nan_reward_names_value_parameters(self):
         tr = small_trainer()
         buf = tr.collect_rollout(8)
@@ -689,6 +714,36 @@ class TestEvaluate:
         episodes = actions.reshape(3, 10, tr.action_dim)
         for record, a in zip(metrics["per_episode"], episodes):
             assert record["energy"] == energy_of(np.clip(a, 0.0, 1.0))
+
+
+class TestPredict:
+    def test_stochastic_without_rng_fails_first(self, monkeypatch):
+        tr = small_trainer()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("distribution built before the rng check")
+
+        monkeypatch.setattr(trainer_mod, "dist_internals", refuse)
+        with pytest.raises(ValueError, match="rng"):
+            tr.predict(np.array([[0.1, -0.2]]), deterministic=False)
+
+    @pytest.mark.parametrize("full_std", [False, True],
+                             ids=["reduced", "full"])
+    def test_stochastic_draw_is_mean_plus_cholesky_factor(self, full_std):
+        tr = small_trainer(cfg=LatticeConfig(alpha=0.8, full_std=full_std))
+        obs = np.random.default_rng(3).standard_normal((4, 2))
+        actions = tr.predict(obs, deterministic=False,
+                             rng=np.random.default_rng(4))
+        z = np.random.default_rng(4).standard_normal(actions.shape)
+        x, mean = tr.policy.forward(obs)
+        s_x, s_a = distribution_std(tr.policy.noise_std, tr.cfg,
+                                    tr.action_dim)
+        for b in range(4):
+            cov = lattice_covariance(x[b], tr.policy.W, s_a, s_x,
+                                     tr.cfg.alpha, tr.cfg.gamma)
+            np.testing.assert_allclose(
+                actions[b], mean[b] + np.linalg.cholesky(cov) @ z[b],
+                rtol=1e-10, atol=1e-12)
 
 
 class TestCheckpoint:
