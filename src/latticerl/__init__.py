@@ -14,14 +14,10 @@ from .exploration import (
     NoiseSampler,
     NoiseStdMatrices,
     PerturbationMatrices,
-    action_distribution,
     clip_std,
-    independent_action_noise,
-    perturbed_action,
     resample_perturbations,
     rescaled_log_std,
 )
-from .gauss import FullCovGaussian, cholesky, min_eigenvalue
 from .policy import GradientTape, Mlp, MlpPolicy, log_prob, log_prob_and_grad
 from .trainer import (
     Adam,

@@ -32,9 +32,16 @@ class RunConfig:
     schema_version: int = CONFIG_SCHEMA
 
     def __post_init__(self):
+        if not (is_int(self.schema_version)
+                and self.schema_version == CONFIG_SCHEMA):
+            raise ConfigError(
+                f"field 'schema_version': {self.schema_version!r} is not "
+                f"{CONFIG_SCHEMA}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"field 'strategy': {self.strategy!r} not in {STRATEGIES}")
+        if not isinstance(self.env, dict):
+            raise ConfigError(f"field 'env': {self.env!r} is not an object")
         name = self.env.get("name")
         if name not in ENV_REGISTRY:
             raise ConfigError(
@@ -65,6 +72,9 @@ class RunConfig:
             raise ConfigError(
                 f"field 'checkpoint_every': {self.checkpoint_every!r} is not "
                 f"an integer >= 0")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(
+                f"field 'out_dir': {self.out_dir!r} is not null or a string")
         target = self.target_solved
         if target is not None and not (
                 isinstance(target, (int, float))

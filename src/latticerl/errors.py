@@ -20,15 +20,13 @@ class LatticeError(Exception):
 
 
 class NotPositiveDefinite(LatticeError):
-    """A covariance matrix failed Cholesky factorization."""
+    """A covariance matrix is not positive definite: its Cholesky
+    factorization failed, or an eigenvalue of its shared-eigenbasis form is
+    not above zero."""
 
 
 class DimensionMismatch(LatticeError):
     """Operands have incompatible shapes."""
-
-
-class NoConvergence(LatticeError):
-    """An iterative numerical method hit its iteration cap."""
 
 
 class NonFiniteAction(LatticeError):

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    is_finite_number,
-    is_int,
-)
-from .gauss import FullCovGaussian
+from .errors import is_finite_number, is_int
 
 STRATEGIES = ("diagonal", "gsde", "lattice")
 
@@ -52,8 +46,8 @@ class LatticeConfig:
     full_std: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        if not (is_finite_number(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if self.period != "episode" and not (is_int(self.period)
                                              and self.period >= 1):
             raise ValueError(f"period must be an integer >= 1 or 'episode', "
@@ -66,6 +60,11 @@ class LatticeConfig:
         if not is_finite_number(self.init_log_std):
             raise ValueError(f"init_log_std must be a finite number, got "
                              f"{self.init_log_std!r}")
+        for name in ("rescale", "stop_variance_gradient", "full_std"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got "
+                                 f"{value!r}")
 
     @property
     def period_steps(self) -> int | None:
@@ -124,34 +123,10 @@ def clip_std(std: np.ndarray, std_min: float, std_max: float) -> np.ndarray:
     return np.clip(std, std_min, std_max)
 
 
-def _expand(mat: np.ndarray, n_rows: int) -> np.ndarray:
-    if mat.shape[0] == n_rows:
-        return mat
-    return np.broadcast_to(mat, (n_rows, mat.shape[1]))
-
-
 def sampling_log_std(std: NoiseStdMatrices,
                      cfg: LatticeConfig) -> NoiseStdMatrices:
     """Log stds of the perturbation entries, in their stored shapes."""
     return rescaled_log_std(std, std.n_latent) if cfg.rescale else std
-
-
-def sampling_std(std: NoiseStdMatrices, cfg: LatticeConfig,
-                 n_actions: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unclipped stds used to draw the perturbation matrices, expanded to
-    full (N_x, N_x) and (N_a, N_x) shapes."""
-    eff = sampling_log_std(std, cfg)
-    s_x = np.exp(_expand(eff.log_std_x, std.n_latent))
-    s_a = np.exp(_expand(eff.log_std_a, n_actions))
-    return s_x, s_a
-
-
-def distribution_std(std: NoiseStdMatrices, cfg: LatticeConfig,
-                     n_actions: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped stds entering the analytic action distribution."""
-    s_x, s_a = sampling_std(std, cfg, n_actions)
-    return (clip_std(s_x, cfg.std_min, cfg.std_max),
-            clip_std(s_a, cfg.std_min, cfg.std_max))
 
 
 def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
@@ -159,7 +134,7 @@ def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
                            rng: np.random.Generator) -> PerturbationMatrices:
     """Draw fresh P matrices, entrywise N(0, S_ij^2)."""
     # exp in the stored shape, broadcast by the in-place scaling: the same
-    # bytes as scaling by the expanded sampling_std
+    # bytes as scaling by the stds expanded to full shape
     eff = sampling_log_std(std, cfg)
     p_x = rng.standard_normal((std.n_latent, std.n_latent))
     p_x *= np.exp(eff.log_std_x)
@@ -429,56 +404,3 @@ class NoiseSampler:
         w.y[rows, j] = z
         w.n_dir[rows] += 1
 
-
-def perturbed_action(x: np.ndarray, W: np.ndarray, P: PerturbationMatrices,
-                     alpha: float) -> np.ndarray:
-    """(W + P_a + alpha W P_x) x. Deterministic while P is held fixed."""
-    x = np.asarray(x, dtype=float)
-    if W.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"W is {W.shape} but latent has length {x.shape[0]}")
-    if P.P_a.shape != W.shape or P.P_x.shape != (x.shape[0], x.shape[0]):
-        raise DimensionMismatch("perturbation matrices do not match W / x")
-    return W @ x + P.P_a @ x + alpha * (W @ (P.P_x @ x))
-
-
-def lattice_covariance(x: np.ndarray, W: np.ndarray, s_a: np.ndarray,
-                       s_x: np.ndarray, alpha: float,
-                       gamma: float) -> np.ndarray:
-    """Diag(S_a^2 x^2) + alpha^2 W Diag(S_x^2 x^2) W^T + gamma I.
-
-    s_a and s_x are already rescaled and clipped, in full shape.
-    """
-    x2 = x * x
-    c_a = (s_a * s_a) @ x2  # (N_a,)
-    c_x = (s_x * s_x) @ x2  # (N_x,)
-    cov = np.diag(c_a) + (alpha * alpha) * (W * c_x) @ W.T
-    cov[np.diag_indices_from(cov)] += gamma
-    return cov
-
-
-def action_distribution(x: np.ndarray, W: np.ndarray, std: NoiseStdMatrices,
-                        cfg: LatticeConfig) -> FullCovGaussian:
-    """Analytic distribution of the perturbed action for one latent state."""
-    x = np.asarray(x, dtype=float)
-    if W.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"W is {W.shape} but latent has length {x.shape[0]}")
-    s_x, s_a = distribution_std(std, cfg, W.shape[0])
-    cov = lattice_covariance(x, W, s_a, s_x, cfg.alpha, cfg.gamma)
-    try:
-        return FullCovGaussian(W @ x, cov)
-    except NotPositiveDefinite:
-        raise NotPositiveDefinite(
-            "action covariance is singular; with gamma = 0 this happens when "
-            "the latent state is degenerate (e.g. the null vector)")
-
-
-def independent_action_noise(mean: np.ndarray, sigma: np.ndarray,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Diagonal baseline: mean + elementwise Gaussian noise."""
-    mean = np.asarray(mean, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < 0):
-        raise ValueError("sigma entries must be >= 0")
-    return mean + rng.standard_normal(mean.shape) * sigma

@@ -19,8 +19,8 @@ from .exploration import (
     clip_std,
     sampling_log_std,
 )
-from .gauss import LOG_2PI
 
+LOG_2PI = float(np.log(2.0 * np.pi))
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 

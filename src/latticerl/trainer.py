@@ -58,8 +58,10 @@ class PpoConfig:
             if not (is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got "
                                  f"{value!r}")
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (is_finite_number(self.learning_rate)
+                and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be a finite number >= 0, "
+                             f"got {self.learning_rate!r}")
         if not self.clip_range > 0.0:
             raise ValueError("clip_range must be > 0")
         for name in ("gamma", "gae_lambda"):

@@ -1,0 +1,178 @@
+"""Single-state reference implementations the library is checked against.
+
+The library forms the lattice action distribution only batched, in
+policy.dist_internals. These are the one-latent-state versions of the
+same model, written directly from its definition: a dense full-covariance
+Gaussian with a Cholesky factor, the covariance
+Diag(S_a^2 x^2) + alpha^2 W Diag(S_x^2 x^2) W^T + gamma I, the perturbed
+action (W + P_a + alpha W P_x) x, and the stds in their full matrix shapes.
+action_distribution has mean W x without the policy head's bias, so it is
+an oracle for the noise model rather than for a whole policy.
+"""
+
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from latticerl.errors import DimensionMismatch, NotPositiveDefinite
+from latticerl.exploration import (
+    LatticeConfig,
+    NoiseStdMatrices,
+    PerturbationMatrices,
+    clip_std,
+    sampling_log_std,
+)
+from latticerl.policy import LOG_2PI
+
+# Relative tolerance on covariance asymmetry before symmetrization is refused.
+SYMMETRY_RTOL = 1e-8
+
+
+def _symmetrize(cov: np.ndarray) -> np.ndarray:
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")
+    scale = max(float(np.abs(cov).max()), 1e-300)
+    asym = float(np.abs(cov - cov.T).max())
+    if asym > SYMMETRY_RTOL * scale:
+        raise DimensionMismatch(
+            f"matrix is not symmetric (relative asymmetry {asym / scale:.3e})"
+        )
+    return 0.5 * (cov + cov.T)
+
+
+def cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular factor L with L @ L.T == cov.
+
+    Raises NotPositiveDefinite when a pivot is non-positive, which usually
+    means the diagonal regularizer was not applied upstream.
+    """
+    sym = _symmetrize(cov)
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+
+
+class FullCovGaussian:
+    """Multivariate normal with dense covariance and cached Cholesky factor.
+
+    Instances are immutable after construction and safe to share read-only.
+    """
+
+    def __init__(self, mean, cov):
+        self.mean = np.asarray(mean, dtype=float)
+        if self.mean.ndim != 1:
+            raise DimensionMismatch("mean must be a vector")
+        self.cov = _symmetrize(cov)
+        if self.cov.shape[0] != self.mean.shape[0]:
+            raise DimensionMismatch(
+                f"mean has length {self.mean.shape[0]} but cov is {self.cov.shape}"
+            )
+        self.chol = cholesky(self.cov)
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+    def log_density(self, a) -> float:
+        """log N(a; mean, cov), evaluated through triangular solves."""
+        a = np.asarray(a, dtype=float)
+        if a.shape != self.mean.shape:
+            raise DimensionMismatch(
+                f"action has shape {a.shape}, expected {self.mean.shape}"
+            )
+        d = self.mean - a
+        z = solve_triangular(self.chol, d, lower=True)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return float(-0.5 * self.dim * LOG_2PI - 0.5 * log_det - 0.5 * z @ z)
+
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """mean + L z with z standard normal; rng state is caller-owned."""
+        if size is None:
+            z = rng.standard_normal(self.dim)
+            return self.mean + self.chol @ z
+        z = rng.standard_normal((size, self.dim))
+        return self.mean + z @ self.chol.T
+
+    def entropy(self) -> float:
+        """Differential entropy 0.5 * log|2 pi e cov|."""
+        log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return 0.5 * self.dim * (LOG_2PI + 1.0) + 0.5 * log_det
+
+
+def _expand(mat: np.ndarray, n_rows: int) -> np.ndarray:
+    if mat.shape[0] == n_rows:
+        return mat
+    return np.broadcast_to(mat, (n_rows, mat.shape[1]))
+
+
+def sampling_std(std: NoiseStdMatrices, cfg: LatticeConfig,
+                 n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped stds used to draw the perturbation matrices, expanded to
+    full (N_x, N_x) and (N_a, N_x) shapes."""
+    eff = sampling_log_std(std, cfg)
+    s_x = np.exp(_expand(eff.log_std_x, std.n_latent))
+    s_a = np.exp(_expand(eff.log_std_a, n_actions))
+    return s_x, s_a
+
+
+def distribution_std(std: NoiseStdMatrices, cfg: LatticeConfig,
+                     n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped stds entering the analytic action distribution."""
+    s_x, s_a = sampling_std(std, cfg, n_actions)
+    return (clip_std(s_x, cfg.std_min, cfg.std_max),
+            clip_std(s_a, cfg.std_min, cfg.std_max))
+
+
+def perturbed_action(x: np.ndarray, W: np.ndarray, P: PerturbationMatrices,
+                     alpha: float) -> np.ndarray:
+    """(W + P_a + alpha W P_x) x. Deterministic while P is held fixed."""
+    x = np.asarray(x, dtype=float)
+    if W.shape[1] != x.shape[0]:
+        raise DimensionMismatch(
+            f"W is {W.shape} but latent has length {x.shape[0]}")
+    if P.P_a.shape != W.shape or P.P_x.shape != (x.shape[0], x.shape[0]):
+        raise DimensionMismatch("perturbation matrices do not match W / x")
+    return W @ x + P.P_a @ x + alpha * (W @ (P.P_x @ x))
+
+
+def lattice_covariance(x: np.ndarray, W: np.ndarray, s_a: np.ndarray,
+                       s_x: np.ndarray, alpha: float,
+                       gamma: float) -> np.ndarray:
+    """Diag(S_a^2 x^2) + alpha^2 W Diag(S_x^2 x^2) W^T + gamma I.
+
+    s_a and s_x are already rescaled and clipped, in full shape.
+    """
+    x2 = x * x
+    c_a = (s_a * s_a) @ x2  # (N_a,)
+    c_x = (s_x * s_x) @ x2  # (N_x,)
+    cov = np.diag(c_a) + (alpha * alpha) * (W * c_x) @ W.T
+    cov[np.diag_indices_from(cov)] += gamma
+    return cov
+
+
+def action_distribution(x: np.ndarray, W: np.ndarray, std: NoiseStdMatrices,
+                        cfg: LatticeConfig) -> FullCovGaussian:
+    """Analytic distribution of the perturbed action for one latent state."""
+    x = np.asarray(x, dtype=float)
+    if W.shape[1] != x.shape[0]:
+        raise DimensionMismatch(
+            f"W is {W.shape} but latent has length {x.shape[0]}")
+    s_x, s_a = distribution_std(std, cfg, W.shape[0])
+    cov = lattice_covariance(x, W, s_a, s_x, cfg.alpha, cfg.gamma)
+    try:
+        return FullCovGaussian(W @ x, cov)
+    except NotPositiveDefinite:
+        raise NotPositiveDefinite(
+            "action covariance is singular; with gamma = 0 this happens when "
+            "the latent state is degenerate (e.g. the null vector)")
+
+
+def independent_action_noise(mean: np.ndarray, sigma: np.ndarray,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Diagonal baseline: mean + elementwise Gaussian noise."""
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma < 0):
+        raise ValueError("sigma entries must be >= 0")
+    return mean + rng.standard_normal(mean.shape) * sigma

@@ -171,7 +171,7 @@ class TestCovarianceReport:
         states = rng.standard_normal((8, 2))
         got = analytic_latent_noise_cov(policy, states, cfg)
         # brute force: average the per-state closed form
-        from latticerl.exploration import distribution_std
+        from oracles import distribution_std
         s_x, _ = distribution_std(policy.noise_std, cfg, 4)
         acc = np.zeros((4, 4))
         for s in states:
@@ -192,7 +192,7 @@ class TestCovarianceReport:
         states = rng.standard_normal((9, 2))
         got = analytic_latent_noise_cov(policy, states, cfg)
         # the formula over the expanded (N_x, N_x) clipped stds
-        from latticerl.exploration import distribution_std
+        from oracles import distribution_std
         x, _ = policy.forward(states)
         s_x, _ = distribution_std(policy.noise_std, cfg, 4)
         c_x = (x * x) @ (s_x * s_x).T

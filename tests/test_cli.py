@@ -29,6 +29,14 @@ def tiny_config(**overrides):
     return RunConfig(**base)
 
 
+def small_budget():
+    """A raw config that trains in a moment, so a config check that
+    regresses fails a test quickly instead of training for minutes."""
+    return {"total_steps": 32, "hiddens": [8], "critic_hiddens": [8],
+            "ppo": {"gradient_steps": 8, "n_envs": 2, "batch_size": 16,
+                    "n_epochs": 1}}
+
+
 def write_config(path, config):
     config.save(path)
     return path
@@ -189,10 +197,11 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("raw", [
         {"seed": -1}, {"activation": "sigmoid"}, {"hiddens": [0]},
-        {"env": {"name": "flex_ext_arm", "max_steps": 0}}])
+        {"env": {"name": "flex_ext_arm", "max_steps": 0}}, {"env": ["x"]},
+        {"out_dir": 5}])
     def test_invalid_run_field_exit_code(self, tmp_path, capsys, raw):
         path = tmp_path / "bad_field.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps({**small_budget(), **raw}))
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err.startswith("config error:")
@@ -205,13 +214,9 @@ class TestMainEntry:
         {"env": {"name": "point_reacher", "pairs_per_axis": 0}}])
     def test_invalid_budget_or_group_exit_code(self, tmp_path, capsys, raw):
         # these used to write a partial run directory, then die with a
-        # traceback, checkpoint at every update, or fail at run time (exit
-        # 2); a small budget keeps a regression from training for minutes
-        small = {"total_steps": 32, "hiddens": [8], "critic_hiddens": [8],
-                 "ppo": {"gradient_steps": 8, "n_envs": 2, "batch_size": 16,
-                         "n_epochs": 1}}
+        # traceback, checkpoint at every update, or fail at run time (exit 2)
         path = tmp_path / "bad_field.json"
-        path.write_text(json.dumps({**small, **raw}))
+        path.write_text(json.dumps({**small_budget(), **raw}))
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err.startswith("config error:")
@@ -221,6 +226,7 @@ class TestMainEntry:
         ("lattice", "period", 2.5), ("lattice", "period", True),
         ("lattice", "gamma", float("nan")),
         ("lattice", "init_log_std", float("inf")),
+        ("lattice", "alpha", True), ("lattice", "full_std", "no"),
         ("ppo", "batch_size", 32.5), ("ppo", "gamma", float("nan")),
         ("ppo", "gae_lambda", float("nan")),
         ("ppo", "max_grad_norm", 0.0)])
@@ -228,9 +234,7 @@ class TestMainEntry:
                                                     section, field, value):
         # these used to train at a truncated period, die with a TypeError
         # traceback, or exit 2 mid-run after writing a partial run directory
-        small = {"total_steps": 32, "hiddens": [8], "critic_hiddens": [8],
-                 "ppo": {"gradient_steps": 8, "n_envs": 2, "batch_size": 16,
-                         "n_epochs": 1}}
+        small = small_budget()
         small.setdefault(section, {})[field] = value
         path = tmp_path / "bad_field.json"
         path.write_text(json.dumps(small))

@@ -57,7 +57,7 @@ class TestRunConfig:
         ("gamma", 1.5), ("gae_lambda", float("nan")), ("gae_lambda", -0.1),
         ("entropy_coef", -1e-3), ("entropy_coef", float("inf")),
         ("value_coef", float("nan")), ("max_grad_norm", 0.0),
-        ("max_grad_norm", float("inf"))])
+        ("max_grad_norm", float("inf")), ("learning_rate", float("inf"))])
     def test_bad_nested_ppo(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict({"ppo": {field: value}})
@@ -65,7 +65,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("period", 2.5), ("period", True), ("gamma", float("nan")),
         ("gamma", float("inf")), ("init_log_std", float("inf")),
-        ("init_log_std", float("nan"))])
+        ("init_log_std", float("nan")), ("alpha", True),
+        ("rescale", "no"), ("stop_variance_gradient", 1),
+        ("full_std", "no")])
     def test_bad_lattice_value(self, field, value):
         # each of these used to train: at a silently truncated period, or
         # until a non-finite gradient or action stopped the run
@@ -86,7 +88,9 @@ class TestRunConfig:
         ({"critic_hiddens": [64, -1]}, "critic_hiddens"),
         ({"env": {"name": "flex_ext_arm", "max_steps": 0}}, "max_steps"),
         ({"env": {"name": "point_reacher", "max_steps": 0}}, "max_steps"),
-        ({"env": {"name": "flex_ext_arm", "n_joints": 2}}, "n_joints")])
+        ({"env": {"name": "flex_ext_arm", "n_joints": 2}}, "n_joints"),
+        ({"env": ["x"]}, "env"), ({"out_dir": 5}, "out_dir"),
+        ({"schema_version": 99}, "schema_version")])
     def test_bad_run_field(self, raw, field):
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict(raw)

@@ -16,19 +16,21 @@ from latticerl.exploration import (
     NoiseSampler,
     NoiseStdMatrices,
     PerturbationMatrices,
-    action_distribution,
     clip_std,
+    resample_perturbations,
+    rescaled_log_std,
+    sampling_log_std,
+)
+from latticerl.policy import MlpPolicy
+
+from oracles import (
+    action_distribution,
     distribution_std,
     independent_action_noise,
     lattice_covariance,
     perturbed_action,
-    resample_perturbations,
-    rescaled_log_std,
-    sampling_log_std,
     sampling_std,
 )
-from latticerl.gauss import min_eigenvalue
-from latticerl.policy import MlpPolicy
 
 
 def make_std(rng, n_actions, n_latent, scale=0.3, full=True):
@@ -514,4 +516,4 @@ def test_covariance_psd_property(seed, alpha, zero_latent):
     cfg = LatticeConfig(alpha=alpha, gamma=0.001)
     s_x, s_a = distribution_std(std, cfg, n_a)
     cov = lattice_covariance(x, W, s_a, s_x, cfg.alpha, cfg.gamma)
-    assert min_eigenvalue(cov) >= cfg.gamma - 1e-9
+    assert np.linalg.eigvalsh(cov)[0] >= cfg.gamma - 1e-9

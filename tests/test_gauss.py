@@ -1,17 +1,15 @@
-"""Full-covariance Gaussian: factorization, density, sampling, spectrum."""
+"""The full-covariance Gaussian oracle: factorization, density, sampling,
+entropy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticerl.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
-from latticerl.gauss import (
-    LOG_2PI,
-    FullCovGaussian,
-    cholesky,
-    min_eigenvalue,
-)
+from latticerl.errors import DimensionMismatch, NotPositiveDefinite
+from latticerl.policy import LOG_2PI
+
+from oracles import FullCovGaussian, cholesky
 
 
 def random_spd(rng, n, jitter=1.0):
@@ -160,33 +158,6 @@ class TestEntropy:
         g = FullCovGaussian(np.zeros(2), np.diag(var))
         expected = sum(0.5 * (LOG_2PI + 1.0 + np.log(v)) for v in var)
         assert g.entropy() == pytest.approx(expected)
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert min_eigenvalue(np.eye(4)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert min_eigenvalue(np.diag([2.0, 5.0, 0.5])) == pytest.approx(0.5)
-
-    def test_regularized_rank_deficient(self):
-        rng = np.random.default_rng(7)
-        w = rng.standard_normal((4, 2))  # rank-deficient outer factor
-        cov = w @ np.diag([1.3, 0.4]) @ w.T + 0.001 * np.eye(4)
-        assert min_eigenvalue(cov) >= 0.001 - 1e-9
-
-    def test_matches_eigvalsh(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            n = int(rng.integers(1, 6))
-            cov = random_spd(rng, n, jitter=0.1)
-            assert min_eigenvalue(cov) == pytest.approx(
-                np.linalg.eigvalsh(cov).min(), abs=1e-8)
-
-    def test_no_convergence(self):
-        cov = random_spd(np.random.default_rng(9), 6, jitter=0.01)
-        with pytest.raises(NoConvergence):
-            min_eigenvalue(cov, max_rotations=2)
 
 
 @settings(max_examples=50, deadline=None)

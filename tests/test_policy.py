@@ -9,14 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticerl.errors import DimensionMismatch, NotPositiveDefinite
-from latticerl.exploration import (
-    LatticeConfig,
-    distribution_std,
-    lattice_covariance,
-)
-from latticerl.gauss import LOG_2PI
+from latticerl.exploration import LatticeConfig
 from latticerl.policy import (
     ACTIVATIONS,
+    LOG_2PI,
     GradientTape,
     Mlp,
     MlpPolicy,
@@ -30,6 +26,7 @@ from latticerl.policy import (
 )
 
 from conftest import finite_difference, logp_gradient_check, relative_error
+from oracles import distribution_std, lattice_covariance
 
 
 class TestMlpForward:
@@ -338,7 +335,7 @@ class TestLogProbGradients:
 
 class TestEntropy:
     def test_entropy_batch_matches_distribution(self, small_policy_factory):
-        from latticerl.exploration import action_distribution
+        from oracles import action_distribution
         policy, cfg = small_policy_factory(seed=15)
         obs = np.random.default_rng(16).standard_normal((3, 3))
         it = dist_internals(policy, obs, cfg)

@@ -19,13 +19,7 @@ from latticerl.errors import (
     NonFiniteAction,
     NonFiniteLoss,
 )
-from latticerl.exploration import (
-    LatticeConfig,
-    distribution_std,
-    lattice_covariance,
-    resample_perturbations,
-    sampling_std,
-)
+from latticerl.exploration import LatticeConfig, resample_perturbations
 from latticerl.policy import GradientTape, dist_internals, log_prob, log_prob_and_grad
 from latticerl.trainer import (
     Adam,
@@ -37,6 +31,7 @@ from latticerl.trainer import (
 )
 
 from conftest import ConstantObsEnv, finite_difference, relative_error
+from oracles import distribution_std, lattice_covariance, sampling_std
 
 TINY_PPO = PpoConfig(learning_rate=1e-3, batch_size=16, gradient_steps=8,
                      n_epochs=2, n_envs=4)
