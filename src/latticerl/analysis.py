@@ -2,11 +2,12 @@
 and correlation structure, PCA dimensionality, noise allocation, energy."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.stats import wilcoxon
 
-from .envs import linear_ideal_policy
+from .envs import clipped_action, linear_ideal_policy
 from .errors import EmptyGroup, InsufficientSamples, StateSyncUnsupported
 from .exploration import LatticeConfig, clip_std, sampling_log_std
 from .policy import MlpPolicy, dist_internals
@@ -74,40 +75,49 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
                         rng: np.random.Generator) -> DualSimCondition:
     """Run paired noisy / noise-free steps from identical states.
 
-    After each step the noise-free simulator is reset to the noisy
-    simulator's state, so deviations are per-step, not cumulative.
+    Each step advances two copies of the env's state in one env.advance,
+    row 0 under the clean action and row 1 under the noisy one. The env
+    then continues from the noisy row, so deviations are per-step, not
+    cumulative.
     """
-    if not (hasattr(env, "get_state") and hasattr(env, "set_state")):
+    if not all(hasattr(env, name)
+               for name in ("state_fields", "advance", "kinematics")):
         raise StateSyncUnsupported(
-            f"{type(env).__name__} does not expose state get/set")
+            f"{type(env).__name__} does not expose state_fields, advance "
+            f"and kinematics")
     if noise_mode not in ("latent", "action"):
         raise ValueError("noise_mode must be 'latent' or 'action'")
     sigma = np.asarray(sigma_match, dtype=float)
     env.reset()
+    eps = None
     angle_dev = []
     accel_dev = []
     action_noise = []
-    for _ in range(n_steps):
-        state = env.get_state()
-        obs = env.observe()
-        lat = policy.latent(obs)
+    for t in range(n_steps):
+        lat = policy.latent(env.observe())
         a_clean = policy.action_from_latent(lat)
+        if eps is None:
+            # one draw of every step's noise: for a Generator the same
+            # stream as a draw per step
+            eps = rng.standard_normal(
+                (n_steps,) + (lat if noise_mode == "latent" else a_clean).shape)
+            eps *= sigma
         if noise_mode == "latent":
-            eps = rng.standard_normal(lat.shape) * sigma
-            a_noisy = policy.action_from_latent(lat + eps)
+            a_noisy = policy.action_from_latent(lat + eps[t])
         else:
-            eps = rng.standard_normal(a_clean.shape) * sigma
-            a_noisy = a_clean + eps
+            a_noisy = a_clean + eps[t]
         action_noise.append(a_noisy - a_clean)
-        accel_dev.append(np.atleast_1d(env.accel_of(a_noisy))
-                         - np.atleast_1d(env.accel_of(a_clean)))
-        env.set_state(state)
-        _, _, done_clean, _ = env.step(a_clean)
-        kin_clean = env.kinematics()
-        env.set_state(state)
-        _, _, done, _ = env.step(a_noisy)
-        angle_dev.append(env.kinematics() - kin_clean)
-        if done:
+        pair = SimpleNamespace(**{name: np.array([getattr(env, name)] * 2)
+                                  for name in env.state_fields})
+        _, _, accel = env.advance(pair, clipped_action(
+            np.stack([a_clean, a_noisy]), (2, env.action_dim)))
+        accel_dev.append(np.atleast_1d(accel[1] - accel[0]))
+        kin = env.kinematics(pair)
+        angle_dev.append(kin[1] - kin[0])
+        for name in env.state_fields:
+            setattr(env, name, getattr(pair, name)[1])
+        env.step_count += 1
+        if env.step_count >= env.max_steps:
             env.reset()
     return DualSimCondition(angle_dev=np.asarray(angle_dev),
                             accel_dev=np.asarray(accel_dev),

@@ -19,6 +19,9 @@ provide the interface BatchedEnv uses:
   BatchedEnv) one step under clipped activations ``a`` of shape (..., A),
   returning (reward, solved, accel);
 - ``observation(s)``: the observation of that state, (..., obs_dim).
+
+Perturbation analyses also use ``kinematics(s)``, the kinematic
+coordinates of the state held by ``s``, (..., d_kin).
 """
 
 from dataclasses import dataclass
@@ -43,7 +46,7 @@ def energy_of(actions) -> float:
     return float(np.mean(actions * actions))
 
 
-def _clipped_action(action, shape: tuple) -> np.ndarray:
+def clipped_action(action, shape: tuple) -> np.ndarray:
     """The action clipped to [0, 1] after checking its shape and that every
     entry is finite; raises before anything is stepped."""
     action = np.asarray(action, dtype=float)
@@ -148,14 +151,13 @@ class FlexExtArm:
         obs[..., 1] = s.theta_dot
         return obs
 
+    def kinematics(self, s) -> np.ndarray:
+        return np.array(s.theta, dtype=float)[..., None]
+
     # ------------------------------------------------------- one env
 
     def observe(self) -> np.ndarray:
         return self.observation(self)
-
-    def kinematics(self) -> np.ndarray:
-        """Kinematic coordinates used by perturbation analyses."""
-        return np.array([self.theta])
 
     def reset(self) -> np.ndarray:
         self.theta, self.theta_dot, self.theta_target = \
@@ -165,11 +167,11 @@ class FlexExtArm:
 
     def accel_of(self, action: np.ndarray) -> float:
         """Angular acceleration produced by a (clamped) activation vector."""
-        return self._accel(_clipped_action(action, (self.action_dim,)))
+        return self._accel(clipped_action(action, (self.action_dim,)))
 
     def step(self, action):
         reward, solved, accel = self.advance(
-            self, _clipped_action(action, (self.action_dim,)))
+            self, clipped_action(action, (self.action_dim,)))
         self.step_count += 1
         done = self.step_count >= self.max_steps
         return self.observation(self), float(reward), done, {
@@ -266,13 +268,13 @@ class PointReacher:
     def observation(self, s) -> np.ndarray:
         return np.concatenate([s.target - s.pos, s.vel], axis=-1)
 
+    def kinematics(self, s) -> np.ndarray:
+        return np.array(s.pos, dtype=float)
+
     # ------------------------------------------------------- one env
 
     def observe(self) -> np.ndarray:
         return self.observation(self)
-
-    def kinematics(self) -> np.ndarray:
-        return self.pos.copy()
 
     def reset(self) -> np.ndarray:
         self.pos, self.vel, self.target = self.initial_state(self.rng)
@@ -280,11 +282,11 @@ class PointReacher:
         return self.observation(self)
 
     def accel_of(self, action) -> np.ndarray:
-        return self._accel(_clipped_action(action, (self.action_dim,)))
+        return self._accel(clipped_action(action, (self.action_dim,)))
 
     def step(self, action):
         reward, solved, accel = self.advance(
-            self, _clipped_action(action, (self.action_dim,)))
+            self, clipped_action(action, (self.action_dim,)))
         self.step_count += 1
         done = self.step_count >= self.max_steps
         return self.observation(self), float(reward), done, {
@@ -350,7 +352,7 @@ class BatchedEnv:
     def step(self, actions):
         """One step of every row under actions (n, A). Returns obs
         (n, obs_dim), rewards (n,), dones (n,) and solved (n,)."""
-        a = _clipped_action(actions, (self.n, self.env.action_dim))
+        a = clipped_action(actions, (self.n, self.env.action_dim))
         rewards, solved, _ = self.env.advance(self, a)
         self.step_count += 1
         return (self.observe(), rewards, self.step_count >= self.max_steps,

@@ -9,10 +9,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """An int or float (inf and nan included) that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def is_finite_number(value) -> bool:
     """A finite int or float that is not a bool."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return is_number(value) and math.isfinite(value)
 
 
 class LatticeError(Exception):
@@ -58,4 +62,6 @@ class ConfigError(LatticeError):
 
 
 class StateSyncUnsupported(LatticeError):
-    """The environment does not expose state get/set for paired simulation."""
+    """The environment does not expose the state interface paired
+    simulation steps copies of its state with (state_fields, advance,
+    kinematics)."""

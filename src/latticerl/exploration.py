@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_finite_number, is_int
+from .errors import is_finite_number, is_int, is_number
 
 STRATEGIES = ("diagonal", "gsde", "lattice")
 
@@ -32,7 +32,8 @@ class LatticeConfig:
     """Knobs of the latent-noise model.
 
     period is a step count, or the string "episode" to resample perturbation
-    matrices only at environment resets.
+    matrices only at environment resets. The stds are clipped into
+    [std_min, std_max]; std_max = inf clips them from below only.
     """
 
     alpha: float = 1.0
@@ -52,8 +53,12 @@ class LatticeConfig:
                                              and self.period >= 1):
             raise ValueError(f"period must be an integer >= 1 or 'episode', "
                              f"got {self.period!r}")
-        if not 0.0 < self.std_min < self.std_max:
-            raise ValueError("need 0 < std_min < std_max")
+        if not (is_finite_number(self.std_min) and self.std_min > 0.0):
+            raise ValueError(f"std_min must be a finite number > 0, got "
+                             f"{self.std_min!r}")
+        if not (is_number(self.std_max) and self.std_max > self.std_min):
+            raise ValueError(f"std_max must be a number > std_min (inf for no "
+                             f"upper clip), got {self.std_max!r}")
         if not (is_finite_number(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be a finite number >= 0, got "
                              f"{self.gamma!r}")

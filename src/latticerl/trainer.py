@@ -5,7 +5,9 @@ The trainer exposes a light estimator-style surface: fit / predict /
 get_params, plus checkpoint save and load.
 """
 
+import base64
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -19,6 +21,7 @@ from .errors import (
     NonFiniteLoss,
     is_finite_number,
     is_int,
+    is_number,
 )
 from .exploration import LatticeConfig, NoiseSampler
 from .policy import (
@@ -32,13 +35,14 @@ from .policy import (
     policy_backward,
 )
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 @dataclass
 class PpoConfig:
     """Optimization hyperparameters. gradient_steps is the rollout length per
-    environment between updates."""
+    environment between updates; clip_range is the surrogate's ratio clip,
+    and clip_range = inf turns the clip off."""
 
     learning_rate: float = 2.5e-5
     batch_size: int = 32
@@ -62,8 +66,9 @@ class PpoConfig:
                 and self.learning_rate >= 0.0):
             raise ValueError(f"learning_rate must be a finite number >= 0, "
                              f"got {self.learning_rate!r}")
-        if not self.clip_range > 0.0:
-            raise ValueError("clip_range must be > 0")
+        if not (is_number(self.clip_range) and self.clip_range > 0.0):
+            raise ValueError(f"clip_range must be a number > 0 (inf for no "
+                             f"clip), got {self.clip_range!r}")
         for name in ("gamma", "gae_lambda"):
             value = getattr(self, name)
             if not (is_finite_number(value) and 0.0 <= value <= 1.0):
@@ -430,7 +435,9 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
 # ------------------------------------------------------------- checkpoints
 
 def save_checkpoint(path, trainer: PPOTrainer, config_echo: dict | None = None):
-    """JSON-encoded parameter list with a layout header and config echo.
+    """JSON document with a layout header, config echo and every parameter
+    array as its little-endian float64 bytes in base64:
+    ``{name: {"shape": [...], "f8": "<base64>"}}``.
 
     Written to a temporary file in the target's directory and renamed over
     the target, so a failed save never leaves a truncated checkpoint.
@@ -440,7 +447,10 @@ def save_checkpoint(path, trainer: PPOTrainer, config_echo: dict | None = None):
         "layout": trainer.get_params(),
         "env_steps": trainer.env_steps,
         "updates": trainer.updates,
-        "params": {k: v.tolist() for k, v in trainer.params.items()},
+        "params": {k: {"shape": list(v.shape),
+                       "f8": base64.b64encode(np.ascontiguousarray(
+                           v, dtype="<f8").tobytes()).decode("ascii")}
+                   for k, v in trainer.params.items()},
     }
     if config_echo is not None:
         payload["config_echo"] = config_echo
@@ -455,11 +465,63 @@ def save_checkpoint(path, trainer: PPOTrainer, config_echo: dict | None = None):
         raise
 
 
+def _decode_list(name: str, value, shape: tuple) -> np.ndarray:
+    """A schema-1 parameter: nested JSON lists of numbers."""
+    arr = np.asarray(value, dtype=object)
+    if arr.shape != shape:
+        raise CheckpointCorrupt(
+            f"parameter {name} has shape {arr.shape}, expected {shape}")
+    # bools are ints to Python and numbers to np.asarray; refuse them here
+    if not {type(e) for e in arr.flat} <= {int, float}:
+        raise CheckpointCorrupt(f"parameter {name} has non-numeric entries")
+    return arr.astype(float)
+
+
+def _decode_f8(name: str, value, shape: tuple) -> np.ndarray:
+    """A schema-2 parameter: {"shape": [...], "f8": "<base64>"}."""
+    if not (isinstance(value, dict) and value.keys() == {"shape", "f8"}):
+        raise CheckpointCorrupt(
+            f"parameter {name} is not an object with keys 'shape' and 'f8'")
+    saved_shape = value["shape"]
+    if not (isinstance(saved_shape, list) and all(map(is_int, saved_shape))
+            and tuple(saved_shape) == shape):
+        raise CheckpointCorrupt(
+            f"parameter {name} has shape {saved_shape!r}, expected "
+            f"{list(shape)}")
+    try:
+        raw = base64.b64decode(value["f8"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointCorrupt(
+            f"parameter {name} is not valid base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise CheckpointCorrupt(
+            f"parameter {name} has {len(raw)} bytes, expected "
+            f"{8 * math.prod(shape)} for shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+# how each schema version stores one parameter array
+_DECODERS = {1: _decode_list, 2: _decode_f8}
+
+
 def load_checkpoint(path) -> PPOTrainer:
-    """Rebuild a trainer (policy + value nets + config) from a checkpoint."""
+    """Rebuild a trainer (policy + value nets + config) from a checkpoint.
+
+    Reads schema 2 (base64 float64 bytes) and schema 1 (JSON lists of
+    numbers, every checkpoint written before schema 2); refuses any other
+    or a missing schema_version.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if "schema_version" not in payload:
+            raise CheckpointCorrupt(f"checkpoint {path} has no schema_version")
+        version = payload["schema_version"]
+        if not is_int(version) or version not in _DECODERS:
+            raise CheckpointCorrupt(
+                f"schema_version {version!r} is not one of "
+                f"{sorted(_DECODERS)}")
+        decode = _DECODERS[version]
         layout = payload["layout"]
         trainer = PPOTrainer(
             env_name=layout["env_name"],
@@ -480,11 +542,7 @@ def load_checkpoint(path) -> PPOTrainer:
                 f"parameter keys differ from the layout: missing {missing}, "
                 f"unexpected {extra}")
         for k, v in saved.items():
-            arr = np.asarray(v, dtype=float)
-            if arr.shape != trainer.params[k].shape:
-                raise CheckpointCorrupt(
-                    f"parameter {k} has shape {arr.shape}, expected "
-                    f"{trainer.params[k].shape}")
+            arr = decode(k, v, trainer.params[k].shape)
             if not np.all(np.isfinite(arr)):
                 raise CheckpointCorrupt(f"parameter {k} has non-finite values")
             trainer.params[k][...] = arr
@@ -493,5 +551,6 @@ def load_checkpoint(path) -> PPOTrainer:
         return trainer
     except CheckpointCorrupt:
         raise
-    except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, AttributeError,
+            OverflowError) as exc:
         raise CheckpointCorrupt(f"cannot load checkpoint {path}: {exc}") from exc

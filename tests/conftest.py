@@ -1,10 +1,46 @@
-"""Shared test helpers: finite differences and a constant-observation env."""
+"""Shared test helpers: finite differences, a constant-observation env and
+the committed schema-1 checkpoint."""
+
+import base64
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latticerl.exploration import LatticeConfig
 from latticerl.policy import GradientTape, MlpPolicy, dist_internals
+from latticerl.trainer import PpoConfig, PPOTrainer
+
+SCHEMA1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_schema1.json"
+
+
+def schema1_reference_trainer() -> PPOTrainer:
+    """The trainer SCHEMA1_CHECKPOINT was written from by the schema-1
+    save_checkpoint (JSON lists of floats): 8x8 nets on flex_ext_arm, every
+    parameter set to 0.3 x standard normals drawn in sorted name order from
+    seed 2024, then edge values (signed zero, subnormals, +-1e308, the
+    largest float64) in the value net's unused-by-evaluation v.b0."""
+    tr = PPOTrainer("flex_ext_arm", strategy="lattice",
+                    lattice_cfg=LatticeConfig(),
+                    ppo_cfg=PpoConfig(learning_rate=1e-3, batch_size=16,
+                                      gradient_steps=8, n_epochs=2, n_envs=4),
+                    hiddens=(8, 8), critic_hiddens=(8, 8), seed=3)
+    rng = np.random.default_rng(2024)
+    for k in sorted(tr.params):
+        tr.params[k][...] = 0.3 * rng.standard_normal(tr.params[k].shape)
+    tr.params["v.b0"][...] = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                              -1e308, 1.7976931348623157e308, -2.5e-310, 0.1]
+    tr.env_steps = 1234
+    tr.updates = 5
+    return tr
+
+
+def f8_entry(arr) -> dict:
+    """A parameter array as schema 2 stores it, encoded independently of
+    the library: shape and base64 of the little-endian float64 bytes."""
+    arr = np.asarray(arr, dtype=float)
+    return {"shape": list(arr.shape),
+            "f8": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
 
 
 def finite_difference(f, arr, idx, h=1e-6):

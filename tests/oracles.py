@@ -8,11 +8,15 @@ Diag(S_a^2 x^2) + alpha^2 W Diag(S_x^2 x^2) W^T + gamma I, the perturbed
 action (W + P_a + alpha W P_x) x, and the stds in their full matrix shapes.
 action_distribution has mean W x without the policy head's bias, so it is
 an oracle for the noise model rather than for a whole policy.
+
+dual_sim_experiment is the step-by-step form of the paired simulation that
+analysis runs as one two-row step.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from latticerl.analysis import DualSimCondition
 from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
@@ -176,3 +180,42 @@ def independent_action_noise(mean: np.ndarray, sigma: np.ndarray,
     if np.any(sigma < 0):
         raise ValueError("sigma entries must be >= 0")
     return mean + rng.standard_normal(mean.shape) * sigma
+
+
+def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
+                        n_steps: int,
+                        rng: np.random.Generator) -> DualSimCondition:
+    """Step-by-step reference for analysis.dual_sim_experiment: a noise
+    draw per step, and the clean and the noisy step each run on the single
+    env from the same saved state, the noisy one last so the env continues
+    from it."""
+    sigma = np.asarray(sigma_match, dtype=float)
+    env.reset()
+    angle_dev = []
+    accel_dev = []
+    action_noise = []
+    for _ in range(n_steps):
+        state = env.get_state()
+        obs = env.observe()
+        lat = policy.latent(obs)
+        a_clean = policy.action_from_latent(lat)
+        if noise_mode == "latent":
+            eps = rng.standard_normal(lat.shape) * sigma
+            a_noisy = policy.action_from_latent(lat + eps)
+        else:
+            eps = rng.standard_normal(a_clean.shape) * sigma
+            a_noisy = a_clean + eps
+        action_noise.append(a_noisy - a_clean)
+        accel_dev.append(np.atleast_1d(env.accel_of(a_noisy))
+                         - np.atleast_1d(env.accel_of(a_clean)))
+        env.set_state(state)
+        env.step(a_clean)
+        kin_clean = env.kinematics(env)
+        env.set_state(state)
+        _, _, done, _ = env.step(a_noisy)
+        angle_dev.append(env.kinematics(env) - kin_clean)
+        if done:
+            env.reset()
+    return DualSimCondition(angle_dev=np.asarray(angle_dev),
+                            accel_dev=np.asarray(accel_dev),
+                            action_noise=np.asarray(action_noise))

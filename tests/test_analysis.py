@@ -15,7 +15,7 @@ from latticerl.analysis import (
     noise_allocation,
     pca_explained_variance,
 )
-from latticerl.envs import FlexExtArm
+from latticerl.envs import FlexExtArm, PointReacher
 from latticerl.errors import (
     EmptyGroup,
     InsufficientSamples,
@@ -23,6 +23,8 @@ from latticerl.errors import (
 )
 from latticerl.exploration import LatticeConfig, resample_perturbations
 from latticerl.policy import MlpPolicy, dist_internals
+
+import oracles
 
 
 def lattice_policy(seed=0, obs_dim=2, action_dim=4, hiddens=(6, 5),
@@ -43,6 +45,25 @@ class TestDualSim:
                                        np.random.default_rng(1))
             np.testing.assert_array_equal(cond.angle_dev, 0.0)
             np.testing.assert_array_equal(cond.accel_dev, 0.0)
+
+    @pytest.mark.parametrize("env_cls,obs_dim,action_dim", [
+        (FlexExtArm, 2, 6), (PointReacher, 4, 8)])
+    @pytest.mark.parametrize("mode", ["latent", "action"])
+    def test_paired_step_matches_step_by_step(self, env_cls, obs_dim,
+                                              action_dim, mode):
+        # 250 steps cross two episode ends (max_steps 100)
+        policy, _ = lattice_policy(seed=8, obs_dim=obs_dim,
+                                   action_dim=action_dim, hiddens=(16, 16))
+        adapter = MlpPolicyAdapter(policy)
+        sigma = 0.3 if mode == "latent" else np.linspace(0.1, 0.4,
+                                                         action_dim)
+        got, want = (
+            run(env_cls(seed=4), adapter, mode, sigma, 250,
+                np.random.default_rng(9))
+            for run in (dual_sim_experiment, oracles.dual_sim_experiment))
+        for name in ("angle_dev", "accel_dev", "action_noise"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_requires_state_sync(self):
         class NoSync:

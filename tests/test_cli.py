@@ -10,7 +10,9 @@ from latticerl.config import RunConfig
 from latticerl.errors import UnknownAnalysisKind
 from latticerl.exploration import LatticeConfig
 from latticerl.reports import read_curves, read_json, read_matrix_csv
-from latticerl.trainer import PpoConfig, load_checkpoint
+from latticerl.trainer import PpoConfig, load_checkpoint, save_checkpoint
+
+from conftest import SCHEMA1_CHECKPOINT
 
 
 def tiny_config(**overrides):
@@ -229,7 +231,8 @@ class TestMainEntry:
         ("lattice", "alpha", True), ("lattice", "full_std", "no"),
         ("ppo", "batch_size", 32.5), ("ppo", "gamma", float("nan")),
         ("ppo", "gae_lambda", float("nan")),
-        ("ppo", "max_grad_norm", 0.0)])
+        ("ppo", "max_grad_norm", 0.0), ("lattice", "std_min", True),
+        ("lattice", "std_max", True), ("ppo", "clip_range", True)])
     def test_invalid_lattice_or_ppo_value_exit_code(self, tmp_path, capsys,
                                                     section, field, value):
         # these used to train at a truncated period, die with a TypeError
@@ -255,6 +258,27 @@ class TestMainEntry:
         assert main(["evaluate", "--checkpoint",
                      str(tmp_path / "absent.json")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_exit_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        payload = json.loads(SCHEMA1_CHECKPOINT.read_text())
+        payload["schema_version"] = 99
+        ckpt.write_text(json.dumps(payload))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "schema_version 99" in err
+
+    def test_schema1_checkpoint_evaluates_as_schema2(self, tmp_path):
+        resaved = tmp_path / "schema2.json"
+        save_checkpoint(resaved, load_checkpoint(SCHEMA1_CHECKPOINT))
+        outputs = []
+        for ckpt in (SCHEMA1_CHECKPOINT, resaved):
+            out = tmp_path / f"{ckpt.stem}_eval.json"
+            assert main(["evaluate", "--checkpoint", str(ckpt),
+                         "--episodes", "3", "--seed", "1",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_analysis_kinds_constant(self):
         assert set(ANALYSIS_KINDS) == {"dual-sim", "covariance", "pca",

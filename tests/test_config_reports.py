@@ -57,7 +57,8 @@ class TestRunConfig:
         ("gamma", 1.5), ("gae_lambda", float("nan")), ("gae_lambda", -0.1),
         ("entropy_coef", -1e-3), ("entropy_coef", float("inf")),
         ("value_coef", float("nan")), ("max_grad_norm", 0.0),
-        ("max_grad_norm", float("inf")), ("learning_rate", float("inf"))])
+        ("max_grad_norm", float("inf")), ("learning_rate", float("inf")),
+        ("clip_range", True), ("clip_range", float("nan"))])
     def test_bad_nested_ppo(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict({"ppo": {field: value}})
@@ -67,7 +68,8 @@ class TestRunConfig:
         ("gamma", float("inf")), ("init_log_std", float("inf")),
         ("init_log_std", float("nan")), ("alpha", True),
         ("rescale", "no"), ("stop_variance_gradient", 1),
-        ("full_std", "no")])
+        ("full_std", "no"), ("std_min", True), ("std_max", True),
+        ("std_min", float("nan")), ("std_max", float("nan"))])
     def test_bad_lattice_value(self, field, value):
         # each of these used to train: at a silently truncated period, or
         # until a non-finite gradient or action stopped the run
@@ -81,6 +83,12 @@ class TestRunConfig:
                     "max_grad_norm": 1}})
         assert cfg.lattice.period_steps == 4
         assert cfg.ppo.gamma == 1
+
+    def test_infinite_clip_bounds_mean_no_clip(self):
+        cfg = RunConfig.from_dict({"lattice": {"std_max": float("inf")},
+                                   "ppo": {"clip_range": float("inf")}})
+        assert cfg.lattice.std_max == float("inf")
+        assert cfg.ppo.clip_range == float("inf")
 
     @pytest.mark.parametrize("raw,field", [
         ({"seed": -1}, "seed"), ({"activation": "sigmoid"}, "activation"),

@@ -1,6 +1,8 @@
 """PPO trainer: rollout bookkeeping, update semantics, checkpoints."""
 
+import base64
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -30,7 +32,14 @@ from latticerl.trainer import (
     save_checkpoint,
 )
 
-from conftest import ConstantObsEnv, finite_difference, relative_error
+from conftest import (
+    SCHEMA1_CHECKPOINT,
+    ConstantObsEnv,
+    f8_entry,
+    finite_difference,
+    relative_error,
+    schema1_reference_trainer,
+)
 from oracles import distribution_std, lattice_covariance, sampling_std
 
 TINY_PPO = PpoConfig(learning_rate=1e-3, batch_size=16, gradient_steps=8,
@@ -761,55 +770,142 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(path)
 
-    def test_shape_mismatch(self, tmp_path):
-        import json
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit, schema):
+        """A checkpoint of small_trainer() whose parameter arrays went
+        through edit(params) and were written in the given schema: 1 as
+        nested lists, 2 as base64 float64 bytes."""
+        path = tmp_path / f"ckpt{schema}.json"
         tr = small_trainer()
-        path = tmp_path / "ckpt.json"
         save_checkpoint(path, tr)
         payload = json.loads(path.read_text())
-        payload["params"]["pi.b0"] = [0.0]
+        params = {k: v.copy() for k, v in tr.params.items()}
+        edit(params)
+        payload["schema_version"] = schema
+        payload["params"] = {k: f8_entry(v) if schema == 2 else v.tolist()
+                             for k, v in params.items()}
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointCorrupt):
-            load_checkpoint(path)
+        return path
+
+    def test_shape_mismatch(self, tmp_path):
+        def shrink(params):
+            params["pi.b0"] = np.zeros(1)
+
+        for schema in (1, 2):
+            path = self._edited_checkpoint(tmp_path, shrink, schema)
+            with pytest.raises(CheckpointCorrupt, match="pi.b0 has shape"):
+                load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(tmp_path / "absent.json")
 
-    @staticmethod
-    def _edited_checkpoint(tmp_path, edit):
-        import json
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, small_trainer())
-        payload = json.loads(path.read_text())
-        edit(payload["params"])
-        path.write_text(json.dumps(payload))
-        return path
-
     def test_missing_key(self, tmp_path):
-        path = self._edited_checkpoint(tmp_path,
-                                       lambda p: p.pop("log_std_x"))
-        with pytest.raises(CheckpointCorrupt, match="missing.*log_std_x"):
-            load_checkpoint(path)
+        for schema in (1, 2):
+            path = self._edited_checkpoint(
+                tmp_path, lambda p: p.pop("log_std_x"), schema)
+            with pytest.raises(CheckpointCorrupt, match="missing.*log_std_x"):
+                load_checkpoint(path)
 
     def test_extra_key(self, tmp_path):
-        path = self._edited_checkpoint(
-            tmp_path, lambda p: p.update({"pi.w9": [[0.0]]}))
-        with pytest.raises(CheckpointCorrupt, match="unexpected.*pi.w9"):
-            load_checkpoint(path)
+        for schema in (1, 2):
+            path = self._edited_checkpoint(
+                tmp_path, lambda p: p.update({"pi.w9": np.zeros((1, 1))}),
+                schema)
+            with pytest.raises(CheckpointCorrupt, match="unexpected.*pi.w9"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value(self, tmp_path, value):
         def poison(params):
             params["pi.b0"][0] = value
 
-        path = self._edited_checkpoint(tmp_path, poison)
+        for schema in (1, 2):
+            path = self._edited_checkpoint(tmp_path, poison, schema)
+            with pytest.raises(CheckpointCorrupt, match="pi.b0"):
+                load_checkpoint(path)
+
+    def test_roundtrip_is_bit_exact(self, tmp_path):
+        # random finite float64 bit patterns, signed zeros, subnormals and
+        # the extremes come back with the same bytes
+        tr = small_trainer(seed=3)
+        bits = np.random.default_rng(0).integers(
+            0, 2 ** 64, size=sum(v.size for v in tr.params.values()),
+            dtype=np.uint64).view(np.float64)
+        bits[~np.isfinite(bits)] = 0.0
+        offset = 0
+        for v in tr.params.values():
+            v.flat[:] = bits[offset:offset + v.size]
+            offset += v.size
+        tr.params["v.b0"][:] = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e308, -1e308, 1.7976931348623157e308, 0.0]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tr)
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(path.read_text(), parse_constant=refuse)
+        assert payload["schema_version"] == 2
+        assert payload["params"]["pi.w1"] == f8_entry(tr.params["pi.w1"])
+        loaded = load_checkpoint(path)
+        for k, v in tr.params.items():
+            assert loaded.params[k].tobytes() == v.tobytes(), k
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda e: e.update(f8=e["f8"][:-4] + "!!!!"), "not valid base64"),
+        (lambda e: e.update(f8=e["f8"][:8] + "\n" + e["f8"][8:]),
+         "not valid base64"),
+        (lambda e: e.update(f8=base64.b64encode(
+            base64.b64decode(e["f8"])[:-8]).decode()), "has 56 bytes"),
+        (lambda e: e.update(f8=base64.b64encode(
+            base64.b64decode(e["f8"]) + b"\0").decode()), "has 65 bytes"),
+        (lambda e: e.update(f8=None), "not valid base64"),
+        (lambda e: e.update(shape=[8.0]), "shape"),
+        (lambda e: e.pop("shape"), "keys 'shape' and 'f8'")])
+    def test_bad_f8_entry(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_trainer())
+        payload = json.loads(path.read_text())
+        edit(payload["params"]["pi.b0"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointCorrupt, match=f"pi.b0.*{message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [True, "0.5", None, [0.5]])
+    def test_non_numeric_schema1_entry(self, tmp_path, entry):
+        # a bool used to load as 1.0 and a numeric string as its value
+        def spoil(params):
+            params["pi.b0"] = params["pi.b0"].astype(object)
+            params["pi.b0"][3] = entry
+
+        path = self._edited_checkpoint(tmp_path, spoil, schema=1)
         with pytest.raises(CheckpointCorrupt, match="pi.b0"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [99, 0, "2", True, 2.0, None,
+                                         "missing"])
+    def test_unknown_schema_version(self, tmp_path, version):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_trainer())
+        payload = json.loads(path.read_text())
+        if version == "missing":
+            del payload["schema_version"]
+        else:
+            payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointCorrupt, match="schema_version"):
+            load_checkpoint(path)
+
+    def test_committed_schema1_checkpoint(self):
+        loaded = load_checkpoint(SCHEMA1_CHECKPOINT)
+        reference = schema1_reference_trainer()
+        assert loaded.get_params() == reference.get_params()
+        assert (loaded.env_steps, loaded.updates) == (1234, 5)
+        for k, v in reference.params.items():
+            assert loaded.params[k].tobytes() == v.tobytes(), k
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
-        import json
-        import latticerl.trainer as trainer_mod
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, small_trainer(seed=1))
         before = path.read_bytes()
