@@ -6,7 +6,6 @@ from .envs import (
     FlexExtArm,
     PointReacher,
     energy_of,
-    linear_ideal_policy,
     make_env,
 )
 from .exploration import (

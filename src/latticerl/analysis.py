@@ -7,30 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.stats import wilcoxon
 
-from .envs import clipped_action, linear_ideal_policy
+from .envs import clipped_action
 from .errors import EmptyGroup, InsufficientSamples, StateSyncUnsupported
 from .exploration import LatticeConfig, clip_std, sampling_log_std
 from .policy import MlpPolicy, dist_internals
 
 
 # --------------------------------------------------------------- policies
-
-class LinearArmPolicy:
-    """Deterministic linear controller for the flexor-extensor arm; its
-    latent is the angle error, broadcast into both actuator groups."""
-
-    def __init__(self, n_extensors: int = 1, n_flexors: int = 1):
-        self.n_extensors = n_extensors
-        self.n_flexors = n_flexors
-
-    def latent(self, obs: np.ndarray) -> np.ndarray:
-        return np.array([obs[0]])
-
-    def action_from_latent(self, lat: np.ndarray) -> np.ndarray:
-        a_e, a_f = linear_ideal_policy(float(lat[0]))
-        return np.concatenate([np.full(self.n_extensors, a_e),
-                               np.full(self.n_flexors, a_f)])
-
 
 class MlpPolicyAdapter:
     """Exposes an MlpPolicy's last-layer latent and final linear map for the

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config error, 2 runtime error.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -76,11 +77,9 @@ def collect_action_log(trainer: PPOTrainer, n_episodes: int,
                        seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic rollouts of the checkpoint policy; returns logged actions
     and the observations they were taken from."""
-    actions, states = [], []
-    for ep_states, ep_actions, *_ in run_episodes(trainer, n_episodes, seed):
-        states += ep_states
-        actions += ep_actions
-    return np.asarray(actions), np.asarray(states)
+    states, actions, _, _ = run_episodes(trainer, n_episodes, seed)
+    return (actions.reshape(-1, trainer.action_dim),
+            states.reshape(-1, trainer.obs_dim))
 
 
 def run_analysis(trainer: PPOTrainer, kind: str, out_dir: Path,
@@ -193,7 +192,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _require(ok: bool, message: str):
+    """Refuse a bad argument before any checkpoint is loaded."""
+    if not ok:
+        raise ConfigError(message)
+
+
 def _cmd_evaluate(args) -> int:
+    _require(args.episodes >= 1, "--episodes must be >= 1")
+    _require(args.seed >= 0, "--seed must be >= 0")
     trainer = load_checkpoint(args.checkpoint)
     metrics = evaluate_policy(trainer, n_episodes=args.episodes,
                               deterministic=args.deterministic,
@@ -207,6 +214,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _require(args.episodes >= 1, "--episodes must be >= 1")
+    _require(args.seed >= 0, "--seed must be >= 0")
+    _require(args.steps >= 2, "--steps must be >= 2 (variances need two)")
+    _require(0.0 < args.sigma_latent < math.inf,
+             "--sigma-latent must be a finite number > 0")
+    _require(0.0 < args.threshold <= 1.0, "--threshold must lie in (0, 1]")
     trainer = load_checkpoint(args.checkpoint)
     summary = run_analysis(trainer, args.analysis, args.out, seed=args.seed,
                            episodes=args.episodes,

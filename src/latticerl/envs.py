@@ -31,13 +31,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteAction
 
 
-def linear_ideal_policy(delta_theta: float) -> tuple[float, float]:
-    """(a_e, a_f) = (0.5 + dtheta, 0.5 - dtheta), clamped to [0, 1]."""
-    a_e = min(max(0.5 + delta_theta, 0.0), 1.0)
-    a_f = min(max(0.5 - delta_theta, 0.0), 1.0)
-    return a_e, a_f
-
-
 def energy_of(actions) -> float:
     """Effort proxy: mean over steps of the mean squared activation."""
     actions = np.asarray(actions, dtype=float)
@@ -165,10 +158,6 @@ class FlexExtArm:
         self.step_count = 0
         return self.observation(self)
 
-    def accel_of(self, action: np.ndarray) -> float:
-        """Angular acceleration produced by a (clamped) activation vector."""
-        return self._accel(clipped_action(action, (self.action_dim,)))
-
     def step(self, action):
         reward, solved, accel = self.advance(
             self, clipped_action(action, (self.action_dim,)))
@@ -176,20 +165,6 @@ class FlexExtArm:
         done = self.step_count >= self.max_steps
         return self.observation(self), float(reward), done, {
             "solved": bool(solved), "accel": accel}
-
-    def get_state(self) -> tuple:
-        return (self.theta, self.theta_dot, self.theta_target, self.step_count)
-
-    def set_state(self, state: tuple):
-        self.theta, self.theta_dot, self.theta_target, self.step_count = state
-
-    def reward_bounds(self) -> tuple[float, float]:
-        """Finite interval containing every per-step reward for activations
-        in [0, 1], from the bounded-acceleration envelope."""
-        max_speed = self.gain * self.dt * self.max_steps
-        max_delta = (abs(self.theta_target) + self.target_range
-                     + max_speed * self.dt * self.max_steps)
-        return (-max_delta, 1.0)
 
 
 class PointReacher:
@@ -281,9 +256,6 @@ class PointReacher:
         self.step_count = 0
         return self.observation(self)
 
-    def accel_of(self, action) -> np.ndarray:
-        return self._accel(clipped_action(action, (self.action_dim,)))
-
     def step(self, action):
         reward, solved, accel = self.advance(
             self, clipped_action(action, (self.action_dim,)))
@@ -292,27 +264,17 @@ class PointReacher:
         return self.observation(self), float(reward), done, {
             "solved": bool(solved), "accel": accel}
 
-    def get_state(self) -> tuple:
-        return (self.pos.copy(), self.vel.copy(), self.target.copy(),
-                self.step_count)
-
-    def set_state(self, state: tuple):
-        pos, vel, target, count = state
-        self.pos = pos.copy()
-        self.vel = vel.copy()
-        self.target = target.copy()
-        self.step_count = count
-
 
 class BatchedEnv:
     """n copies of one environment stepped as arrays.
 
     Built from n single envs of one class and equal parameters: copy i lends
-    its rng, which draws row i's episode starts; the parameters and the
-    dynamics are copy 0's. The state fields are (n, ...) attributes of this
-    holder. step checks the whole action array before any row moves, so a
-    bad row leaves every row as it was. Rows are not reset by step; reset
-    the rows whose dones are set.
+    its rng, which draws row i's episode starts (BatchedEnv([env] * n) draws
+    n starts in row order from env's rng, as n resets of env would); the
+    parameters and the dynamics are copy 0's. The state fields are (n, ...)
+    attributes of this holder. step checks the whole action array before
+    any row moves, so a bad row leaves every row as it was. Rows are not
+    reset by step; reset the rows whose dones are set.
     """
 
     def __init__(self, envs):

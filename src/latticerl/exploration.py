@@ -10,12 +10,9 @@ The sampler only ever uses P_x x and P_a x, so with the reduced (1, N_x)
 stds NoiseSampler forms no matrix at any integer period. A window draws
 N_x + N_a normals for each new latent direction it meets, its products
 P_x x, P_a x taken from their Gaussian conditional on the window's earlier
-ones, instead of the N_x^2 + N_a N_x entries of the two matrices. At period
-1 that is one draw per step, exactly as before; at longer periods the
-action distribution and the time correlation are the matrix path's but the
-random stream is not, so period > 1 results recorded with the matrix
-sampler moved. full_std at period > 1 and "episode" still draw the
-matrices. Runs stay bit-reproducible from config and seed.
+ones, instead of the N_x^2 + N_a N_x entries of the two matrices; period 1
+draws once per step. full_std at period > 1 and "episode" draw the
+matrices. Runs are bit-reproducible from config and seed.
 """
 
 from dataclasses import dataclass
@@ -199,10 +196,28 @@ class _Windows:
                                                    axis=axis))
 
 
+def _holds_matrices(cfg: LatticeConfig) -> bool:
+    """Whether NoiseSampler draws and holds P_x and P_a."""
+    return cfg.period_steps is None or (cfg.full_std and cfg.period_steps > 1)
+
+
+def episode_normals(policy, cfg: LatticeConfig, n_steps: int) -> int:
+    """Normals NoiseSampler draws from one env's rng in an episode of
+    n_steps; for the reduced-std window sampler at period > 1, the bound."""
+    n_x, n_a = policy.n_latent, policy.action_dim
+    if policy.strategy == "diagonal":
+        return n_steps * n_a
+    if _holds_matrices(cfg):
+        windows = -(-n_steps // (cfg.period_steps or n_steps))
+        return windows * (n_x * n_x + n_a * n_x)
+    return n_steps * (n_x + n_a)
+
+
 class NoiseSampler:
     """The action-noise process of a policy over a batch of environments.
 
-    Env i draws only from rngs[i] and owns its perturbation window. The rows
+    Env i draws only from rngs[i], a Generator or any object with its
+    standard_normal(size), and owns its perturbation window. The rows
     of P_x are iid N(0, D_x), D_x = Diag(S_x^2) with the unclipped sampling
     stds, and those of P_a iid N(0, D_a). With reduced stds a window keeps
     no matrix: for a latent x it forms c = Q^T D x, r = x - Q c and
@@ -224,8 +239,7 @@ class NoiseSampler:
         self.policy = policy
         self.cfg = cfg
         self.rngs = list(rngs)
-        period = cfg.period_steps
-        self.matrix_path = period is None or (cfg.full_std and period > 1)
+        self.matrix_path = _holds_matrices(cfg)
         self.perturbations: list[PerturbationMatrices | None] = \
             [None] * len(self.rngs)
         self.windows: _Windows | None = None

@@ -23,7 +23,7 @@ from .errors import (
     is_int,
     is_number,
 )
-from .exploration import LatticeConfig, NoiseSampler
+from .exploration import LatticeConfig, NoiseSampler, episode_normals
 from .policy import (
     GradientTape,
     Mlp,
@@ -368,32 +368,60 @@ class PPOTrainer:
         return self
 
 
+# Pre-drawn noise normals per chunk of evaluation episodes (8 MiB)
+EVAL_CHUNK_NORMALS = 2 ** 20
+
+
+class _Normals:
+    """Pre-drawn normals in a Generator's place, each handed out once."""
+
+    def __init__(self, block: np.ndarray):
+        self.block, self.used = block, 0
+
+    def standard_normal(self, size):
+        n = math.prod(size) if isinstance(size, tuple) else size
+        self.used += n
+        return self.block[self.used - n:self.used].reshape(size)
+
+
 def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
                  deterministic: bool = False):
-    """Play fresh episodes of the trainer's policy in one env seeded from
-    seed. Yields (states, actions, rewards, solved, max_steps) per episode;
-    the actions are the raw ones sent to the env, the mean action at every
-    step when deterministic."""
+    """Play fresh episodes of the trainer's policy, seeded from seed, as the
+    rows of BatchedEnv([env] * n). Returns states (n, T, obs_dim), the raw
+    actions (n, T, action_dim) (the mean ones when deterministic), rewards
+    (n, T) and solved (n, T). The env rng draws the starts in episode order;
+    episode i reads the i-th block of episode_normals normals of the noise
+    rng, drawn ahead in chunks of EVAL_CHUNK_NORMALS. So the noise is that
+    of sequential play on one env, except for the reduced-std window
+    sampler at period > 1, which uses only part of its block."""
+    if not (is_int(n_episodes) and n_episodes >= 1):
+        raise ValueError(f"n_episodes must be an int >= 1, got {n_episodes!r}")
     env_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     env = make_env(trainer.env_name,
                    seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
                    **trainer.env_kwargs)
-    noise = NoiseSampler(trainer.policy, trainer.cfg,
-                         [np.random.default_rng(noise_ss)])
-    for _ in range(n_episodes):
-        obs = env.reset()
-        noise.reset(0)
-        states, actions, rewards, solved = [], [], [], []
-        done = False
-        while not done:
-            states.append(obs)
-            x, mean = trainer.policy.forward(np.atleast_2d(obs))
-            action = mean[0] if deterministic else noise.sample(x, mean)[0]
-            actions.append(action)
-            obs, r, done, info = env.step(action)
-            rewards.append(r)
-            solved.append(info["solved"])
-        yield states, actions, rewards, solved, env.max_steps
+    noise_rng = np.random.default_rng(noise_ss)
+    width = episode_normals(trainer.policy, trainer.cfg, env.max_steps)
+    chunk = max(1, EVAL_CHUNK_NORMALS // width)
+    states = np.empty((n_episodes, env.max_steps, env.obs_dim))
+    actions = np.empty((n_episodes, env.max_steps, env.action_dim))
+    rewards = np.empty((n_episodes, env.max_steps))
+    solved = np.empty((n_episodes, env.max_steps), dtype=bool)
+    for start in range(0, n_episodes, chunk):
+        rows = slice(start, min(start + chunk, n_episodes))
+        batch = BatchedEnv([env] * (rows.stop - start))
+        if not deterministic:
+            noise = NoiseSampler(trainer.policy, trainer.cfg, [
+                _Normals(block) for block in
+                noise_rng.standard_normal((batch.n, width))])
+        obs = batch.observe()
+        for t in range(env.max_steps):
+            states[rows, t] = obs
+            x, mean = trainer.policy.forward(obs)
+            action = mean if deterministic else noise.sample(x, mean)
+            actions[rows, t] = action
+            obs, rewards[rows, t], _, solved[rows, t] = batch.step(action)
+    return states, actions, rewards, solved
 
 
 def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
@@ -404,11 +432,11 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
     With deterministic=True all noise is disabled and the mean action is
     taken at every step.
     """
+    _, actions, rewards, solved = run_episodes(trainer, n_episodes, seed,
+                                               deterministic)
     episodes = [
-        EpisodeMetrics.from_logs(rewards, solved, np.clip(actions, 0.0, 1.0),
-                                 max_steps)
-        for _, actions, rewards, solved, max_steps
-        in run_episodes(trainer, n_episodes, seed, deterministic)
+        EpisodeMetrics.from_logs(r, s, np.clip(a, 0.0, 1.0), len(r))
+        for a, r, s in zip(actions, rewards, solved)
     ]
 
     def agg(values):

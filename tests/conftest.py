@@ -112,6 +112,30 @@ class ConstantObsEnv:
                                                     "accel": 0.0}
 
 
+def linear_ideal_policy(delta_theta: float) -> tuple[float, float]:
+    """(a_e, a_f) = (0.5 + dtheta, 0.5 - dtheta), clamped to [0, 1]."""
+    a_e = min(max(0.5 + delta_theta, 0.0), 1.0)
+    a_f = min(max(0.5 - delta_theta, 0.0), 1.0)
+    return a_e, a_f
+
+
+class LinearArmPolicy:
+    """Deterministic linear controller for the flexor-extensor arm; its
+    latent is the angle error, broadcast into both actuator groups."""
+
+    def __init__(self, n_extensors: int = 1, n_flexors: int = 1):
+        self.n_extensors = n_extensors
+        self.n_flexors = n_flexors
+
+    def latent(self, obs: np.ndarray) -> np.ndarray:
+        return np.array([obs[0]])
+
+    def action_from_latent(self, lat: np.ndarray) -> np.ndarray:
+        a_e, a_f = linear_ideal_policy(float(lat[0]))
+        return np.concatenate([np.full(self.n_extensors, a_e),
+                               np.full(self.n_flexors, a_f)])
+
+
 @pytest.fixture
 def small_policy_factory():
     """Builds small policies with reproducible weights for gradient checks."""

@@ -10,16 +10,23 @@ action_distribution has mean W x without the policy head's bias, so it is
 an oracle for the noise model rather than for a whole policy.
 
 dual_sim_experiment is the step-by-step form of the paired simulation that
-analysis runs as one two-row step.
+analysis runs as one two-row step, on a single env whose state get_state
+and set_state save and restore. run_episodes is the sequential form of the
+evaluation loop that trainer.run_episodes plays as rows of one batch.
 """
+
+import copy
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from latticerl.analysis import DualSimCondition
+from latticerl.envs import clipped_action, make_env
 from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
+    NoiseSampler,
     NoiseStdMatrices,
     PerturbationMatrices,
     clip_std,
@@ -195,7 +202,7 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
     accel_dev = []
     action_noise = []
     for _ in range(n_steps):
-        state = env.get_state()
+        state = get_state(env)
         obs = env.observe()
         lat = policy.latent(obs)
         a_clean = policy.action_from_latent(lat)
@@ -206,12 +213,12 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
             eps = rng.standard_normal(a_clean.shape) * sigma
             a_noisy = a_clean + eps
         action_noise.append(a_noisy - a_clean)
-        accel_dev.append(np.atleast_1d(env.accel_of(a_noisy))
-                         - np.atleast_1d(env.accel_of(a_clean)))
-        env.set_state(state)
+        accel_dev.append(np.atleast_1d(accel_of(env, a_noisy))
+                         - np.atleast_1d(accel_of(env, a_clean)))
+        set_state(env, state)
         env.step(a_clean)
         kin_clean = env.kinematics(env)
-        env.set_state(state)
+        set_state(env, state)
         _, _, done, _ = env.step(a_noisy)
         angle_dev.append(env.kinematics(env) - kin_clean)
         if done:
@@ -219,3 +226,64 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
     return DualSimCondition(angle_dev=np.asarray(angle_dev),
                             accel_dev=np.asarray(accel_dev),
                             action_noise=np.asarray(action_noise))
+
+
+# ------------------------------------------------------ single-env state
+
+def get_state(env) -> tuple:
+    """Copies of a single env's state fields, then its step count."""
+    return tuple(copy.copy(getattr(env, name)) for name in env.state_fields) \
+        + (env.step_count,)
+
+
+def set_state(env, state: tuple):
+    *values, env.step_count = state
+    for name, value in zip(env.state_fields, values):
+        setattr(env, name, copy.copy(value))
+
+
+def accel_of(env, action):
+    """Acceleration a (clamped) activation vector produces from the env's
+    state, which stays as it was."""
+    s = SimpleNamespace(**{name: getattr(env, name)
+                           for name in env.state_fields})
+    return env.advance(s, clipped_action(action, (env.action_dim,)))[2]
+
+
+def reward_bounds(env) -> tuple[float, float]:
+    """Finite interval containing every per-step reward of a FlexExtArm
+    for activations in [0, 1], from the bounded-acceleration envelope."""
+    max_speed = env.gain * env.dt * env.max_steps
+    max_delta = (abs(env.theta_target) + env.target_range
+                 + max_speed * env.dt * env.max_steps)
+    return (-max_delta, 1.0)
+
+
+# ------------------------------------------------------------ evaluation
+
+def run_episodes(trainer, n_episodes: int, seed: int,
+                 deterministic: bool = False):
+    """Play fresh episodes of the trainer's policy in one env seeded from
+    seed. Yields (states, actions, rewards, solved, max_steps) per episode;
+    the actions are the raw ones sent to the env, the mean action at every
+    step when deterministic."""
+    env_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    env = make_env(trainer.env_name,
+                   seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
+                   **trainer.env_kwargs)
+    noise = NoiseSampler(trainer.policy, trainer.cfg,
+                         [np.random.default_rng(noise_ss)])
+    for _ in range(n_episodes):
+        obs = env.reset()
+        noise.reset(0)
+        states, actions, rewards, solved = [], [], [], []
+        done = False
+        while not done:
+            states.append(obs)
+            x, mean = trainer.policy.forward(np.atleast_2d(obs))
+            action = mean[0] if deterministic else noise.sample(x, mean)[0]
+            actions.append(action)
+            obs, r, done, info = env.step(action)
+            rewards.append(r)
+            solved.append(info["solved"])
+        yield states, actions, rewards, solved, env.max_steps

@@ -26,6 +26,7 @@ from latticerl.trainer import PpoConfig, PPOTrainer, evaluate_policy
 
 from conftest import ConstantObsEnv, logp_gradient_check
 from oracles import (
+    accel_of,
     action_distribution,
     distribution_std,
     lattice_covariance,
@@ -98,7 +99,7 @@ def test_criterion_01_analytic_variance_ratio():
     clean = accel(base_e, base_f)
     # the vectorized acceleration matches the environment's own computation
     for k in range(0, n, n // 20):
-        assert env.accel_of(np.array([base_e[k], base_f[k]])) \
+        assert accel_of(env, np.array([base_e[k], base_f[k]])) \
             == pytest.approx(clean[k], abs=1e-12)
 
     # latent condition: one noise draw enters both antagonists coherently

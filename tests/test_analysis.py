@@ -6,7 +6,6 @@ import pytest
 
 from latticerl import analysis
 from latticerl.analysis import (
-    LinearArmPolicy,
     MlpPolicyAdapter,
     analytic_latent_noise_cov,
     covariance_report,
@@ -25,6 +24,7 @@ from latticerl.exploration import LatticeConfig, resample_perturbations
 from latticerl.policy import MlpPolicy, dist_internals
 
 import oracles
+from conftest import LinearArmPolicy
 
 
 def lattice_policy(seed=0, obs_dim=2, action_dim=4, hiddens=(6, 5),

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from latticerl import cli
 from latticerl.cli import ANALYSIS_KINDS, main, run_analysis, run_training
 from latticerl.config import RunConfig
 from latticerl.errors import UnknownAnalysisKind
@@ -253,6 +254,35 @@ class TestMainEntry:
                      "--out", str(tmp_path / "run")]) == 1
         assert "field 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--episodes", "0"], ["evaluate", "--episodes", "-2"],
+        ["evaluate", "--seed", "-1"],
+        ["analyze", "--analysis", "dual-sim", "--steps", "10", "--seed",
+         "-1"],
+        ["analyze", "--analysis", "covariance", "--episodes", "0"],
+        ["analyze", "--analysis", "dual-sim", "--steps", "0"],
+        ["analyze", "--analysis", "dual-sim", "--steps", "1"],
+        ["analyze", "--analysis", "dual-sim", "--steps", "10",
+         "--sigma-latent", "-1"],
+        ["analyze", "--analysis", "pca", "--threshold", "2"]])
+    def test_bad_count_or_range_exit_code(self, tmp_path, capsys,
+                                          monkeypatch, argv):
+        # these used to print NaN means or variance ratios (and write them
+        # with --out), end in a numpy AxisError or ValueError traceback, or
+        # run without complaint
+        loaded = []
+
+        def spy(path):
+            loaded.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", spy)
+        out = tmp_path / "out"
+        assert main([*argv, "--checkpoint", str(SCHEMA1_CHECKPOINT),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert loaded == [] and not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         assert main(["evaluate", "--checkpoint",

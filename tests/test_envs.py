@@ -13,10 +13,12 @@ from latticerl.envs import (
     FlexExtArm,
     PointReacher,
     energy_of,
-    linear_ideal_policy,
     make_env,
 )
 from latticerl.errors import DimensionMismatch, NonFiniteAction
+
+from conftest import linear_ideal_policy
+from oracles import accel_of, get_state, reward_bounds, set_state
 
 
 class TestLinearIdealPolicy:
@@ -69,19 +71,19 @@ class TestFlexExtArm:
     def test_antagonist_balance(self):
         env = FlexExtArm(n_flexors=1, n_extensors=1, seed=0)
         env.reset()
-        assert env.accel_of(np.array([0.5, 0.5])) == 0.0
+        assert accel_of(env, np.array([0.5, 0.5])) == 0.0
 
     def test_unit_gain_dynamics(self):
         env = FlexExtArm(n_flexors=1, n_extensors=1, gain=1.0, seed=0)
         env.reset()
-        assert env.accel_of(np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert accel_of(env, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_group_mean_aggregation(self):
         # the 3+3 arm reduces to the 1+1 arm through per-group means
         env = FlexExtArm(n_flexors=3, n_extensors=3, gain=10.0, seed=0)
         env.reset()
         a = np.array([0.9, 0.3, 0.6, 0.1, 0.2, 0.3])
-        assert env.accel_of(a) == pytest.approx(10.0 * (0.6 - 0.2))
+        assert accel_of(env, a) == pytest.approx(10.0 * (0.6 - 0.2))
 
     def test_duplicate_integrator_oracle(self):
         env = FlexExtArm(seed=5)
@@ -103,7 +105,7 @@ class TestFlexExtArm:
         rng = np.random.default_rng(2)
         a = rng.uniform(0.0, 1.0, env.action_dim)
         swapped = np.concatenate([a[3:], a[:3]])
-        assert env.accel_of(swapped) == pytest.approx(-env.accel_of(a))
+        assert accel_of(env, swapped) == pytest.approx(-accel_of(env, a))
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
@@ -119,7 +121,7 @@ class TestFlexExtArm:
 
     def test_reward_bounds(self):
         env = FlexExtArm(seed=4)
-        lo, hi = env.reward_bounds()
+        lo, hi = reward_bounds(env)
         rng = np.random.default_rng(5)
         env.reset()
         done = False
@@ -130,8 +132,8 @@ class TestFlexExtArm:
     def test_clamping(self):
         env = FlexExtArm(n_flexors=1, n_extensors=1, gain=1.0, seed=0)
         env.reset()
-        assert env.accel_of(np.array([2.0, -1.0])) == \
-            env.accel_of(np.array([1.0, 0.0]))
+        assert accel_of(env, np.array([2.0, -1.0])) == \
+            accel_of(env, np.array([1.0, 0.0]))
 
     def test_action_errors(self):
         env = FlexExtArm(seed=0)
@@ -155,10 +157,10 @@ class TestFlexExtArm:
         env = FlexExtArm(seed=8)
         env.reset()
         env.step(np.array([1.0, 0.8, 0.2, 0.1, 0.0, 0.3]))
-        state = env.get_state()
+        state = get_state(env)
         obs_before = env.observe()
         env.step(np.full(6, 0.9))
-        env.set_state(state)
+        set_state(env, state)
         np.testing.assert_array_equal(env.observe(), obs_before)
 
     @pytest.mark.parametrize("kwargs", [
@@ -192,7 +194,7 @@ def matched_arm_noise_mc(gain, sigma, n, rng):
     chk = rng.uniform(0.0, 1.0, (100, 2))
     env.reset()
     for a_e, a_f in chk[:20]:
-        assert accel(a_e, a_f) == env.accel_of(np.array([a_e, a_f]))
+        assert accel(a_e, a_f) == accel_of(env, np.array([a_e, a_f]))
 
     delta = rng.uniform(-0.2, 0.2, n)
     clean = accel(0.5 + delta, 0.5 - delta)
@@ -228,7 +230,7 @@ class TestPointReacher:
         env = PointReacher(pairs_per_axis=2, gain=10.0, seed=0)
         env.reset()
         a = np.array([1.0, 1.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5])
-        np.testing.assert_allclose(env.accel_of(a), [10.0, 0.0])
+        np.testing.assert_allclose(accel_of(env, a), [10.0, 0.0])
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError, match="pairs_per_axis"):
@@ -244,10 +246,10 @@ class TestPointReacher:
         env = PointReacher(seed=1)
         env.reset()
         env.step(np.full(env.action_dim, 0.7))
-        state = env.get_state()
+        state = get_state(env)
         obs = env.observe()
         env.step(np.zeros(env.action_dim))
-        env.set_state(state)
+        set_state(env, state)
         np.testing.assert_array_equal(env.observe(), obs)
 
     def test_solved_near_target(self):
@@ -386,4 +388,4 @@ def test_balanced_groups_never_accelerate(seed):
     env = FlexExtArm(seed=0)
     env.reset()
     level = float(rng.uniform(0.0, 1.0))
-    assert env.accel_of(np.full(6, level)) == pytest.approx(0.0, abs=1e-12)
+    assert accel_of(env, np.full(6, level)) == pytest.approx(0.0, abs=1e-12)

@@ -21,7 +21,11 @@ from latticerl.errors import (
     NonFiniteAction,
     NonFiniteLoss,
 )
-from latticerl.exploration import LatticeConfig, resample_perturbations
+from latticerl.exploration import (
+    LatticeConfig,
+    episode_normals,
+    resample_perturbations,
+)
 from latticerl.policy import GradientTape, dist_internals, log_prob, log_prob_and_grad
 from latticerl.trainer import (
     Adam,
@@ -29,6 +33,7 @@ from latticerl.trainer import (
     PPOTrainer,
     evaluate_policy,
     load_checkpoint,
+    run_episodes,
     save_checkpoint,
 )
 
@@ -40,6 +45,7 @@ from conftest import (
     relative_error,
     schema1_reference_trainer,
 )
+import oracles
 from oracles import distribution_std, lattice_covariance, sampling_std
 
 TINY_PPO = PpoConfig(learning_rate=1e-3, batch_size=16, gradient_steps=8,
@@ -718,6 +724,97 @@ class TestEvaluate:
         episodes = actions.reshape(3, 10, tr.action_dim)
         for record, a in zip(metrics["per_episode"], episodes):
             assert record["energy"] == energy_of(np.clip(a, 0.0, 1.0))
+
+
+# every noise mode that draws a fixed count of normals per episode, and
+# deterministic evaluation, which draws none
+FIXED_DRAW_CASES = {
+    "diagonal": ("diagonal", LatticeConfig(), False),
+    "gsde-episode": ("gsde", LatticeConfig(period="episode"), False),
+    "lattice-t1": ("lattice", LatticeConfig(period=1), False),
+    "full-std-t1": ("lattice", LatticeConfig(period=1, full_std=True), False),
+    "full-std-t2": ("lattice", LatticeConfig(period=2, full_std=True), False),
+    # a period that does not divide the episode: the last window is short
+    "full-std-t3": ("lattice", LatticeConfig(period=3, full_std=True), False),
+    "deterministic": ("lattice", LatticeConfig(period=4), True),
+}
+
+
+class TestBatchedEpisodes:
+    @pytest.mark.parametrize("case", FIXED_DRAW_CASES)
+    def test_matches_sequential_oracle(self, case):
+        # rows of one batch read the sequential loop's env and noise
+        # streams; only the row count of the policy's products differs
+        strategy, cfg, deterministic = FIXED_DRAW_CASES[case]
+        tr = small_trainer(strategy=strategy, cfg=cfg)
+        states, actions, rewards, solved = run_episodes(
+            tr, 7, seed=3, deterministic=deterministic)
+        metrics = evaluate_policy(tr, n_episodes=7, seed=3,
+                                  deterministic=deterministic)
+        episodes = list(oracles.run_episodes(tr, 7, 3, deterministic))
+        assert len(episodes) == 7 == len(metrics["per_episode"])
+        for i, (s, a, r, ok, t_max) in enumerate(episodes):
+            np.testing.assert_allclose(states[i], s, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(actions[i], a, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(rewards[i], r, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(solved[i], ok)
+            want = EpisodeMetrics.from_logs(r, ok, np.clip(a, 0.0, 1.0),
+                                            t_max)
+            got = metrics["per_episode"][i]
+            assert got["solved_fraction"] == want.solved_fraction
+            assert got["reward"] == pytest.approx(want.cumulative_reward,
+                                                  rel=0, abs=1e-9)
+            assert got["energy"] == pytest.approx(want.energy, rel=0,
+                                                  abs=1e-9)
+
+    def test_reduced_std_windows_reproducible(self):
+        tr = small_trainer(cfg=LatticeConfig(period=4))
+        a = run_episodes(tr, 7, seed=2)
+        b = run_episodes(tr, 7, seed=2)
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
+
+    def test_reduced_std_windows_on_constant_obs(self,
+                                                 constant_obs_registered):
+        # criterion 9's set-up, evaluated: a constant latent gets one noise
+        # per 4-step window, and a fresh one in the next window
+        tr = PPOTrainer("constant_obs",
+                        env_kwargs={"max_steps": 64, "action_dim": 3},
+                        strategy="lattice",
+                        lattice_cfg=LatticeConfig(alpha=1.0, period=4),
+                        ppo_cfg=dataclasses.replace(TINY_PPO, n_envs=1),
+                        hiddens=(8, 8), critic_hiddens=(8, 8), seed=0)
+        _, actions, _, _ = run_episodes(tr, 7, seed=0)
+        # the mean action is the same at every step, so the actions show
+        # the noise
+        windows = actions.reshape(7, 16, 4, 3)
+        assert np.array_equal(windows,
+                              np.broadcast_to(windows[:, :, :1],
+                                              windows.shape))
+        assert np.all(np.any(windows[:, 1:, 0] != windows[:, :-1, 0],
+                             axis=-1))
+
+    @pytest.mark.parametrize("period", [1, 4])
+    def test_chunking_changes_no_episode(self, monkeypatch, period):
+        tr = small_trainer(cfg=LatticeConfig(period=period))
+        width = episode_normals(tr.policy, tr.cfg, tr.envs.max_steps)
+        runs = []
+        for per_chunk in (7, 4, 1):  # 1, 2 and 7 chunks
+            monkeypatch.setattr(trainer_mod, "EVAL_CHUNK_NORMALS",
+                                per_chunk * width)
+            runs.append(run_episodes(tr, 7, seed=4))
+        for run in runs[1:]:
+            np.testing.assert_allclose(run[1], runs[0][1], rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_array_equal(run[3], runs[0][3])
+
+    @pytest.mark.parametrize("n", [0, -2, 2.0])
+    def test_refuses_no_episodes(self, n):
+        tr = small_trainer()
+        with pytest.raises(ValueError, match="n_episodes"):
+            evaluate_policy(tr, n_episodes=n)
+        with pytest.raises(ValueError, match="n_episodes"):
+            run_episodes(tr, n, seed=0)
 
 
 class TestPredict:
