@@ -55,7 +55,7 @@ def run_training(config: RunConfig, out_dir: Path) -> Path:
     try:
         trainer.fit(
             config.total_steps,
-            on_update=lambda row, stats: curves.write_row(row),
+            on_update=lambda row, stats: curves.write_row({**row, **stats}),
             target_solved=config.target_solved,
             checkpoint_path_fn=lambda u: out_dir / "checkpoints"
             / f"update_{u:06d}.json",

@@ -7,6 +7,7 @@ which keeps the gradient path auditable and lets the variance-path
 contributions be switched off independently (stop_variance_gradient).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +59,40 @@ ACTIVATIONS = {
 }
 
 
+def flat_segments(shapes: dict[str, tuple]) -> dict[str, tuple[int, int]]:
+    """Per name, the [start, stop) of its segment in the flat vector of
+    flat_layout(shapes): the segments follow the dict order without gaps."""
+    segments, offset = {}, 0
+    for k, s in shapes.items():
+        n = math.prod(s)
+        segments[k] = (offset, offset + n)
+        offset += n
+    return segments
+
+
+def flat_layout(shapes: dict[str, tuple]) -> tuple[np.ndarray,
+                                                    dict[str, np.ndarray]]:
+    """A zeroed flat float64 vector and, per name, the view of its segment
+    in the given shape. The trainer's parameters, the gradient tape and
+    Adam's moments built from one shapes dict share offsets."""
+    segments = flat_segments(shapes)
+    flat = np.zeros(sum(b - a for a, b in segments.values()))
+    return flat, {k: flat[a:b].reshape(shapes[k])
+                  for k, (a, b) in segments.items()}
+
+
 class GradientTape:
     """Per-parameter gradient accumulators aligned with a parameter dict.
 
-    Each entry of grads is a view of one flat buffer, so zeroing, the
-    finiteness check and the clip scale are one array operation each.
+    Each entry of grads is a view of one flat buffer in flat_layout order,
+    so zeroing, the finiteness check and the clip scale are one array
+    operation each.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
-        self.flat = np.zeros(sum(v.size for v in params.values()))
-        self.grads = {}
-        offset = 0
-        for k, v in params.items():
-            self.grads[k] = self.flat[offset:offset + v.size].reshape(v.shape)
-            offset += v.size
+        shapes = {k: v.shape for k, v in params.items()}
+        self.flat, self.grads = flat_layout(shapes)
+        self._segments = list(flat_segments(shapes).values())
 
     def zero_(self):
         self.flat.fill(0.0)
@@ -80,15 +101,20 @@ class GradientTape:
         self.grads[name] += value
 
     def global_norm(self) -> float:
-        # per-key partial sums, so the clip factor does not depend on the
-        # flat layout
+        # one square of the flat buffer, then a pairwise sum per key added
+        # in key order: the bits of adding np.sum(g * g) key by key
+        sq = self.flat * self.flat
         total = 0.0
-        for g in self.grads.values():
-            total += float(np.sum(g * g))
+        for a, b in self._segments:
+            total += float(sq[a:b].sum())
         return float(np.sqrt(total))
 
-    def clip_global_norm(self, max_norm: float) -> float:
-        norm = self.global_norm()
+    def clip_global_norm(self, max_norm: float,
+                         norm: float | None = None) -> float:
+        """Scale the gradients to a global norm of at most max_norm; norm is
+        global_norm() when already taken. Returns the norm before scaling."""
+        if norm is None:
+            norm = self.global_norm()
         if norm > max_norm and norm > 0.0:
             self.flat *= max_norm / norm
         return norm

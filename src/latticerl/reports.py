@@ -42,10 +42,13 @@ def read_json(path) -> dict:
 
 
 class CurveWriter:
-    """Learning-curve CSV with a fixed column order."""
+    """Learning-curve CSV with a fixed column order: the fit row, the
+    update's mean PPO statistics, and the wall clock last."""
 
     COLUMNS = ["update", "env_steps", "mean_episode_reward",
-               "solved_fraction", "energy", "mean_entropy", "wall_time_s"]
+               "solved_fraction", "energy", "mean_entropy", "pg_loss",
+               "value_loss", "approx_kl", "clip_fraction", "grad_norm",
+               "wall_time_s"]
 
     def __init__(self, path):
         self.fh = open(path, "w", newline="\n")
@@ -62,8 +65,11 @@ class CurveWriter:
 
 
 def read_curves(path) -> dict[str, np.ndarray]:
+    """The columns of CurveWriter.COLUMNS that the file has, in that order;
+    files written before the PPO statistics columns have seven."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
+        header = reader.fieldnames or []
     return {c: np.array([float(r[c]) for r in rows])
-            for c in CurveWriter.COLUMNS}
+            for c in CurveWriter.COLUMNS if c in header}

@@ -30,6 +30,8 @@ from .policy import (
     MlpPolicy,
     dist_internals,
     entropy_batch,
+    flat_layout,
+    flat_segments,
     log_prob,
     log_prob_terms,
     policy_backward,
@@ -85,48 +87,85 @@ class PpoConfig:
                              f"{self.max_grad_norm!r}")
 
 
-class Adam:
-    """Adaptive first-order optimizer over a named parameter dict."""
+# Elements per pass of Adam's update (256 KiB of float64): a run of
+# parameters is updated chunk by chunk, so its scratch stays in cache.
+ADAM_CHUNK = 32_768
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
+
+class Adam:
+    """Adam over one flat float64 parameter vector laid out by flat_layout
+    from shapes. The moments m_flat and v_flat have the same layout, and m
+    and v hold their views by parameter name."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.flat = flat
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m_flat, self.m = flat_layout(shapes)
+        self.v_flat, self.v = flat_layout(shapes)
+        if flat.shape != self.m_flat.shape:
+            raise ValueError(f"flat parameters have shape {flat.shape}, the "
+                             f"layout needs {self.m_flat.shape}")
+        self._segments = flat_segments(shapes)
 
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray], skip: set[str] = frozenset()):
+    def _runs(self, skip) -> list[tuple[int, int]]:
+        """The contiguous [start, stop) runs of the segments not in skip."""
+        unknown = set(skip) - self._segments.keys()
+        if unknown:
+            raise ValueError(f"skip names no parameter: {sorted(unknown)}")
+        runs = []
+        for k, (a, b) in self._segments.items():
+            if k in skip:
+                continue
+            if runs and runs[-1][1] == a:
+                runs[-1] = (runs[-1][0], b)
+            else:
+                runs.append((a, b))
+        return runs
+
+    def step(self, grad: np.ndarray, skip: set[str] = frozenset()):
+        """One update from the flat gradient grad (the parameters' layout),
+        leaving the segments named in skip, and their moments, as they
+        are."""
+        if grad.shape != self.flat.shape:
+            raise ValueError(f"gradient has shape {grad.shape}, expected "
+                             f"{self.flat.shape}")
+        runs = self._runs(skip)
         if self.lr == 0.0:
             return
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        scratch = np.empty((2, min(ADAM_CHUNK, max(
+            (b - a for a, b in runs), default=0))))
         # in place, in the operation order of
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
         # so the results are bitwise those of the out-of-place formula
-        for k, p in params.items():
-            if k in skip:
-                continue
-            g = grads[k]
-            m, v = self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            gg = (1.0 - self.beta2) * g
-            gg *= g
-            v *= self.beta2
-            v += gg
-            step = m / bc1
-            step *= self.lr
-            denom = np.divide(v, bc2, out=gg)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step /= denom
-            p -= step
+        for a, b in runs:
+            for i in range(a, b, ADAM_CHUNK):
+                j = min(i + ADAM_CHUNK, b)
+                g, m, v = grad[i:j], self.m_flat[i:j], self.v_flat[i:j]
+                step, gg = scratch[0, :j - i], scratch[1, :j - i]
+                m *= b1
+                np.multiply(g, 1.0 - b1, out=step)
+                m += step
+                np.multiply(g, 1.0 - b2, out=gg)
+                gg *= g
+                v *= b2
+                v += gg
+                np.divide(m, bc1, out=step)
+                step *= self.lr
+                np.divide(v, bc2, out=gg)
+                np.sqrt(gg, out=gg)
+                gg += self.eps
+                step /= gg
+                self.flat[i:j] -= step
 
 
 class PPOTrainer:
@@ -168,13 +207,18 @@ class PPOTrainer:
                                 activation=activation, rng=init_rng)
         self.value_net = Mlp(init_rng, self.obs_dim, self.critic_hiddens, 1,
                              activation, prefix="v.")
-        self.params = self.policy.params
-        self.params.update(self.value_net.params)
+        # every parameter is a view of one flat vector: policy keys, then
+        # value keys, each in its network's order
+        init = {**self.policy.params, **self.value_net.params}
+        shapes = {k: v.shape for k, v in init.items()}
+        self.flat_params, self.params = flat_layout(shapes)
+        for k, v in init.items():
+            self.params[k][...] = v
         self.value_net.params = self.params
         self.policy.params = self.params
         self.policy.net.params = self.params
 
-        self.optimizer = Adam(self.params, self.ppo.learning_rate)
+        self.optimizer = Adam(self.flat_params, shapes, self.ppo.learning_rate)
         self.skip: set[str] = set()
 
         self._obs = self.envs.observe()
@@ -306,15 +350,20 @@ class PPOTrainer:
                     np.mean((v - ret_flat[idx]) ** 2))
                 total = pg_loss + value_loss \
                     - self.ppo.entropy_coef * float(np.mean(ent))
-                if not np.isfinite(total) or not tape.all_finite():
+                # a finite norm means finite gradients; an infinite one can
+                # also come from finite gradients whose squares overflow,
+                # which the clip then scales to zero
+                norm = tape.global_norm()
+                if not np.isfinite(total) or not (math.isfinite(norm)
+                                                  or tape.all_finite()):
                     bad = tape.non_finite()
                     culprit = ("gradient of " + ", ".join(bad)) if bad \
                         else "loss"
                     raise NonFiniteLoss(
                         f"non-finite {culprit} in epoch {epoch}, minibatch "
                         f"starting at {start}")
-                norm = tape.clip_global_norm(self.ppo.max_grad_norm)
-                self.optimizer.step(self.params, tape.grads, skip=self.skip)
+                tape.clip_global_norm(self.ppo.max_grad_norm, norm)
+                self.optimizer.step(tape.flat, skip=self.skip)
 
                 with np.errstate(over="ignore"):
                     log_ratio = logp - old_logp[idx]

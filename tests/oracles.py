@@ -13,6 +13,9 @@ dual_sim_experiment is the step-by-step form of the paired simulation that
 analysis runs as one two-row step, on a single env whose state get_state
 and set_state save and restore. run_episodes is the sequential form of the
 evaluation loop that trainer.run_episodes plays as rows of one batch.
+
+Adam and global_norm are the per-parameter forms of the optimizer step and
+the gradient norm that the trainer runs over one flat vector.
 """
 
 import copy
@@ -287,3 +290,58 @@ def run_episodes(trainer, n_episodes: int, seed: int,
             rewards.append(r)
             solved.append(info["solved"])
         yield states, actions, rewards, solved, env.max_steps
+
+
+# ------------------------------------------------------------- optimizer
+
+class Adam:
+    """Adaptive first-order optimizer over a named parameter dict."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params: dict[str, np.ndarray],
+             grads: dict[str, np.ndarray], skip: set[str] = frozenset()):
+        if self.lr == 0.0:
+            return
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        # in place, in the operation order of
+        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        # so the results are bitwise those of the out-of-place formula
+        for k, p in params.items():
+            if k in skip:
+                continue
+            g = grads[k]
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            gg = (1.0 - self.beta2) * g
+            gg *= g
+            v *= self.beta2
+            v += gg
+            step = m / bc1
+            step *= self.lr
+            denom = np.divide(v, bc2, out=gg)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step
+
+
+def global_norm(grads: dict[str, np.ndarray]) -> float:
+    # per-key partial sums, so the clip factor does not depend on the
+    # flat layout
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    return float(np.sqrt(total))

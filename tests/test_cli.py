@@ -80,6 +80,23 @@ class TestRunTraining:
         assert "update_000001.json" in names
         assert "update_000002.json" in names
 
+    def test_curves_carry_ppo_statistics(self, tmp_path):
+        config = tiny_config(total_steps=48)
+        out = run_training(config, tmp_path / "run")
+        curves = read_curves(out / "curves.csv")
+        stats = []
+        cli.trainer_from_config(config).fit(
+            config.total_steps, on_update=lambda row, s: stats.append(s))
+        assert len(curves["update"]) == len(stats) == 3
+        for key in ("pg_loss", "value_loss", "approx_kl", "clip_fraction",
+                    "grad_norm"):
+            np.testing.assert_array_equal(curves[key],
+                                          [s[key] for s in stats])
+        assert (curves["grad_norm"] > 0.0).all()
+        # the wall clock stays the last column
+        header = (out / "curves.csv").read_text().splitlines()[0]
+        assert header.split(",")[-1] == "wall_time_s"
+
     def test_config_echo_reproduces_trainer(self, tmp_path):
         out = run_training(tiny_config(seed=5), tmp_path / "run")
         echoed = RunConfig.load(out / "config.json")

@@ -168,13 +168,15 @@ class TestCurves:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "curves.csv"
         writer = CurveWriter(path)
+        stats = {"pg_loss": -0.01, "value_loss": 2.5, "approx_kl": 1e-4,
+                 "clip_fraction": 0.0625, "grad_norm": 0.7}
         rows = [
             {"update": 1, "env_steps": 64, "mean_episode_reward": -3.25,
              "solved_fraction": 0.125, "energy": 0.5,
-             "mean_entropy": 1.0 / 3.0, "wall_time_s": 0.01},
+             "mean_entropy": 1.0 / 3.0, "wall_time_s": 0.01, **stats},
             {"update": 2, "env_steps": 128, "mean_episode_reward": -1.0,
              "solved_fraction": 0.25, "energy": 0.4,
-             "mean_entropy": 0.2, "wall_time_s": 0.02},
+             "mean_entropy": 0.2, "wall_time_s": 0.02, **stats},
         ]
         for row in rows:
             writer.write_row(row)
@@ -183,6 +185,21 @@ class TestCurves:
         assert list(curves) == CurveWriter.COLUMNS
         np.testing.assert_array_equal(curves["update"], [1, 2])
         # repr-format floats survive the round trip exactly
+        assert curves["mean_entropy"][0] == 1.0 / 3.0
+
+    def test_reads_seven_column_files(self, tmp_path):
+        # curves.csv as written before the PPO statistics columns
+        path = tmp_path / "curves.csv"
+        path.write_text(
+            "update,env_steps,mean_episode_reward,solved_fraction,energy,"
+            "mean_entropy,wall_time_s\n"
+            "1,64,-3.25,0.125,0.5,0.3333333333333333,0.01\n"
+            "2,128,-1.0,0.25,0.4,0.2,0.02\n")
+        curves = read_curves(path)
+        assert list(curves) == ["update", "env_steps", "mean_episode_reward",
+                                "solved_fraction", "energy", "mean_entropy",
+                                "wall_time_s"]
+        np.testing.assert_array_equal(curves["env_steps"], [64, 128])
         assert curves["mean_entropy"][0] == 1.0 / 3.0
 
     def test_header_order(self, tmp_path):

@@ -26,6 +26,7 @@ from latticerl.policy import (
 )
 
 from conftest import finite_difference, logp_gradient_check, relative_error
+import oracles
 from oracles import distribution_std, lattice_covariance
 
 
@@ -538,6 +539,39 @@ class TestGradientTape:
         assert tape.clip_global_norm(0.7) == norm
         for k in ref:
             np.testing.assert_array_equal(tape.grads[k], ref[k])
+
+    def test_global_norm_bits_match_per_key_sums(self):
+        # the wide (256x256) lattice layout, gradients of random magnitudes
+        rng = np.random.default_rng(12)
+        policy = MlpPolicy(9, 8, LatticeConfig(), hiddens=(256, 256), rng=rng)
+        value = Mlp(rng, 9, (256, 256), 1, prefix="v.")
+        tape = GradientTape({**policy.params, **value.params})
+        for _ in range(300):
+            for g in tape.grads.values():
+                g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(
+                    -8, 2)
+            assert tape.global_norm() == oracles.global_norm(tape.grads)
+
+    def test_precomputed_norm_clips_alike(self):
+        tapes = [GradientTape({"w": np.zeros((4, 3)), "b": np.zeros(3)})
+                 for _ in range(2)]
+        for tape in tapes:
+            tape.flat[...] = np.random.default_rng(6).standard_normal(15)
+        norm = tapes[1].global_norm()
+        assert tapes[0].clip_global_norm(0.5) == \
+            tapes[1].clip_global_norm(0.5, norm) == norm
+        assert tapes[0].flat.tobytes() == tapes[1].flat.tobytes()
+
+    def test_overflowing_square_gives_infinite_norm(self):
+        # finite gradients: no NaN, and the clip scales them to zero
+        tape = GradientTape({"a": np.zeros(2), "b": np.zeros(1)})
+        tape.add("a", np.array([1e200, 1.0]))
+        with np.errstate(over="ignore"):
+            norm = tape.global_norm()
+        assert norm == np.inf
+        assert tape.all_finite()
+        assert tape.clip_global_norm(0.7, norm) == np.inf
+        np.testing.assert_array_equal(tape.flat, 0.0)
 
     def test_non_finite_names(self):
         tape = GradientTape({"a": np.zeros(2), "b": np.zeros(2),

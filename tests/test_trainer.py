@@ -26,7 +26,14 @@ from latticerl.exploration import (
     episode_normals,
     resample_perturbations,
 )
-from latticerl.policy import GradientTape, dist_internals, log_prob, log_prob_and_grad
+from latticerl.policy import (
+    GradientTape,
+    dist_internals,
+    flat_layout,
+    flat_segments,
+    log_prob,
+    log_prob_and_grad,
+)
 from latticerl.trainer import (
     Adam,
     PpoConfig,
@@ -67,35 +74,55 @@ def small_trainer(strategy="lattice", cfg=None, ppo=None, seed=0,
                       critic_hiddens=(8, 8), seed=seed)
 
 
+def flat_params(arrays: dict):
+    """Copies of arrays as the views of one flat vector:
+    (flat, params, shapes)."""
+    shapes = {k: np.shape(v) for k, v in arrays.items()}
+    flat, params = flat_layout(shapes)
+    for k, v in arrays.items():
+        params[k][...] = v
+    return flat, params, shapes
+
+
+def views_of(flat: np.ndarray, like: dict) -> dict:
+    """Views of flat in the layout of the parameter dict like."""
+    shapes = {k: v.shape for k, v in like.items()}
+    return {k: flat[a:b].reshape(shapes[k])
+            for k, (a, b) in flat_segments(shapes).items()}
+
+
 class TestAdam:
     def test_zero_lr_is_noop(self):
-        params = {"a": np.array([1.0, 2.0])}
-        opt = Adam(params, lr=0.0)
+        flat, params, shapes = flat_params({"a": np.array([1.0, 2.0])})
+        opt = Adam(flat, shapes, lr=0.0)
         before = params["a"].copy()
-        opt.step(params, {"a": np.array([10.0, -10.0])})
+        opt.step(np.array([10.0, -10.0]))
         np.testing.assert_array_equal(params["a"], before)
 
     def test_skip_set(self):
-        params = {"a": np.array([1.0]), "b": np.array([1.0])}
-        opt = Adam(params, lr=0.1)
-        opt.step(params, {"a": np.array([1.0]), "b": np.array([1.0])},
-                 skip={"b"})
+        flat, params, shapes = flat_params({"a": np.array([1.0]),
+                                            "b": np.array([1.0])})
+        opt = Adam(flat, shapes, lr=0.1)
+        opt.step(np.array([1.0, 1.0]), skip={"b"})
         assert params["a"][0] != 1.0
         assert params["b"][0] == 1.0
 
     def test_in_place_matches_out_of_place_formula(self):
         rng = np.random.default_rng(3)
         shapes = {"w": (7, 5), "b": (5,), "frozen": (3,)}
-        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        flat, params, _ = flat_params(
+            {k: rng.standard_normal(s) for k, s in shapes.items()})
         ref_p = {k: v.copy() for k, v in params.items()}
         ref_m = {k: np.zeros_like(v) for k, v in params.items()}
         ref_v = {k: np.zeros_like(v) for k, v in params.items()}
-        opt = Adam(params, lr=3e-3)
+        opt = Adam(flat, shapes, lr=3e-3)
         b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+        grad, grads = flat_layout(shapes)
         for t in range(1, 201):
-            grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(
-                -6, 3) for k, v in params.items()}
-            opt.step(params, grads, skip={"frozen"})
+            for k, g in grads.items():
+                g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.integers(
+                    -6, 3)
+            opt.step(grad, skip={"frozen"})
             bc1 = 1.0 - b1 ** t
             bc2 = 1.0 - b2 ** t
             for k in ("w", "b"):
@@ -111,11 +138,52 @@ class TestAdam:
             assert opt.v[k].tobytes() == ref_v[k].tobytes(), k
 
     def test_quadratic_convergence(self):
-        params = {"a": np.array([5.0])}
-        opt = Adam(params, lr=0.1)
+        flat, params, shapes = flat_params({"a": np.array([5.0])})
+        opt = Adam(flat, shapes, lr=0.1)
         for _ in range(500):
-            opt.step(params, {"a": 2.0 * params["a"]})
+            opt.step(2.0 * flat)
         assert abs(params["a"][0]) < 1e-3
+
+    def test_matches_per_key_oracle_across_chunks(self):
+        # segments longer than a chunk, chunk edges inside a run of
+        # segments, and a skipped segment splitting the runs
+        rng = np.random.default_rng(8)
+        n = trainer_mod.ADAM_CHUNK
+        shapes = {"w0": (3, n // 2 + 5), "b0": (7,), "w1": (n + 3,),
+                  "s": (1,), "frozen": (4, 4), "w2": (2 * n + 1,)}
+        flat, params, _ = flat_params(
+            {k: rng.standard_normal(s) for k, s in shapes.items()})
+        ref = {k: v.copy() for k, v in params.items()}
+        opt = Adam(flat, shapes, lr=1e-2)
+        oracle = oracles.Adam(ref, lr=1e-2)
+        grad, grads = flat_layout(shapes)
+        for _ in range(5):
+            grad[...] = rng.standard_normal(grad.size) * 10.0 ** rng.uniform(
+                -6, 2, grad.size)
+            opt.step(grad, skip={"frozen"})
+            oracle.step(ref, grads, skip={"frozen"})
+        for k in shapes:
+            assert params[k].tobytes() == ref[k].tobytes(), k
+            assert opt.m[k].tobytes() == oracle.m[k].tobytes(), k
+            assert opt.v[k].tobytes() == oracle.v[k].tobytes(), k
+
+    def test_unknown_skip_name_raises_before_any_change(self):
+        flat, params, shapes = flat_params({"a": np.array([1.0]),
+                                            "b": np.array([1.0])})
+        opt = Adam(flat, shapes, lr=0.1)
+        with pytest.raises(ValueError, match="'c'"):
+            opt.step(np.array([1.0, 1.0]), skip={"b", "c"})
+        assert opt.t == 0
+        np.testing.assert_array_equal(flat, [1.0, 1.0])
+        np.testing.assert_array_equal(opt.m_flat, 0.0)
+
+    def test_refuses_gradient_of_another_layout(self):
+        flat, _, shapes = flat_params({"a": np.zeros(3)})
+        opt = Adam(flat, shapes, lr=0.1)
+        with pytest.raises(ValueError, match="gradient has shape"):
+            opt.step(np.zeros(4))
+        with pytest.raises(ValueError, match="layout needs"):
+            Adam(np.zeros(2), shapes, lr=0.1)
 
 
 class TestRollout:
@@ -638,8 +706,9 @@ class TestStrategyPlugInEquivalence:
         for label, tr in (("lattice", tr_lat), ("diagonal", tr_diag)):
             batches = []
 
-            def recorder(params, grads, skip=frozenset(), _out=batches):
-                _out.append({k: g.copy() for k, g in grads.items()})
+            def recorder(grad, skip=frozenset(), _out=batches, _tr=tr):
+                _out.append({k: g.copy()
+                             for k, g in views_of(grad, _tr.params).items()})
 
             tr.optimizer.step = recorder
             tr.ppo_update(buf)
@@ -684,6 +753,145 @@ class TestFit:
             assert frozen.params[k].tobytes() == before[k].tobytes()
             assert not np.array_equal(free.params[k], before[k])
         assert not np.array_equal(frozen.params["pi.w0"], before["pi.w0"])
+
+    @pytest.mark.parametrize("strategy,name", [("lattice", "log_std"),
+                                               ("diagonal", "log_std_x")])
+    def test_unknown_skip_name_fails_before_any_update(self, strategy, name):
+        tr = small_trainer(strategy=strategy)
+        tr.skip |= {name}
+        before = {k: v.copy() for k, v in tr.params.items()}
+        with pytest.raises(ValueError, match=repr(name)):
+            tr.fit(32)
+        for k, v in before.items():
+            assert tr.params[k].tobytes() == v.tobytes(), k
+        assert tr.optimizer.t == 0
+
+
+class OracleAdam:
+    """A trainer's optimizer slot filled by the per-key oracle."""
+
+    def __init__(self, trainer):
+        self.params = trainer.params
+        self.adam = oracles.Adam(trainer.params, trainer.ppo.learning_rate)
+
+    def step(self, grad, skip=frozenset()):
+        self.adam.step(self.params, views_of(grad, self.params), skip)
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("strategy,cfg,skip", [
+        ("diagonal", LatticeConfig(), set()),
+        ("lattice", LatticeConfig(period=1), set()),
+        ("lattice", LatticeConfig(period=4), set()),
+        ("lattice", LatticeConfig(full_std=True), set()),
+        ("lattice", LatticeConfig(), {"log_std_x", "pi.b0"})],
+        ids=["diagonal", "lattice-1", "lattice-4", "full_std",
+             "skip-log_std_x-pi.b0"])
+    def test_fit_matches_per_key_oracle(self, strategy, cfg, skip,
+                                        monkeypatch):
+        # the same fit stepped by the per-key Adam and the per-key norm
+        ref = small_trainer(strategy=strategy, cfg=cfg, seed=4)
+        ref.skip |= skip
+        ref.optimizer = OracleAdam(ref)
+        with monkeypatch.context() as mp:
+            mp.setattr(GradientTape, "global_norm",
+                       lambda tape: oracles.global_norm(tape.grads))
+            ref.fit(3 * 32)
+        tr = small_trainer(strategy=strategy, cfg=cfg, seed=4)
+        tr.skip |= skip
+        tr.fit(3 * 32)
+        assert tr.updates == ref.updates == 3
+        for k in tr.params:
+            assert tr.params[k].tobytes() == ref.params[k].tobytes(), k
+            assert tr.optimizer.m[k].tobytes() == \
+                ref.optimizer.adam.m[k].tobytes(), k
+            assert tr.optimizer.v[k].tobytes() == \
+                ref.optimizer.adam.v[k].tobytes(), k
+
+    @staticmethod
+    def assert_views_of_flat(tr):
+        assert tr.policy.params is tr.params
+        assert tr.policy.net.params is tr.params
+        assert tr.value_net.params is tr.params
+        assert tr.optimizer.flat is tr.flat_params
+        offset = 0
+        for k, v in tr.params.items():
+            segment = tr.flat_params[offset:offset + v.size]
+            assert np.shares_memory(v, tr.flat_params), k
+            assert v.ctypes.data == segment.ctypes.data, k
+            offset += v.size
+            assert np.shares_memory(tr.optimizer.m[k], tr.optimizer.m_flat)
+            assert np.shares_memory(tr.optimizer.v[k], tr.optimizer.v_flat)
+        assert offset == tr.flat_params.size
+
+    def test_params_are_views_after_construction_and_loads(self, tmp_path):
+        tr = small_trainer()
+        # policy keys first, then value keys, in each network's order
+        names = list(tr.params)
+        assert names.index("log_std_a") < names.index("v.w0")
+        self.assert_views_of_flat(tr)
+        tr.fit(32)
+        self.assert_views_of_flat(tr)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tr)
+        loaded = load_checkpoint(path)
+        self.assert_views_of_flat(loaded)
+        assert loaded.flat_params.tobytes() == tr.flat_params.tobytes()
+        save_checkpoint(path, loaded)
+        again = load_checkpoint(path)
+        self.assert_views_of_flat(again)
+        assert again.flat_params.tobytes() == tr.flat_params.tobytes()
+        self.assert_views_of_flat(load_checkpoint(SCHEMA1_CHECKPOINT))
+
+    def test_overflowing_square_is_clipped_to_zero(self, monkeypatch):
+        # a finite gradient whose square overflows gives an infinite norm,
+        # which is no NonFiniteLoss: the clip scales it by 0.7 / inf = 0
+        tr = small_trainer()
+        buf = tr.collect_rollout(8)
+        backward = tr.value_net.backward
+
+        def huge_bias_gradient(cache, d_out, tape, **kwargs):
+            out = backward(cache, d_out, tape, **kwargs)
+            tape.grads["v.b0"][0] = 1e200
+            return out
+
+        steps = []
+        step = tr.optimizer.step
+
+        def recorded(grad, skip=frozenset()):
+            steps.append(grad.copy())
+            step(grad, skip)
+
+        monkeypatch.setattr(tr.value_net, "backward", huge_bias_gradient)
+        monkeypatch.setattr(tr.optimizer, "step", recorded)
+        before = tr.flat_params.copy()
+        with np.errstate(over="ignore"):
+            stats = tr.ppo_update(buf)
+        assert stats["grad_norm"] == np.inf
+        assert len(steps) == 4
+        for grad in steps:
+            np.testing.assert_array_equal(grad, 0.0)
+        # zero gradients from zero moments move nothing
+        assert tr.flat_params.tobytes() == before.tobytes()
+
+    def test_traced_methods_run_once_per_minibatch(self, monkeypatch):
+        # the benchmark's per-layer counts (trainer.Adam.step.calls and the
+        # tape's spans) read these calls
+        ppo = dataclasses.replace(TINY_PPO, batch_size=12, n_epochs=3)
+        tr = small_trainer(ppo=ppo)
+        buf = tr.collect_rollout(8)
+        calls = {}
+        for owner, name in ((Adam, "step"), (GradientTape, "zero_"),
+                            (GradientTape, "clip_global_norm")):
+            def counted(*args, _f=getattr(owner, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        tr.ppo_update(buf)
+        # 8 steps x 4 envs = 32 samples in batches of 12: 3 per epoch
+        assert calls == {"step": 9, "zero_": 9, "clip_global_norm": 9}
 
 
 class TestEvaluate:
