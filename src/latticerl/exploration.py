@@ -85,14 +85,19 @@ class NoiseStdMatrices:
     log_std_x: np.ndarray  # (N_x, N_x) or (1, N_x)
     log_std_a: np.ndarray  # (N_a, N_x) or (1, N_x)
 
+    @staticmethod
+    def shapes(n_actions: int, n_latent: int,
+               cfg: LatticeConfig) -> dict[str, tuple]:
+        """Shapes of log_std_x and log_std_a, by field name."""
+        if cfg.full_std:
+            return {"log_std_x": (n_latent, n_latent),
+                    "log_std_a": (n_actions, n_latent)}
+        return {"log_std_x": (1, n_latent), "log_std_a": (1, n_latent)}
+
     @classmethod
     def create(cls, n_actions: int, n_latent: int, cfg: LatticeConfig):
-        shape_x = (n_latent, n_latent) if cfg.full_std else (1, n_latent)
-        shape_a = (n_actions, n_latent) if cfg.full_std else (1, n_latent)
-        return cls(
-            log_std_x=np.full(shape_x, float(cfg.init_log_std)),
-            log_std_a=np.full(shape_a, float(cfg.init_log_std)),
-        )
+        return cls(**{k: np.full(s, float(cfg.init_log_std)) for k, s
+                      in cls.shapes(n_actions, n_latent, cfg).items()})
 
     @property
     def n_latent(self) -> int:

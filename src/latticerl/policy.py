@@ -109,12 +109,8 @@ class GradientTape:
             total += float(sq[a:b].sum())
         return float(np.sqrt(total))
 
-    def clip_global_norm(self, max_norm: float,
-                         norm: float | None = None) -> float:
-        """Scale the gradients to a global norm of at most max_norm; norm is
-        global_norm() when already taken. Returns the norm before scaling."""
-        if norm is None:
-            norm = self.global_norm()
+    def clip_global_norm(self, max_norm: float) -> float:
+        norm = self.global_norm()
         if norm > max_norm and norm > 0.0:
             self.flat *= max_norm / norm
         return norm
@@ -128,28 +124,49 @@ class GradientTape:
 
 
 class Mlp:
-    """Hidden stack plus linear head, parameters held in a shared dict."""
+    """Hidden stack plus linear head, parameters held in a shared dict.
+
+    The initial weights are drawn into params, a dict holding a view for
+    each name of Mlp.shapes (a trainer passes the views of its flat
+    vector); without it the network lays out a flat vector of its own.
+    """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hiddens,
-                 out_dim: int, activation: str = "relu", prefix: str = ""):
+                 out_dim: int, activation: str = "relu", prefix: str = "",
+                 params: dict[str, np.ndarray] | None = None):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.sizes = [in_dim, *hiddens, out_dim]
         self.activation = activation
         self.prefix = prefix
-        self.params: dict[str, np.ndarray] = {}
+        if params is None:
+            _, params = flat_layout(self.shapes(in_dim, hiddens, out_dim,
+                                                prefix))
+        self.params = params
         n_layers = len(self.sizes) - 1
         for i in range(n_layers):
-            fan_in, fan_out = self.sizes[i], self.sizes[i + 1]
+            fan_in = self.sizes[i]
             if i == n_layers - 1:
                 scale = np.sqrt(1.0 / fan_in)
             elif activation == "tanh":
                 scale = np.sqrt(1.0 / fan_in)
             else:
                 scale = np.sqrt(2.0 / fan_in)
-            self.params[f"{prefix}w{i}"] = rng.standard_normal(
-                (fan_out, fan_in)) * scale
-            self.params[f"{prefix}b{i}"] = np.zeros(fan_out)
+            w = params[f"{prefix}w{i}"]
+            rng.standard_normal(out=w)
+            w *= scale
+            params[f"{prefix}b{i}"][...] = 0.0
+
+    @staticmethod
+    def shapes(in_dim: int, hiddens, out_dim: int,
+               prefix: str = "") -> dict[str, tuple]:
+        """Parameter shapes by name, in the order of the parameter dict."""
+        sizes = [in_dim, *hiddens, out_dim]
+        shapes = {}
+        for i in range(len(sizes) - 1):
+            shapes[f"{prefix}w{i}"] = (sizes[i + 1], sizes[i])
+            shapes[f"{prefix}b{i}"] = (sizes[i + 1],)
+        return shapes
 
     @property
     def n_hidden_layers(self) -> int:
@@ -214,13 +231,15 @@ class MlpPolicy:
     """Policy network exposing the last-layer latent and final linear map.
 
     The noise parameters of the configured exploration strategy live in the
-    same parameter dict as the network weights.
+    same parameter dict as the network weights; params, when given, holds a
+    view for each name of MlpPolicy.shapes, as for Mlp.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, cfg: LatticeConfig,
                  strategy: str = "lattice", hiddens=(256, 256),
                  activation: str = "relu",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 params: dict[str, np.ndarray] | None = None):
         if strategy not in ("diagonal", "gsde", "lattice"):
             raise ValueError(f"unknown strategy {strategy!r}")
         rng = rng if rng is not None else np.random.default_rng()
@@ -228,16 +247,29 @@ class MlpPolicy:
         self.cfg = cfg
         self.obs_dim = obs_dim
         self.action_dim = action_dim
-        self.net = Mlp(rng, obs_dim, hiddens, action_dim, activation, "pi.")
-        self.params = dict(self.net.params)
-        self.net.params = self.params  # share storage
+        if params is None:
+            _, params = flat_layout(self.shapes(obs_dim, action_dim, cfg,
+                                                strategy, hiddens))
+        self.params = params
+        # the network shares the dict
+        self.net = Mlp(rng, obs_dim, hiddens, action_dim, activation, "pi.",
+                       params)
+        names = ("log_std_x", "log_std_a") if strategy in ("gsde", "lattice") \
+            else ("log_sigma",)
+        for k in names:
+            params[k][...] = float(cfg.init_log_std)
+
+    @staticmethod
+    def shapes(obs_dim: int, action_dim: int, cfg: LatticeConfig,
+               strategy: str, hiddens=(256, 256)) -> dict[str, tuple]:
+        """Parameter shapes by name: the network's, then the noise's."""
+        shapes = Mlp.shapes(obs_dim, hiddens, action_dim, "pi.")
         if strategy in ("gsde", "lattice"):
-            noise = NoiseStdMatrices.create(action_dim, self.net.latent_dim, cfg)
-            self.params["log_std_x"] = noise.log_std_x
-            self.params["log_std_a"] = noise.log_std_a
+            n_latent = [obs_dim, *hiddens][-1]
+            shapes.update(NoiseStdMatrices.shapes(action_dim, n_latent, cfg))
         else:
-            self.params["log_sigma"] = np.full(action_dim,
-                                               float(cfg.init_log_std))
+            shapes["log_sigma"] = (action_dim,)
+        return shapes
 
     @property
     def alpha(self) -> float:

@@ -107,13 +107,15 @@ class Adam:
         self.t = 0
         self.m_flat, self.m = flat_layout(shapes)
         self.v_flat, self.v = flat_layout(shapes)
-        if flat.shape != self.m_flat.shape:
-            raise ValueError(f"flat parameters have shape {flat.shape}, the "
-                             f"layout needs {self.m_flat.shape}")
         self._segments = flat_segments(shapes)
+        self._skip = None
+        self._skip_runs = []
 
     def _runs(self, skip) -> list[tuple[int, int]]:
-        """The contiguous [start, stop) runs of the segments not in skip."""
+        """The contiguous [start, stop) runs of the segments not in skip,
+        kept for the last skip set seen."""
+        if skip == self._skip:
+            return self._skip_runs
         unknown = set(skip) - self._segments.keys()
         if unknown:
             raise ValueError(f"skip names no parameter: {sorted(unknown)}")
@@ -125,15 +127,13 @@ class Adam:
                 runs[-1] = (runs[-1][0], b)
             else:
                 runs.append((a, b))
+        self._skip, self._skip_runs = frozenset(skip), runs
         return runs
 
     def step(self, grad: np.ndarray, skip: set[str] = frozenset()):
         """One update from the flat gradient grad (the parameters' layout),
         leaving the segments named in skip, and their moments, as they
         are."""
-        if grad.shape != self.flat.shape:
-            raise ValueError(f"gradient has shape {grad.shape}, expected "
-                             f"{self.flat.shape}")
         runs = self._runs(skip)
         if self.lr == 0.0:
             return
@@ -202,21 +202,19 @@ class PPOTrainer:
         self.obs_dim = self.envs.obs_dim
         self.action_dim = self.envs.action_dim
 
+        # every parameter is a view of one flat vector: policy keys, then
+        # value keys, each in its network's order. The networks draw their
+        # initial weights into the views and share the one dict.
+        shapes = {**MlpPolicy.shapes(self.obs_dim, self.action_dim, self.cfg,
+                                     strategy, self.hiddens),
+                  **Mlp.shapes(self.obs_dim, self.critic_hiddens, 1, "v.")}
+        self.flat_params, self.params = flat_layout(shapes)
         self.policy = MlpPolicy(self.obs_dim, self.action_dim, self.cfg,
                                 strategy=strategy, hiddens=self.hiddens,
-                                activation=activation, rng=init_rng)
+                                activation=activation, rng=init_rng,
+                                params=self.params)
         self.value_net = Mlp(init_rng, self.obs_dim, self.critic_hiddens, 1,
-                             activation, prefix="v.")
-        # every parameter is a view of one flat vector: policy keys, then
-        # value keys, each in its network's order
-        init = {**self.policy.params, **self.value_net.params}
-        shapes = {k: v.shape for k, v in init.items()}
-        self.flat_params, self.params = flat_layout(shapes)
-        for k, v in init.items():
-            self.params[k][...] = v
-        self.value_net.params = self.params
-        self.policy.params = self.params
-        self.policy.net.params = self.params
+                             activation, prefix="v.", params=self.params)
 
         self.optimizer = Adam(self.flat_params, shapes, self.ppo.learning_rate)
         self.skip: set[str] = set()
@@ -352,8 +350,10 @@ class PPOTrainer:
                     - self.ppo.entropy_coef * float(np.mean(ent))
                 # a finite norm means finite gradients; an infinite one can
                 # also come from finite gradients whose squares overflow,
-                # which the clip then scales to zero
-                norm = tape.global_norm()
+                # which the clip has scaled to zero. A NaN norm leaves the
+                # gradients unscaled, and an Inf gradient scaled by zero is
+                # NaN, so non_finite() names the same keys either way.
+                norm = tape.clip_global_norm(self.ppo.max_grad_norm)
                 if not np.isfinite(total) or not (math.isfinite(norm)
                                                   or tape.all_finite()):
                     bad = tape.non_finite()
@@ -362,7 +362,6 @@ class PPOTrainer:
                     raise NonFiniteLoss(
                         f"non-finite {culprit} in epoch {epoch}, minibatch "
                         f"starting at {start}")
-                tape.clip_global_norm(self.ppo.max_grad_norm, norm)
                 self.optimizer.step(tape.flat, skip=self.skip)
 
                 with np.errstate(over="ignore"):
