@@ -8,7 +8,8 @@ import numpy as np
 from scipy.stats import wilcoxon
 
 from .envs import clipped_action
-from .errors import EmptyGroup, InsufficientSamples, StateSyncUnsupported
+from .errors import (EmptyGroup, InsufficientSamples, StateSyncUnsupported,
+                     is_int)
 from .exploration import LatticeConfig, clip_std, sampling_log_std
 from .policy import MlpPolicy, dist_internals
 
@@ -17,17 +18,19 @@ from .policy import MlpPolicy, dist_internals
 
 class MlpPolicyAdapter:
     """Exposes an MlpPolicy's last-layer latent and final linear map for the
-    paired-simulation protocol."""
+    paired-simulation protocol, a batch of rows per call."""
 
     def __init__(self, policy: MlpPolicy):
         self.policy = policy
 
     def latent(self, obs: np.ndarray) -> np.ndarray:
-        x, _ = self.policy.forward(np.atleast_2d(obs))
-        return x[0]
+        """Latents (n, N_x) of observations (n, obs_dim)."""
+        x, _ = self.policy.forward(obs)
+        return x
 
     def action_from_latent(self, lat: np.ndarray) -> np.ndarray:
-        return self.policy.W @ lat + self.policy.b
+        """Mean actions (n, N_a) of latents (n, N_x)."""
+        return lat @ self.policy.W.T + self.policy.b
 
 
 # --------------------------------------------------------- dual simulation
@@ -53,65 +56,111 @@ class DualSimResult:
     wilcoxon_p: float = float("nan")
 
 
+def _check_n_steps(n_steps, least: int):
+    if not is_int(n_steps) or n_steps < least:
+        raise ValueError(f"n_steps must be an int >= {least}, "
+                         f"got {n_steps!r}")
+
+
 def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
                         n_steps: int,
                         rng: np.random.Generator) -> DualSimCondition:
     """Run paired noisy / noise-free steps from identical states.
 
-    Each step advances two copies of the env's state in one env.advance,
-    row 0 under the clean action and row 1 under the noisy one. The env
-    then continues from the noisy row, so deviations are per-step, not
-    cumulative.
+    Step t of the result is step t % T of episode t // T (T = max_steps),
+    and every episode starts from its own env.initial_state(env.rng). Each
+    step advances the clean action in row 0 and the noisy one in row 1 of
+    a copy of the episode's state; the episode continues from the noisy
+    row, so deviations are per-step, not cumulative. The episodes are
+    independent, so they are played as rows of one state of shape
+    (2, episodes, ...): a time step is one policy forward over every
+    episode still running. The noise is one (n_steps, width) draw from
+    rng, N_x wide in latent mode and N_a wide in action mode, scaled by
+    sigma_match.
+
+    policy.latent maps observations (n, obs_dim) to latents (n, N_x) and
+    policy.action_from_latent maps latents (n, N_x) to actions (n, N_a).
+
+    env's state fields and step count are left as they were. env.rng
+    draws n_steps // T + 1 episode starts, the resets a single env
+    stepped n_steps times from a reset makes, the last unused when T
+    divides n_steps. An n_steps that is not an int >= 1, or a sigma_match
+    that is not finite and >= 0 or does not broadcast to the noise width,
+    raises ValueError before env.rng or rng draws.
     """
-    if not all(hasattr(env, name)
-               for name in ("state_fields", "advance", "kinematics")):
+    missing = [name for name in ("state_fields", "initial_state", "advance",
+                                 "observation", "kinematics", "max_steps",
+                                 "action_dim", "rng")
+               if not hasattr(env, name)]
+    if missing:
         raise StateSyncUnsupported(
-            f"{type(env).__name__} does not expose state_fields, advance "
-            f"and kinematics")
+            f"{type(env).__name__} does not expose {', '.join(missing)}")
     if noise_mode not in ("latent", "action"):
         raise ValueError("noise_mode must be 'latent' or 'action'")
+    _check_n_steps(n_steps, 1)
     sigma = np.asarray(sigma_match, dtype=float)
-    env.reset()
+    if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+        raise ValueError("sigma_match must be finite and >= 0")
+    if sigma.ndim:
+        # an array sigma is checked against the noise width; the latent
+        # width comes from a forward of the env's current state, which
+        # draws nothing
+        width = env.action_dim if noise_mode == "action" else \
+            policy.latent(env.observation(env)[None]).shape[-1]
+        if sigma.shape not in ((1,), (width,)):
+            raise ValueError(f"sigma_match of shape {sigma.shape} does not "
+                             f"broadcast to the noise width {width}")
+
+    T = env.max_steps
+    n_episodes = -(-n_steps // T)
+    starts = [env.initial_state(env.rng)
+              for _ in range(n_steps // T + 1)][:n_episodes]
+    pair = SimpleNamespace()
+    for i, name in enumerate(env.state_fields):
+        rows = np.array([start[i] for start in starts], dtype=float)
+        setattr(pair, name, np.array([rows, rows]))
     eps = None
-    angle_dev = []
-    accel_dev = []
-    action_noise = []
-    for t in range(n_steps):
-        lat = policy.latent(env.observe())
+    devs = None
+    for j in range(min(n_steps, T)):
+        # steps j, j + T, ... of the result: one per episode still running
+        m = len(range(j, n_steps, T))
+        for name in env.state_fields:
+            setattr(pair, name, getattr(pair, name)[:, :m])
+        lat = policy.latent(env.observation(pair)[1])
         a_clean = policy.action_from_latent(lat)
         if eps is None:
-            # one draw of every step's noise: for a Generator the same
-            # stream as a draw per step
-            eps = rng.standard_normal(
-                (n_steps,) + (lat if noise_mode == "latent" else a_clean).shape)
+            eps = np.empty((n_steps, lat.shape[-1] if noise_mode == "latent"
+                            else env.action_dim))
+            rng.standard_normal(out=eps)
             eps *= sigma
         if noise_mode == "latent":
-            a_noisy = policy.action_from_latent(lat + eps[t])
+            a_noisy = policy.action_from_latent(lat + eps[j::T])
         else:
-            a_noisy = a_clean + eps[t]
-        action_noise.append(a_noisy - a_clean)
-        pair = SimpleNamespace(**{name: np.array([getattr(env, name)] * 2)
-                                  for name in env.state_fields})
+            a_noisy = a_clean + eps[j::T]
         _, _, accel = env.advance(pair, clipped_action(
-            np.stack([a_clean, a_noisy]), (2, env.action_dim)))
-        accel_dev.append(np.atleast_1d(accel[1] - accel[0]))
+            np.stack([a_clean, a_noisy]), (2, m, env.action_dim)))
         kin = env.kinematics(pair)
-        angle_dev.append(kin[1] - kin[0])
+        step = {"angle_dev": kin[1] - kin[0],
+                "accel_dev": (accel[1] - accel[0]).reshape(m, -1),
+                "action_noise": a_noisy - a_clean}
+        if devs is None:
+            devs = {k: np.empty((n_steps,) + d.shape[1:])
+                    for k, d in step.items()}
+        for k, d in step.items():
+            devs[k][j::T] = d
         for name in env.state_fields:
-            setattr(env, name, getattr(pair, name)[1])
-        env.step_count += 1
-        if env.step_count >= env.max_steps:
-            env.reset()
-    return DualSimCondition(angle_dev=np.asarray(angle_dev),
-                            accel_dev=np.asarray(accel_dev),
-                            action_noise=np.asarray(action_noise))
+            getattr(pair, name)[0] = getattr(pair, name)[1]
+    return DualSimCondition(**devs)
 
 
 def matched_dual_sim(env, policy, sigma_latent: float, n_steps: int,
                      rng: np.random.Generator) -> DualSimResult:
     """Latent-noise run first; its induced per-action variances calibrate the
     action-noise run, so any distribution difference comes from the
-    off-diagonal structure only."""
+    off-diagonal structure only. Both runs play on env, the action run
+    taking the episode starts that follow the latent run's; n_steps >= 2,
+    since the variances need two samples."""
+    _check_n_steps(n_steps, 2)
     latent_cond = dual_sim_experiment(env, policy, "latent", sigma_latent,
                                       n_steps, rng)
     sigma_match = latent_cond.action_noise.std(axis=0)

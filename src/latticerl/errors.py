@@ -63,5 +63,5 @@ class ConfigError(LatticeError):
 
 class StateSyncUnsupported(LatticeError):
     """The environment does not expose the state interface paired
-    simulation steps copies of its state with (state_fields, advance,
-    kinematics)."""
+    simulation steps copies of its state with (state_fields, initial_state,
+    advance, observation, kinematics, max_steps, action_dim, rng)."""

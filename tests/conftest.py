@@ -120,20 +120,24 @@ def linear_ideal_policy(delta_theta: float) -> tuple[float, float]:
 
 
 class LinearArmPolicy:
-    """Deterministic linear controller for the flexor-extensor arm; its
-    latent is the angle error, broadcast into both actuator groups."""
+    """Deterministic linear controller for the flexor-extensor arm, a batch
+    of rows per call; its latent is the angle error, broadcast into both
+    actuator groups."""
 
     def __init__(self, n_extensors: int = 1, n_flexors: int = 1):
         self.n_extensors = n_extensors
         self.n_flexors = n_flexors
 
     def latent(self, obs: np.ndarray) -> np.ndarray:
-        return np.array([obs[0]])
+        return obs[:, :1]
 
     def action_from_latent(self, lat: np.ndarray) -> np.ndarray:
-        a_e, a_f = linear_ideal_policy(float(lat[0]))
-        return np.concatenate([np.full(self.n_extensors, a_e),
-                               np.full(self.n_flexors, a_f)])
+        # linear_ideal_policy, row by row
+        a_e = np.clip(0.5 + lat, 0.0, 1.0)
+        a_f = np.clip(0.5 - lat, 0.0, 1.0)
+        return np.concatenate([np.repeat(a_e, self.n_extensors, axis=1),
+                               np.repeat(a_f, self.n_flexors, axis=1)],
+                              axis=1)
 
 
 @pytest.fixture

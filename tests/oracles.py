@@ -10,8 +10,9 @@ action_distribution has mean W x without the policy head's bias, so it is
 an oracle for the noise model rather than for a whole policy.
 
 dual_sim_experiment is the step-by-step form of the paired simulation that
-analysis runs as one two-row step, on a single env whose state get_state
-and set_state save and restore. run_episodes is the sequential form of the
+analysis plays as episode rows of one two-row state, on a single env whose
+state get_state and set_state save and restore; it calls the row-batched
+policy protocol one row at a time. run_episodes is the sequential form of the
 evaluation loop that trainer.run_episodes plays as rows of one batch.
 
 Adam and global_norm are the per-parameter forms of the optimizer step and
@@ -207,11 +208,11 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
     for _ in range(n_steps):
         state = get_state(env)
         obs = env.observe()
-        lat = policy.latent(obs)
-        a_clean = policy.action_from_latent(lat)
+        lat = policy.latent(obs[None])[0]
+        a_clean = policy.action_from_latent(lat[None])[0]
         if noise_mode == "latent":
             eps = rng.standard_normal(lat.shape) * sigma
-            a_noisy = policy.action_from_latent(lat + eps)
+            a_noisy = policy.action_from_latent((lat + eps)[None])[0]
         else:
             eps = rng.standard_normal(a_clean.shape) * sigma
             a_noisy = a_clean + eps

@@ -35,6 +35,43 @@ def lattice_policy(seed=0, obs_dim=2, action_dim=4, hiddens=(6, 5),
                      hiddens=hiddens, rng=rng), cfg
 
 
+class RowByRowAdapter(MlpPolicyAdapter):
+    """MlpPolicyAdapter whose batched calls run one 1-row product per row,
+    so a batched caller rounds as the one-row oracle does."""
+
+    def latent(self, obs):
+        return np.concatenate([super(RowByRowAdapter, self).latent(o[None])
+                               for o in obs])
+
+    def action_from_latent(self, lat):
+        return np.concatenate([super(RowByRowAdapter, self)
+                               .action_from_latent(x[None]) for x in lat])
+
+
+class Counting:
+    """Forwards to obj, counting the calls of the named methods."""
+
+    def __init__(self, obj, *names):
+        self.calls = dict.fromkeys(names, 0)
+        self._obj = obj
+
+    def __getattr__(self, name):
+        value = getattr(self._obj, name)
+        if name not in self.calls:
+            return value
+
+        def counted(*args):
+            self.calls[name] += 1
+            return value(*args)
+        return counted
+
+
+def assert_conditions_equal(got, want):
+    for name in ("angle_dev", "accel_dev", "action_noise"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestDualSim:
     def test_zero_noise_no_deviation(self):
         env = FlexExtArm(n_flexors=1, n_extensors=1, seed=0)
@@ -51,7 +88,27 @@ class TestDualSim:
     @pytest.mark.parametrize("mode", ["latent", "action"])
     def test_paired_step_matches_step_by_step(self, env_cls, obs_dim,
                                               action_dim, mode):
-        # 250 steps cross two episode ends (max_steps 100)
+        # 250 steps: two full episodes (max_steps 100) and a partial one
+        policy, _ = lattice_policy(seed=8, obs_dim=obs_dim,
+                                   action_dim=action_dim, hiddens=(16, 16))
+        adapter = RowByRowAdapter(policy)
+        sigma = 0.3 if mode == "latent" else np.linspace(0.1, 0.4,
+                                                         action_dim)
+        envs = [env_cls(seed=4), env_cls(seed=4)]
+        got, want = (
+            run(env, adapter, mode, sigma, 250, np.random.default_rng(9))
+            for run, env in zip((dual_sim_experiment,
+                                 oracles.dual_sim_experiment), envs))
+        assert_conditions_equal(got, want)
+        assert (envs[0].rng.bit_generator.state
+                == envs[1].rng.bit_generator.state)
+
+    @pytest.mark.parametrize("env_cls,obs_dim,action_dim", [
+        (FlexExtArm, 2, 6), (PointReacher, 4, 8)])
+    @pytest.mark.parametrize("mode", ["latent", "action"])
+    def test_mlp_adapter_matches_step_by_step(self, env_cls, obs_dim,
+                                              action_dim, mode):
+        # the batched products round differently from the 1-row ones
         policy, _ = lattice_policy(seed=8, obs_dim=obs_dim,
                                    action_dim=action_dim, hiddens=(16, 16))
         adapter = MlpPolicyAdapter(policy)
@@ -62,8 +119,70 @@ class TestDualSim:
                 np.random.default_rng(9))
             for run in (dual_sim_experiment, oracles.dual_sim_experiment))
         for name in ("angle_dev", "accel_dev", "action_noise"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(want, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("n_steps", [60, 50, 7])
+    def test_matched_matches_step_by_step_conditions(self, n_steps):
+        # max_steps 20: a multiple of it, a partial last episode, and less
+        # than one episode; the action condition continues on the env, so
+        # it must see the episode starts the oracle's resets see
+        policy, _ = lattice_policy(seed=3, obs_dim=2, action_dim=6,
+                                   hiddens=(8, 8))
+        adapter = RowByRowAdapter(policy)
+        env, ref_env = (FlexExtArm(max_steps=20, seed=5) for _ in range(2))
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        result = matched_dual_sim(env, adapter, 0.2, n_steps, rng)
+        latent = oracles.dual_sim_experiment(ref_env, adapter, "latent", 0.2,
+                                             n_steps, ref_rng)
+        sigma_match = latent.action_noise.std(axis=0)
+        action = oracles.dual_sim_experiment(ref_env, adapter, "action",
+                                             sigma_match, n_steps, ref_rng)
+        assert_conditions_equal(result.latent, latent)
+        assert_conditions_equal(result.action, action)
+        assert result.sigma_match.tobytes() == sigma_match.tobytes()
+        assert (env.rng.bit_generator.state
+                == ref_env.rng.bit_generator.state)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_steps", [250, 30])
+    @pytest.mark.parametrize("mode", ["latent", "action"])
+    def test_one_forward_and_advance_per_time_step(self, n_steps, mode):
+        policy, _ = lattice_policy(seed=8, obs_dim=2, action_dim=6,
+                                   hiddens=(16, 16))
+        counted = Counting(MlpPolicyAdapter(policy), "latent")
+        env = FlexExtArm(seed=4)
+        advance = env.advance
+
+        def counted_advance(s, a):
+            counted_advance.calls += 1
+            return advance(s, a)
+        counted_advance.calls = 0
+        env.advance = counted_advance
+        sigma = 0.3 if mode == "latent" else np.full(6, 0.2)
+        dual_sim_experiment(env, counted, mode, sigma, n_steps,
+                            np.random.default_rng(9))
+        assert counted.calls["latent"] <= env.max_steps
+        assert counted_advance.calls == min(n_steps, env.max_steps)
+
+    @pytest.mark.parametrize("name", [
+        "state_fields", "initial_state", "advance", "observation",
+        "kinematics", "max_steps", "action_dim", "rng"])
+    def test_requires_each_env_attribute(self, name):
+        class Without:
+            def __init__(self, env):
+                self._env = env
+
+            def __getattr__(self, attr):
+                if attr == name:
+                    raise AttributeError(attr)
+                return getattr(self._env, attr)
+
+        with pytest.raises(StateSyncUnsupported, match=name):
+            dual_sim_experiment(Without(FlexExtArm(seed=0)),
+                                LinearArmPolicy(3, 3), "latent", 0.1, 10,
+                                np.random.default_rng(0))
 
     def test_requires_state_sync(self):
         class NoSync:
@@ -79,6 +198,40 @@ class TestDualSim:
         with pytest.raises(ValueError):
             dual_sim_experiment(env, LinearArmPolicy(), "parameter", 0.1, 10,
                                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("run,mode,sigma,n_steps", [
+        ("single", "latent", 0.1, 0),
+        ("single", "action", 0.1, -3),
+        ("single", "latent", 0.1, 2.5),
+        ("single", "latent", 0.1, True),
+        ("single", "latent", -0.1, 10),
+        ("single", "latent", np.nan, 10),
+        ("single", "action", [0.1, np.inf, 0, 0, 0, 0], 10),
+        ("single", "action", np.full(3, 0.1), 10),
+        ("single", "latent", np.full(3, 0.1), 10),
+        ("single", "action", np.full((1, 6), 0.1), 10),
+        ("matched", "latent", 0.1, 1),
+        ("matched", "latent", 0.1, 2.5),
+        ("matched", "latent", -0.1, 10),
+        ("matched", "latent", np.nan, 10),
+    ])
+    def test_bad_arguments_fail_before_drawing(self, run, mode, sigma,
+                                               n_steps):
+        # 3+3 arm, 16 latents: a (3,) sigma fits neither noise width
+        policy, _ = lattice_policy(seed=8, obs_dim=2, action_dim=6,
+                                   hiddens=(16, 16))
+        adapter = MlpPolicyAdapter(policy)
+        env = FlexExtArm(seed=4)
+        rng = np.random.default_rng(9)
+        env_state = env.rng.bit_generator.state
+        rng_state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            if run == "single":
+                dual_sim_experiment(env, adapter, mode, sigma, n_steps, rng)
+            else:
+                matched_dual_sim(env, adapter, sigma, n_steps, rng)
+        assert env.rng.bit_generator.state == env_state
+        assert rng.bit_generator.state == rng_state
 
     def test_matched_ratio_is_two(self):
         env = FlexExtArm(n_flexors=1, n_extensors=1, seed=2)
@@ -103,11 +256,11 @@ class TestDualSim:
     def test_mlp_adapter_latent_and_action(self):
         policy, cfg = lattice_policy(seed=6)
         adapter = MlpPolicyAdapter(policy)
-        obs = np.array([0.3, -0.1])
+        obs = np.array([[0.3, -0.1], [-0.2, 0.4], [0.0, 0.05]])
+        x, mean = policy.forward(obs)
         lat = adapter.latent(obs)
-        np.testing.assert_array_equal(lat, policy.forward(obs[None])[0][0])
-        np.testing.assert_allclose(adapter.action_from_latent(lat),
-                                   policy.forward(obs[None])[1][0],
+        np.testing.assert_array_equal(lat, x)
+        np.testing.assert_allclose(adapter.action_from_latent(lat), mean,
                                    atol=1e-12)
 
 
