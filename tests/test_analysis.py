@@ -40,12 +40,12 @@ class RowByRowAdapter(MlpPolicyAdapter):
     so a batched caller rounds as the one-row oracle does."""
 
     def latent(self, obs):
-        return np.concatenate([super(RowByRowAdapter, self).latent(o[None])
+        return np.concatenate([MlpPolicyAdapter.latent(self, o[None])
                                for o in obs])
 
     def action_from_latent(self, lat):
-        return np.concatenate([super(RowByRowAdapter, self)
-                               .action_from_latent(x[None]) for x in lat])
+        return np.concatenate([MlpPolicyAdapter.action_from_latent(
+            self, x[None]) for x in lat])
 
 
 class Counting:
@@ -152,19 +152,12 @@ class TestDualSim:
         policy, _ = lattice_policy(seed=8, obs_dim=2, action_dim=6,
                                    hiddens=(16, 16))
         counted = Counting(MlpPolicyAdapter(policy), "latent")
-        env = FlexExtArm(seed=4)
-        advance = env.advance
-
-        def counted_advance(s, a):
-            counted_advance.calls += 1
-            return advance(s, a)
-        counted_advance.calls = 0
-        env.advance = counted_advance
+        env = Counting(FlexExtArm(seed=4), "advance")
         sigma = 0.3 if mode == "latent" else np.full(6, 0.2)
         dual_sim_experiment(env, counted, mode, sigma, n_steps,
                             np.random.default_rng(9))
         assert counted.calls["latent"] <= env.max_steps
-        assert counted_advance.calls == min(n_steps, env.max_steps)
+        assert env.calls["advance"] == min(n_steps, env.max_steps)
 
     @pytest.mark.parametrize("name", [
         "state_fields", "initial_state", "advance", "observation",
