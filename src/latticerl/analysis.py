@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.stats import wilcoxon
 
 from .envs import clipped_action
 from .errors import (EmptyGroup, InsufficientSamples, StateSyncUnsupported,
@@ -179,6 +178,8 @@ def matched_dual_sim(env, policy, sigma_latent: float, n_steps: int,
     if np.allclose(lat_mag, act_mag):
         p_value = 1.0
     else:
+        # Imported here: scipy.stats alone takes most of a second to load.
+        from scipy.stats import wilcoxon
         p_value = float(wilcoxon(lat_mag, act_mag).pvalue)
     return DualSimResult(latent=latent_cond, action=action_cond,
                          sigma_match=sigma_match,

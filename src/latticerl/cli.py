@@ -16,7 +16,8 @@ import numpy as np
 from . import analysis
 from .config import RunConfig
 from .envs import make_env
-from .errors import ConfigError, LatticeError, UnknownAnalysisKind
+from .errors import (ConfigError, LatticeError, UnknownAnalysisKind,
+                     is_number)
 from .reports import CurveWriter, read_json, write_json, write_matrix_csv
 from .trainer import (
     PPOTrainer,
@@ -229,23 +230,56 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# compare's columns from a run's metrics.json, by dotted field
+COMPARE_METRICS = (("reward_mean", "reward.mean"),
+                   ("reward_sem", "reward.sem"),
+                   ("solved_mean", "solved_fraction.mean"),
+                   ("solved_sem", "solved_fraction.sem"),
+                   ("energy_mean", "energy.mean"),
+                   ("energy_sem", "energy.sem"))
+
+
+def _read_run_file(path: Path) -> dict:
+    """A run directory's JSON object; a malformed file is a LatticeError
+    that names it."""
+    try:
+        doc = read_json(path)
+    except ValueError as exc:
+        raise LatticeError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise LatticeError(f"{path}: expected a JSON object")
+    return doc
+
+
+def _run_field(doc: dict, path: Path, field: str):
+    """doc's value at the dotted field, or a LatticeError naming the file
+    and the field."""
+    value = doc
+    for key in field.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise LatticeError(f"{path}: missing field {field!r}")
+        value = value[key]
+    return value
+
+
 def _cmd_compare(args) -> int:
     rows = []
     for run_dir in args.runs:
-        metrics = read_json(Path(run_dir) / "metrics.json")
-        config = read_json(Path(run_dir) / "config.json")
-        rows.append({
-            "run": str(run_dir),
-            "strategy": config["strategy"],
-            "seed": config["seed"],
-            "env_steps": metrics.get("env_steps"),
-            "reward_mean": metrics["reward"]["mean"],
-            "reward_sem": metrics["reward"]["sem"],
-            "solved_mean": metrics["solved_fraction"]["mean"],
-            "solved_sem": metrics["solved_fraction"]["sem"],
-            "energy_mean": metrics["energy"]["mean"],
-            "energy_sem": metrics["energy"]["sem"],
-        })
+        metrics_path = Path(run_dir) / "metrics.json"
+        config_path = Path(run_dir) / "config.json"
+        metrics = _read_run_file(metrics_path)
+        config = _read_run_file(config_path)
+        row = {"run": str(run_dir),
+               "strategy": _run_field(config, config_path, "strategy"),
+               "seed": _run_field(config, config_path, "seed"),
+               "env_steps": metrics.get("env_steps")}
+        for column, field in COMPARE_METRICS:
+            value = _run_field(metrics, metrics_path, field)
+            if not is_number(value):
+                raise LatticeError(
+                    f"{metrics_path}: field {field!r} is not a number")
+            row[column] = value
+        rows.append(row)
     payload = {"runs": rows}
     if args.out is not None:
         write_json(args.out, payload)

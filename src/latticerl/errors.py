@@ -38,7 +38,17 @@ class NonFiniteAction(LatticeError):
 
 
 class NonFiniteLoss(LatticeError):
-    """A PPO update produced a NaN or infinite loss."""
+    """A PPO update produced a NaN or infinite loss. epoch and start name
+    the failing minibatch; last_stats holds the running means of the
+    update's statistics over the minibatches before it (empty if it was
+    the first)."""
+
+    def __init__(self, message: str, epoch: int | None = None,
+                 start: int | None = None, last_stats: dict | None = None):
+        super().__init__(message)
+        self.epoch = epoch
+        self.start = start
+        self.last_stats = dict(last_stats or {})
 
 
 class InsufficientSamples(LatticeError):

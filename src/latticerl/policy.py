@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .exploration import (
@@ -44,10 +43,13 @@ def _tanh_d(z):
 
 
 def _gelu(z):
+    # imported on use, so relu and tanh networks never load scipy
+    from scipy.special import erf
     return 0.5 * z * (1.0 + erf(z / _SQRT2))
 
 
 def _gelu_d(z):
+    from scipy.special import erf
     phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     return 0.5 * (1.0 + erf(z / _SQRT2)) + z * phi
 

@@ -361,7 +361,9 @@ class PPOTrainer:
                         else "loss"
                     raise NonFiniteLoss(
                         f"non-finite {culprit} in epoch {epoch}, minibatch "
-                        f"starting at {start}")
+                        f"starting at {start}", epoch=epoch, start=start,
+                        last_stats={k: v / n_batches for k, v in stats.items()}
+                        if n_batches else {})
                 self.optimizer.step(tape.flat, skip=self.skip)
 
                 with np.errstate(over="ignore"):

@@ -3,6 +3,7 @@ noise allocation, and PCA dimensionality."""
 
 import numpy as np
 import pytest
+from scipy.stats import wilcoxon
 
 from latticerl import analysis
 from latticerl.analysis import (
@@ -235,6 +236,10 @@ class TestDualSim:
         # latent and action deviations are distinguishable at 1% significance
         assert result.wilcoxon_p < 0.01
         assert result.angle_variance_ratio > 1.0
+        # the p-value is scipy's signed-rank test on the returned conditions
+        lat_mag = np.linalg.norm(result.latent.angle_dev, axis=1)
+        act_mag = np.linalg.norm(result.action.angle_dev, axis=1)
+        assert result.wilcoxon_p == wilcoxon(lat_mag, act_mag).pvalue
 
     def test_redundancy_amplifies_ratio(self):
         # with n muscles per group the broadcast latent deviation keeps its

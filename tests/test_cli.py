@@ -1,6 +1,10 @@
 """Command-line interface: run directories, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,25 @@ class TestMainEntry:
         assert len(table["runs"]) == 2
         assert table["runs"][0]["strategy"] == "lattice"
 
+    @pytest.mark.parametrize("raw, field", [
+        ("{bad", "not valid JSON"),
+        ('{"reward": {"mean": 1}}', "missing field 'reward.sem'"),
+        ('{"reward": {"mean": 1, "sem": "x"}}',
+         "field 'reward.sem' is not a number"),
+        ("[1]", "expected a JSON object"),
+    ], ids=["json", "missing", "not-number", "not-object"])
+    def test_compare_malformed_metrics_exit_code(self, tmp_path, capsys,
+                                                 raw, field):
+        # a malformed run directory is a runtime error naming file and field
+        run = tmp_path / "run"
+        run.mkdir()
+        write_config(run / "config.json", tiny_config())
+        (run / "metrics.json").write_text(raw)
+        assert main(["compare", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(run / "metrics.json") in err and field in err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -330,3 +353,28 @@ class TestMainEntry:
     def test_analysis_kinds_constant(self):
         assert set(ANALYSIS_KINDS) == {"dual-sim", "covariance", "pca",
                                        "allocation", "energy"}
+
+
+IMPORT_FOOTPRINT = """
+import sys
+import latticerl
+import latticerl.cli
+for argv in (["evaluate", "--checkpoint", sys.argv[1], "--episodes", "2"],
+             ["analyze", "--checkpoint", sys.argv[1], "--analysis",
+              "covariance", "--episodes", "2", "--out", "reports"]):
+    assert latticerl.cli.main(argv) == 0, argv
+print(sorted(m for m in ("scipy.stats", "scipy.special")
+             if m in sys.modules))
+"""
+
+
+def test_relu_cli_does_not_import_scipy(tmp_path):
+    # scipy.stats and scipy.special take most of a second to import; only
+    # GELU activations and the dual-sim analysis use them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT, str(SCHEMA1_CHECKPOINT)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"

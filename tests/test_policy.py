@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import LatticeConfig
@@ -113,6 +114,16 @@ class TestMlpForward:
             h = 1e-6
             num = (f(z + h) - f(z - h)) / (2 * h)
             np.testing.assert_allclose(fd(z), num, atol=1e-6)
+        # GELU, which imports scipy.special.erf on call, against x Phi(x)
+        # and Phi(x) + x phi(x) from erf, tails and zero included
+        f, fd = ACTIVATIONS["gelu"]
+        z = np.array([-40.0, -3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 40.0])
+        cdf = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+        pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        np.testing.assert_array_equal(f(z), z * cdf)
+        np.testing.assert_allclose(fd(z), cdf + z * pdf, rtol=1e-15)
+        assert f(np.array(1.0)) == pytest.approx(0.8413447460685429,
+                                                 rel=1e-15)
 
 
 class TestLatentExposure:

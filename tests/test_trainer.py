@@ -618,6 +618,9 @@ class TestPpoUpdate:
         assert "epoch 0" in message
         assert "gradient of " in message
         assert "v.w0" in message
+        # the first minibatch fails, so there are no finite stats before it
+        assert (info.value.epoch, info.value.start) == (0, 0)
+        assert info.value.last_stats == {}
 
     def test_surrogate_gradient_finite_differences(self,
                                                    small_policy_factory):
@@ -868,24 +871,37 @@ class TestFlatParameters:
 
     def test_infinite_gradient_names_its_key(self, monkeypatch):
         # the clip scales an Inf gradient by 0.7 / inf = 0 to NaN before the
-        # finiteness check, which must still name only that key
-        tr = small_trainer()
-        buf = tr.collect_rollout(8)
-        backward = tr.value_net.backward
+        # finiteness check, which must still name only that key. TINY_PPO
+        # has two minibatches per epoch, so the third is epoch 1's first.
+        for fail_at in (0, 2):
+            tr = small_trainer()
+            buf = tr.collect_rollout(8)
+            backward = tr.value_net.backward
+            calls = []
 
-        def inf_bias_gradient(cache, d_out, tape, **kwargs):
-            out = backward(cache, d_out, tape, **kwargs)
-            tape.grads["v.b0"][0] = np.inf
-            return out
+            def inf_bias_gradient(cache, d_out, tape, **kwargs):
+                out = backward(cache, d_out, tape, **kwargs)
+                if len(calls) == fail_at:
+                    tape.grads["v.b0"][0] = np.inf
+                calls.append(None)
+                return out
 
-        monkeypatch.setattr(tr.value_net, "backward", inf_bias_gradient)
-        before = tr.flat_params.copy()
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NonFiniteLoss) as info:
-            tr.ppo_update(buf)
-        assert "non-finite gradient of v.b0 in epoch 0, minibatch starting " \
-               "at 0" in str(info.value)
-        assert tr.flat_params.tobytes() == before.tobytes()
+            # the same update stopped cleanly before the failing minibatch
+            twin = small_trainer(ppo=dataclasses.replace(TINY_PPO,
+                                                         n_epochs=1))
+            expected = twin.ppo_update(twin.collect_rollout(8)) \
+                if fail_at else {}
+            monkeypatch.setattr(tr.value_net, "backward", inf_bias_gradient)
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NonFiniteLoss) as info:
+                tr.ppo_update(buf)
+            epoch = fail_at // 2
+            assert f"non-finite gradient of v.b0 in epoch {epoch}, " \
+                   "minibatch starting at 0" in str(info.value)
+            assert (info.value.epoch, info.value.start) == (epoch, 0)
+            assert info.value.last_stats == expected
+            # the failing minibatch steps nothing
+            assert tr.flat_params.tobytes() == twin.flat_params.tobytes()
 
     def test_traced_methods_run_once_per_minibatch(self, monkeypatch):
         # the benchmark's per-layer counts (trainer.Adam.step.calls and the
