@@ -13,25 +13,6 @@ from .exploration import LatticeConfig, clip_std, sampling_log_std
 from .policy import MlpPolicy, dist_internals
 
 
-# --------------------------------------------------------------- policies
-
-class MlpPolicyAdapter:
-    """Exposes an MlpPolicy's last-layer latent and final linear map for the
-    paired-simulation protocol, a batch of rows per call."""
-
-    def __init__(self, policy: MlpPolicy):
-        self.policy = policy
-
-    def latent(self, obs: np.ndarray) -> np.ndarray:
-        """Latents (n, N_x) of observations (n, obs_dim)."""
-        x, _ = self.policy.forward(obs)
-        return x
-
-    def action_from_latent(self, lat: np.ndarray) -> np.ndarray:
-        """Mean actions (n, N_a) of latents (n, N_x)."""
-        return lat @ self.policy.W.T + self.policy.b
-
-
 # --------------------------------------------------------- dual simulation
 
 @dataclass
@@ -78,7 +59,8 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
     sigma_match.
 
     policy.latent maps observations (n, obs_dim) to latents (n, N_x) and
-    policy.action_from_latent maps latents (n, N_x) to actions (n, N_a).
+    policy.action_from_latent maps latents (n, N_x) to actions (n, N_a),
+    as an MlpPolicy's do.
 
     env's state fields and step count are left as they were. env.rng
     draws n_steps // T + 1 episode starts, the resets a single env

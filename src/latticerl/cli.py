@@ -51,21 +51,24 @@ def run_training(config: RunConfig, out_dir: Path) -> Path:
     (out_dir / "checkpoints").mkdir(exist_ok=True)
     (out_dir / "reports").mkdir(exist_ok=True)
     config.save(out_dir / "config.json")
+    echo = config.to_dict()
     trainer = trainer_from_config(config)
     curves = CurveWriter(out_dir / "curves.csv")
+
+    def on_update(row, stats):
+        curves.write_row({**row, **stats})
+        u = trainer.updates
+        if config.checkpoint_every and u % config.checkpoint_every == 0:
+            save_checkpoint(out_dir / "checkpoints" / f"update_{u:06d}.json",
+                            trainer, config_echo=echo)
+
     try:
-        trainer.fit(
-            config.total_steps,
-            on_update=lambda row, stats: curves.write_row({**row, **stats}),
-            target_solved=config.target_solved,
-            checkpoint_path_fn=lambda u: out_dir / "checkpoints"
-            / f"update_{u:06d}.json",
-            checkpoint_every=config.checkpoint_every,
-        )
+        trainer.fit(config.total_steps, on_update=on_update,
+                    target_solved=config.target_solved)
     finally:
         curves.close()
     save_checkpoint(out_dir / "checkpoints" / "final.json", trainer,
-                    config_echo=config.to_dict())
+                    config_echo=echo)
     metrics = evaluate_policy(trainer, n_episodes=20, deterministic=False,
                               seed=config.seed)
     metrics["env_steps"] = trainer.env_steps
@@ -90,9 +93,8 @@ def run_analysis(trainer: PPOTrainer, kind: str, out_dir: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "dual-sim":
         env = make_env(trainer.env_name, seed=seed, **trainer.env_kwargs)
-        adapter = analysis.MlpPolicyAdapter(trainer.policy)
         rng = np.random.default_rng(seed)
-        result = analysis.matched_dual_sim(env, adapter, sigma_latent,
+        result = analysis.matched_dual_sim(env, trainer.policy, sigma_latent,
                                            n_steps, rng)
         summary = {
             "accel_variance_ratio": result.accel_variance_ratio,
@@ -125,10 +127,9 @@ def run_analysis(trainer: PPOTrainer, kind: str, out_dir: Path,
         write_json(out_dir / "pca.json", summary)
         return summary
     if kind == "allocation":
-        env = make_env(trainer.env_name, seed=seed, **trainer.env_kwargs)
         _, states = collect_action_log(trainer, episodes, seed)
         fractions = analysis.noise_allocation(trainer.policy, states,
-                                              env.actuator_groups,
+                                              trainer.envs.env.actuator_groups,
                                               trainer.cfg)
         write_json(out_dir / "allocation.json", {"fractions": fractions})
         return {"fractions": fractions}

@@ -230,7 +230,9 @@ class Mlp:
 
 
 class MlpPolicy:
-    """Policy network exposing the last-layer latent and final linear map.
+    """Policy network exposing the last-layer latent and final linear map;
+    latent and action_from_latent serve the paired-simulation protocol of
+    analysis.dual_sim_experiment.
 
     The noise parameters of the configured exploration strategy live in the
     same parameter dict as the network weights; params, when given, holds a
@@ -239,12 +241,10 @@ class MlpPolicy:
 
     def __init__(self, obs_dim: int, action_dim: int, cfg: LatticeConfig,
                  strategy: str = "lattice", hiddens=(256, 256),
-                 activation: str = "relu",
-                 rng: np.random.Generator | None = None,
+                 activation: str = "relu", *, rng: np.random.Generator,
                  params: dict[str, np.ndarray] | None = None):
         if strategy not in ("diagonal", "gsde", "lattice"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        rng = rng if rng is not None else np.random.default_rng()
         self.strategy = strategy
         self.cfg = cfg
         self.obs_dim = obs_dim
@@ -299,6 +299,14 @@ class MlpPolicy:
     def forward(self, obs: np.ndarray, need_cache: bool = False):
         """(latent x, mean action W x + b) for a batch of observations."""
         return self.net.forward(obs, need_cache=need_cache)
+
+    def latent(self, obs: np.ndarray) -> np.ndarray:
+        """Latents (n, N_x) of observations (n, obs_dim)."""
+        return self.forward(obs)[0]
+
+    def action_from_latent(self, lat: np.ndarray) -> np.ndarray:
+        """Mean actions (n, N_a) of latents (n, N_x)."""
+        return lat @ self.W.T + self.b
 
     def n_params(self) -> int:
         return sum(v.size for v in self.params.values())
@@ -429,45 +437,36 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
 
 def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
                        tape: GradientTape, half_inv: np.ndarray,
-                       half_pg: np.ndarray | None = None,
-                       u: np.ndarray | None = None) -> np.ndarray | None:
+                       half_pg: np.ndarray,
+                       u: np.ndarray) -> np.ndarray | None:
     """Chain the weighted dL/dSigma seed
     wG_b = half_pg[b] u_b u_b^T + half_inv[b] Sigma_b^-1 through the
-    covariance construction (half_pg = None drops the u u^T part). Writes
-    log-std (and variance-path W) grads and returns the latent seed
-    d_latent, or None when it vanishes."""
+    covariance construction. Writes log-std (and variance-path W) grads and
+    returns the latent seed d_latent, or None when it vanishes."""
     alpha2 = policy.alpha * policy.alpha
     flow = not cfg.stop_variance_gradient
     if it.eig is not None:
         # in the shared eigenbasis: tr wG_b and <wG_b, W W^T> from |u|^2,
         # |W^T u|^2, sum 1/e and sum lam/e
         inv_e = 1.0 / it.eig
-        g_ca = half_inv * np.sum(inv_e, axis=1)
-        if half_pg is not None:
-            g_ca += half_pg * np.sum(u * u, axis=1)
-        g_ca = g_ca[:, None]
+        g_ca = (half_inv * np.sum(inv_e, axis=1)
+                + half_pg * np.sum(u * u, axis=1))[:, None]
         if alpha2 != 0.0:
-            g_cx = half_inv * (inv_e @ it.lam)
-            if half_pg is not None:
-                wu = u @ policy.W
-                g_cx += half_pg * np.sum(wu * wu, axis=1)
-            g_cx = alpha2 * g_cx[:, None]
+            wu = u @ policy.W
+            g_cx = alpha2 * (half_inv * (inv_e @ it.lam)
+                             + half_pg * np.sum(wu * wu, axis=1))[:, None]
             if flow:
                 # dL/dW = 2 alpha^2 (sum_b c_x,b wG_b) W: a rank-B part plus
                 # V diag(sum_b c_x,b half_inv[b] / e_b) V^T
                 c_x = it.c_x[:, 0]
                 m = (it.basis * ((c_x * half_inv) @ inv_e)) @ it.basis.T
-                if half_pg is not None:
-                    m += (u * (c_x * half_pg)[:, None]).T @ u
+                m += (u * (c_x * half_pg)[:, None]).T @ u
                 grad_w = (2.0 * alpha2) * (m @ policy.W)
     else:
         n_a = policy.action_dim
         idx = np.arange(n_a)
-        if half_pg is not None:
-            wG = (half_pg[:, None] * u)[:, :, None] * u[:, None, :]
-            wG += half_inv[:, None, None] * it.full_inv
-        else:
-            wG = half_inv[:, None, None] * it.full_inv
+        wG = (half_pg[:, None] * u)[:, :, None] * u[:, None, :]
+        wG += half_inv[:, None, None] * it.full_inv
         g_ca = wG[:, idx, idx]  # (B, N_a) = dL/dc_a
         if alpha2 != 0.0:
             # dL/dc_x = alpha^2 * w_k^T G w_k
@@ -528,17 +527,14 @@ def log_prob(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
 
 
 def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
-                    tape: GradientTape, it: DistInternals,
-                    w_pg: np.ndarray | None = None,
-                    w_ent: np.ndarray | None = None,
-                    terms: tuple | None = None):
-    """Accumulate sum_b w_pg[b] dlogp_b/dtheta + w_ent[b] dH_b/dtheta.
+                    tape: GradientTape, it: DistInternals, terms: tuple,
+                    w_pg: np.ndarray, w_ent: np.ndarray):
+    """Accumulate sum_b w_pg[b] dlogp_b/dtheta + w_ent[b] dH_b/dtheta, where
+    terms = log_prob_terms(...) of the same internals.
 
     Both terms reach the policy through the mean seed -w_pg u and one
     covariance seed wG = w_pg (u u^T - Sigma^-1) / 2 + w_ent Sigma^-1 / 2,
-    so the covariance and the network are each differentiated once. A
-    weight of None drops its term; w_pg needs terms = log_prob_terms(...)
-    of the same internals.
+    so the covariance and the network are each differentiated once.
 
     With stop_variance_gradient set, the variance-path contributions into the
     network weights are suppressed while the log-std matrices still receive
@@ -546,46 +542,34 @@ def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
     """
     if it.cache is None:
         raise ValueError("internals were built without a forward cache")
-    if w_pg is not None:
-        _, d, u = terms
-        d_mean = -(w_pg[:, None] * u)
-    else:
-        d_mean = np.zeros_like(it.mean)
+    _, d, u = terms
     if it.kind == "diagonal":
         # the two log_sigma terms as separate adds, log-prob first
-        if w_pg is not None:
-            var = it.sigma * it.sigma
-            tape.add("log_sigma",
-                     np.sum(w_pg[:, None] * (d * d / var - 1.0), axis=0))
-        if w_ent is not None:
-            tape.add("log_sigma",
-                     np.full(policy.action_dim, float(np.sum(w_ent))))
+        var = it.sigma * it.sigma
+        tape.add("log_sigma",
+                 np.sum(w_pg[:, None] * (d * d / var - 1.0), axis=0))
+        tape.add("log_sigma", np.full(policy.action_dim, float(np.sum(w_ent))))
         d_latent = None
     else:
-        half_ent = 0.0 if w_ent is None else 0.5 * w_ent
-        if w_pg is not None:
-            half_pg = 0.5 * w_pg
-            d_latent = _variance_backward(policy, it, cfg, tape,
-                                          half_ent - half_pg, half_pg, u)
-        else:
-            d_latent = _variance_backward(policy, it, cfg, tape, half_ent)
-    if w_pg is not None or d_latent is not None:
-        policy.net.backward(it.cache, d_mean, tape, d_latent=d_latent)
+        half_pg = 0.5 * w_pg
+        d_latent = _variance_backward(policy, it, cfg, tape,
+                                      0.5 * w_ent - half_pg, half_pg, u)
+    policy.net.backward(it.cache, -(w_pg[:, None] * u), tape,
+                        d_latent=d_latent)
 
 
 def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
-                      cfg: LatticeConfig, tape: GradientTape | None,
+                      cfg: LatticeConfig, tape: GradientTape,
                       weights: np.ndarray | None = None,
                       internals: DistInternals | None = None) -> np.ndarray:
-    """Batched log pi(a | s); optionally accumulates sum_b w_b dlogp_b/dtheta
-    (policy_backward without the entropy term)."""
+    """Batched log pi(a | s); accumulates sum_b w_b dlogp_b/dtheta
+    (policy_backward with a zero entropy weight)."""
     it = internals if internals is not None else dist_internals(
-        policy, obs, cfg, need_cache=tape is not None)
+        policy, obs, cfg, need_cache=True)
     terms = log_prob_terms(policy, it, actions)
-    if tape is not None:
-        w = np.ones(len(terms[0])) if weights is None \
-            else np.asarray(weights, float)
-        policy_backward(policy, cfg, tape, it, w_pg=w, terms=terms)
+    w = np.ones(len(terms[0])) if weights is None \
+        else np.asarray(weights, float)
+    policy_backward(policy, cfg, tape, it, terms, w, np.zeros_like(w))
     return terms[0]
 
 
@@ -601,8 +585,9 @@ def entropy_and_grad(policy: MlpPolicy, cfg: LatticeConfig,
                      tape: GradientTape, it: DistInternals,
                      weights: np.ndarray | None = None) -> np.ndarray:
     """Batched entropy; accumulates sum_b w_b dH_b/dtheta into the tape
-    (policy_backward without the log-prob term)."""
+    (policy_backward with a zero log-prob weight, at the mean actions)."""
     h = entropy_batch(policy, it)
     w = np.ones(len(h)) if weights is None else np.asarray(weights, float)
-    policy_backward(policy, cfg, tape, it, w_ent=w)
+    policy_backward(policy, cfg, tape, it, log_prob_terms(policy, it, it.mean),
+                    np.zeros_like(w), w)
     return h

@@ -97,13 +97,13 @@ class Adam:
     from shapes. The moments m_flat and v_flat have the same layout, and m
     and v hold their views by parameter name."""
 
-    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple], lr: float):
         self.flat = flat
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m_flat, self.m = flat_layout(shapes)
         self.v_flat, self.v = flat_layout(shapes)
@@ -138,7 +138,7 @@ class Adam:
         if self.lr == 0.0:
             return
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         scratch = np.empty((2, min(ADAM_CHUNK, max(
@@ -163,7 +163,7 @@ class Adam:
                 step *= self.lr
                 np.divide(v, bc2, out=gg)
                 np.sqrt(gg, out=gg)
-                gg += self.eps
+                gg += self.EPS
                 step /= gg
                 self.flat[i:j] -= step
 
@@ -332,8 +332,8 @@ class PPOTrainer:
                            ((adv < 0) & (ratio < 1.0 - eps))
                 w_pg = np.where(inactive, 0.0, -(adv * ratio) / b)
                 w_ent = np.full(b, -self.ppo.entropy_coef / b)
-                policy_backward(self.policy, self.cfg, tape, it, w_pg=w_pg,
-                                w_ent=w_ent, terms=terms)
+                policy_backward(self.policy, self.cfg, tape, it, terms, w_pg,
+                                w_ent)
                 # value loss
                 _, v_out, v_cache = self.value_net.forward(obs[idx],
                                                            need_cache=True)
@@ -385,9 +385,10 @@ class PPOTrainer:
     # ------------------------------------------------------- training loop
 
     def fit(self, total_steps: int, on_update=None,
-            target_solved: float | None = None,
-            checkpoint_path_fn=None, checkpoint_every: int = 0):
-        """Run PPO until total_steps env steps (or early target)."""
+            target_solved: float | None = None):
+        """Run PPO until total_steps env steps (or early target); after each
+        update, on_update(row, stats) gets the curve row and the PPO
+        stats."""
         start = time.monotonic()
         window: list[EpisodeMetrics] = []
         while self.env_steps < total_steps:
@@ -409,9 +410,6 @@ class PPOTrainer:
             }
             if on_update is not None:
                 on_update(row, stats)
-            if checkpoint_every and checkpoint_path_fn is not None \
-                    and self.updates % checkpoint_every == 0:
-                save_checkpoint(checkpoint_path_fn(self.updates), self)
             if target_solved is not None and window \
                     and row["solved_fraction"] >= target_solved:
                 break
@@ -582,6 +580,15 @@ def _decode_f8(name: str, value, shape: tuple) -> np.ndarray:
 _DECODERS = {1: _decode_list, 2: _decode_f8}
 
 
+def _non_negative_int(value, field: str) -> int:
+    """A checkpoint's seed or counter as it is, or CheckpointCorrupt naming
+    the field when it is not an integer >= 0."""
+    if not (is_int(value) and value >= 0):
+        raise CheckpointCorrupt(
+            f"field {field!r}: {value!r} is not an integer >= 0")
+    return value
+
+
 def load_checkpoint(path) -> PPOTrainer:
     """Rebuild a trainer (policy + value nets + config) from a checkpoint.
 
@@ -601,6 +608,10 @@ def load_checkpoint(path) -> PPOTrainer:
                 f"{sorted(_DECODERS)}")
         decode = _DECODERS[version]
         layout = payload["layout"]
+        # a missing counter reads 0
+        env_steps = _non_negative_int(payload.get("env_steps", 0),
+                                      "env_steps")
+        updates = _non_negative_int(payload.get("updates", 0), "updates")
         trainer = PPOTrainer(
             env_name=layout["env_name"],
             env_kwargs=layout["env_kwargs"],
@@ -610,7 +621,7 @@ def load_checkpoint(path) -> PPOTrainer:
             hiddens=layout["hiddens"],
             critic_hiddens=layout["critic_hiddens"],
             activation=layout["activation"],
-            seed=layout["seed"],
+            seed=_non_negative_int(layout["seed"], "seed"),
         )
         saved = payload["params"]
         if saved.keys() != trainer.params.keys():
@@ -624,8 +635,8 @@ def load_checkpoint(path) -> PPOTrainer:
             if not np.all(np.isfinite(arr)):
                 raise CheckpointCorrupt(f"parameter {k} has non-finite values")
             trainer.params[k][...] = arr
-        trainer.env_steps = int(payload.get("env_steps", 0))
-        trainer.updates = int(payload.get("updates", 0))
+        trainer.env_steps = env_steps
+        trainer.updates = updates
         return trainer
     except CheckpointCorrupt:
         raise

@@ -7,7 +7,6 @@ from scipy.stats import wilcoxon
 
 from latticerl import analysis
 from latticerl.analysis import (
-    MlpPolicyAdapter,
     analytic_latent_noise_cov,
     covariance_report,
     dual_sim_experiment,
@@ -36,17 +35,19 @@ def lattice_policy(seed=0, obs_dim=2, action_dim=4, hiddens=(6, 5),
                      hiddens=hiddens, rng=rng), cfg
 
 
-class RowByRowAdapter(MlpPolicyAdapter):
-    """MlpPolicyAdapter whose batched calls run one 1-row product per row,
-    so a batched caller rounds as the one-row oracle does."""
+class RowByRowAdapter:
+    """Wraps an MlpPolicy so that its batched calls run one 1-row product
+    per row, and a batched caller rounds as the one-row oracle does."""
+
+    def __init__(self, policy: MlpPolicy):
+        self.policy = policy
 
     def latent(self, obs):
-        return np.concatenate([MlpPolicyAdapter.latent(self, o[None])
-                               for o in obs])
+        return np.concatenate([self.policy.latent(o[None]) for o in obs])
 
     def action_from_latent(self, lat):
-        return np.concatenate([MlpPolicyAdapter.action_from_latent(
-            self, x[None]) for x in lat])
+        return np.concatenate([self.policy.action_from_latent(x[None])
+                               for x in lat])
 
 
 class Counting:
@@ -112,7 +113,7 @@ class TestDualSim:
         # the batched products round differently from the 1-row ones
         policy, _ = lattice_policy(seed=8, obs_dim=obs_dim,
                                    action_dim=action_dim, hiddens=(16, 16))
-        adapter = MlpPolicyAdapter(policy)
+        adapter = policy
         sigma = 0.3 if mode == "latent" else np.linspace(0.1, 0.4,
                                                          action_dim)
         got, want = (
@@ -152,7 +153,7 @@ class TestDualSim:
     def test_one_forward_and_advance_per_time_step(self, n_steps, mode):
         policy, _ = lattice_policy(seed=8, obs_dim=2, action_dim=6,
                                    hiddens=(16, 16))
-        counted = Counting(MlpPolicyAdapter(policy), "latent")
+        counted = Counting(policy, "latent")
         env = Counting(FlexExtArm(seed=4), "advance")
         sigma = 0.3 if mode == "latent" else np.full(6, 0.2)
         dual_sim_experiment(env, counted, mode, sigma, n_steps,
@@ -214,7 +215,7 @@ class TestDualSim:
         # 3+3 arm, 16 latents: a (3,) sigma fits neither noise width
         policy, _ = lattice_policy(seed=8, obs_dim=2, action_dim=6,
                                    hiddens=(16, 16))
-        adapter = MlpPolicyAdapter(policy)
+        adapter = policy
         env = FlexExtArm(seed=4)
         rng = np.random.default_rng(9)
         env_state = env.rng.bit_generator.state
@@ -253,7 +254,7 @@ class TestDualSim:
 
     def test_mlp_adapter_latent_and_action(self):
         policy, cfg = lattice_policy(seed=6)
-        adapter = MlpPolicyAdapter(policy)
+        adapter = policy
         obs = np.array([[0.3, -0.1], [-0.2, 0.4], [0.0, 0.05]])
         x, mean = policy.forward(obs)
         lat = adapter.latent(obs)

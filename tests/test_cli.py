@@ -78,11 +78,24 @@ class TestRunTraining:
         assert pa["params"] == pb["params"]
 
     def test_periodic_checkpoints(self, tmp_path):
-        config = tiny_config(total_steps=64, checkpoint_every=1)
+        # five updates of 16 env steps, a checkpoint after every second; each
+        # holds the parameters after the update it names
+        config = tiny_config(total_steps=80, checkpoint_every=2)
         out = run_training(config, tmp_path / "run")
         names = sorted(p.name for p in (out / "checkpoints").iterdir())
-        assert "update_000001.json" in names
-        assert "update_000002.json" in names
+        assert names == ["final.json", "update_000002.json",
+                         "update_000004.json"]
+        reference = cli.trainer_from_config(config)
+        reference.fit(2 * config.ppo.gradient_steps * config.ppo.n_envs)
+        assert reference.updates == 2
+        saved = load_checkpoint(out / "checkpoints" / "update_000002.json")
+        assert (saved.updates, saved.env_steps) == (2, reference.env_steps)
+        for k, v in reference.params.items():
+            assert saved.params[k].tobytes() == v.tobytes(), k
+        final = read_json(out / "checkpoints" / "final.json")
+        for name in names[1:]:
+            payload = read_json(out / "checkpoints" / name)
+            assert payload["config_echo"] == final["config_echo"]
 
     def test_curves_carry_ppo_statistics(self, tmp_path):
         config = tiny_config(total_steps=48)

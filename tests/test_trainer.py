@@ -116,7 +116,7 @@ class TestAdam:
         ref_m = {k: np.zeros_like(v) for k, v in params.items()}
         ref_v = {k: np.zeros_like(v) for k, v in params.items()}
         opt = Adam(flat, shapes, lr=3e-3)
-        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+        b1, b2, eps, lr = Adam.BETA1, Adam.BETA2, Adam.EPS, opt.lr
         grad, grads = flat_layout(shapes)
         for t in range(1, 201):
             for k, g in grads.items():
@@ -1230,6 +1230,33 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointCorrupt, match="schema_version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("env_steps", "12"), ("env_steps", True), ("env_steps", -5),
+        ("env_steps", None), ("updates", 2.7), ("updates", "3"),
+        ("seed", True), ("seed", 2.9), ("seed", -1), ("seed", "0")])
+    def test_bad_seed_or_counter(self, tmp_path, field, value):
+        # each used to load through int(): "12" as 12, True as 1, 2.7 as 2
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_trainer())
+        payload = json.loads(path.read_text())
+        (payload["layout"] if field == "seed" else payload)[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointCorrupt, match=f"'{field}'"):
+            load_checkpoint(path)
+
+    def test_missing_counters_read_zero(self, tmp_path):
+        tr = small_trainer()
+        tr.fit(32)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tr)
+        payload = json.loads(path.read_text())
+        del payload["env_steps"], payload["updates"]
+        path.write_text(json.dumps(payload))
+        loaded = load_checkpoint(path)
+        assert (loaded.env_steps, loaded.updates) == (0, 0)
+        for k, v in tr.params.items():
+            assert loaded.params[k].tobytes() == v.tobytes(), k
 
     def test_committed_schema1_checkpoint(self):
         loaded = load_checkpoint(SCHEMA1_CHECKPOINT)
