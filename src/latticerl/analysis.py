@@ -176,7 +176,6 @@ def matched_dual_sim(env, policy, sigma_latent: float, n_steps: int,
 class CovarianceReport:
     empirical_cov: np.ndarray
     correlation: np.ndarray
-    analytic_noise_cov: np.ndarray | None
     eigenvalues: np.ndarray
     explained_variance: np.ndarray  # cumulative fraction, nonincreasing tail
     pca_defined: bool
@@ -204,10 +203,7 @@ def analytic_latent_noise_cov(policy: MlpPolicy, states: np.ndarray,
     return policy.alpha ** 2 * ((w * c_bar) @ w.T)
 
 
-def covariance_report(action_log: np.ndarray,
-                      policy: MlpPolicy | None = None,
-                      states: np.ndarray | None = None,
-                      cfg: LatticeConfig | None = None) -> CovarianceReport:
+def covariance_report(action_log: np.ndarray) -> CovarianceReport:
     actions = np.atleast_2d(np.asarray(action_log, dtype=float))
     n, n_a = actions.shape
     if n < 10 * n_a:
@@ -227,12 +223,7 @@ def covariance_report(action_log: np.ndarray,
     total = eigenvalues.sum()
     explained = (np.cumsum(eigenvalues) / total if total > 0
                  else np.zeros(n_a))
-    analytic = None
-    if policy is not None and states is not None and cfg is not None \
-            and policy.strategy in ("gsde", "lattice"):
-        analytic = analytic_latent_noise_cov(policy, states, cfg)
     return CovarianceReport(empirical_cov=emp_cov, correlation=corr,
-                            analytic_noise_cov=analytic,
                             eigenvalues=eigenvalues,
                             explained_variance=explained,
                             pca_defined=pca_defined)

@@ -106,13 +106,13 @@ def run_analysis(trainer: PPOTrainer, kind: str, out_dir: Path,
         return summary
     if kind == "covariance":
         actions, states = collect_action_log(trainer, episodes, seed)
-        report = analysis.covariance_report(actions, trainer.policy, states,
-                                            trainer.cfg)
+        report = analysis.covariance_report(actions)
         write_matrix_csv(out_dir / "empirical_cov.csv", report.empirical_cov)
         write_matrix_csv(out_dir / "correlation.csv", report.correlation)
-        if report.analytic_noise_cov is not None:
+        if trainer.strategy != "diagonal":
             write_matrix_csv(out_dir / "analytic_noise_cov.csv",
-                             report.analytic_noise_cov)
+                             analysis.analytic_latent_noise_cov(
+                                 trainer.policy, states, trainer.cfg))
         summary = {
             "pca_defined": report.pca_defined,
             "eigenvalues": report.eigenvalues.tolist(),

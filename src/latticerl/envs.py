@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteAction
+from .errors import (DimensionMismatch, NonFiniteAction, is_finite_number,
+                     is_int)
 
 
 def energy_of(actions) -> float:
@@ -49,6 +50,22 @@ def clipped_action(action, shape: tuple) -> np.ndarray:
     if not np.all(np.isfinite(action)):
         raise NonFiniteAction("action contains NaN or Inf")
     return np.clip(action, 0.0, 1.0)
+
+
+def _check_params(counts: dict, positive: dict, target_range) -> None:
+    """Raise ValueError naming the first parameter out of range: counts
+    must be integers >= 1, positive values finite numbers > 0 and
+    target_range a finite number >= 0."""
+    for name, value in counts.items():
+        if not (is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, value in positive.items():
+        if not (is_finite_number(value) and value > 0):
+            raise ValueError(
+                f"{name} must be a finite number > 0, got {value!r}")
+    if not (is_finite_number(target_range) and target_range >= 0):
+        raise ValueError(f"target_range must be a finite number >= 0, got "
+                         f"{target_range!r}")
 
 
 def _group_mean(a: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -87,15 +104,18 @@ class FlexExtArm:
                  gain: float = 60.0, dt: float = 0.02, max_steps: int = 100,
                  solved_threshold: float = 0.175, target_range: float = 0.5,
                  seed: int | None = None):
-        self.n_flexors = int(n_flexors)
-        self.n_extensors = int(n_extensors)
-        if self.n_flexors < 1 or self.n_extensors < 1:
-            raise ValueError("n_flexors and n_extensors must be >= 1")
+        if not all(is_int(n) and n >= 1 for n in (n_flexors, n_extensors)):
+            raise ValueError(
+                f"n_flexors and n_extensors must be integers >= 1, got "
+                f"n_flexors={n_flexors!r}, n_extensors={n_extensors!r}")
+        _check_params({"max_steps": max_steps},
+                      {"gain": gain, "dt": dt,
+                       "solved_threshold": solved_threshold}, target_range)
+        self.n_flexors = n_flexors
+        self.n_extensors = n_extensors
         self.gain = float(gain)
         self.dt = float(dt)
-        self.max_steps = int(max_steps)
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        self.max_steps = max_steps
         self.solved_threshold = float(solved_threshold)
         self.target_range = float(target_range)
         self.rng = np.random.default_rng(seed)
@@ -181,14 +201,14 @@ class PointReacher:
                  dt: float = 0.02, max_steps: int = 100,
                  solved_radius: float = 0.15, target_range: float = 0.5,
                  seed: int | None = None):
-        self.pairs_per_axis = int(pairs_per_axis)
-        if self.pairs_per_axis < 1:
-            raise ValueError("pairs_per_axis must be >= 1")
+        _check_params({"pairs_per_axis": pairs_per_axis,
+                       "max_steps": max_steps},
+                      {"gain": gain, "dt": dt, "solved_radius": solved_radius},
+                      target_range)
+        self.pairs_per_axis = pairs_per_axis
         self.gain = float(gain)
         self.dt = float(dt)
-        self.max_steps = int(max_steps)
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        self.max_steps = max_steps
         self.solved_radius = float(solved_radius)
         self.target_range = float(target_range)
         self.rng = np.random.default_rng(seed)

@@ -517,12 +517,10 @@ def log_prob_terms(policy: MlpPolicy, it: DistInternals,
     return logp, d, u
 
 
-def log_prob(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
-             cfg: LatticeConfig,
-             internals: DistInternals | None = None) -> np.ndarray:
-    """Batched log pi(a | s) without gradient accumulation."""
-    it = internals if internals is not None else dist_internals(
-        policy, obs, cfg)
+def log_prob(policy: MlpPolicy, it: DistInternals,
+             actions: np.ndarray) -> np.ndarray:
+    """Batched log pi(a | s) at the states of it, without gradient
+    accumulation."""
     return log_prob_terms(policy, it, actions)[0]
 
 

@@ -31,7 +31,6 @@ from .policy import (
     dist_internals,
     entropy_batch,
     flat_layout,
-    flat_segments,
     log_prob,
     log_prob_terms,
     policy_backward,
@@ -93,79 +92,52 @@ ADAM_CHUNK = 32_768
 
 
 class Adam:
-    """Adam over one flat float64 parameter vector laid out by flat_layout
-    from shapes. The moments m_flat and v_flat have the same layout, and m
-    and v hold their views by parameter name."""
+    """Adam over one flat float64 parameter vector. The moments m_flat and
+    v_flat have its layout."""
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple], lr: float):
+    def __init__(self, flat: np.ndarray, lr: float):
         self.flat = flat
         self.lr = lr
         self.t = 0
-        self.m_flat, self.m = flat_layout(shapes)
-        self.v_flat, self.v = flat_layout(shapes)
-        self._segments = flat_segments(shapes)
-        self._skip = None
-        self._skip_runs = []
+        self.m_flat = np.zeros_like(flat)
+        self.v_flat = np.zeros_like(flat)
 
-    def _runs(self, skip) -> list[tuple[int, int]]:
-        """The contiguous [start, stop) runs of the segments not in skip,
-        kept for the last skip set seen."""
-        if skip == self._skip:
-            return self._skip_runs
-        unknown = set(skip) - self._segments.keys()
-        if unknown:
-            raise ValueError(f"skip names no parameter: {sorted(unknown)}")
-        runs = []
-        for k, (a, b) in self._segments.items():
-            if k in skip:
-                continue
-            if runs and runs[-1][1] == a:
-                runs[-1] = (runs[-1][0], b)
-            else:
-                runs.append((a, b))
-        self._skip, self._skip_runs = frozenset(skip), runs
-        return runs
-
-    def step(self, grad: np.ndarray, skip: set[str] = frozenset()):
-        """One update from the flat gradient grad (the parameters' layout),
-        leaving the segments named in skip, and their moments, as they
-        are."""
-        runs = self._runs(skip)
+    def step(self, grad: np.ndarray):
+        """One update from the flat gradient grad (the parameters' layout)."""
         if self.lr == 0.0:
             return
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        scratch = np.empty((2, min(ADAM_CHUNK, max(
-            (b - a for a, b in runs), default=0))))
+        n = self.flat.size
+        scratch = np.empty((2, min(ADAM_CHUNK, n)))
         # in place, in the operation order of
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
         # so the results are bitwise those of the out-of-place formula
-        for a, b in runs:
-            for i in range(a, b, ADAM_CHUNK):
-                j = min(i + ADAM_CHUNK, b)
-                g, m, v = grad[i:j], self.m_flat[i:j], self.v_flat[i:j]
-                step, gg = scratch[0, :j - i], scratch[1, :j - i]
-                m *= b1
-                np.multiply(g, 1.0 - b1, out=step)
-                m += step
-                np.multiply(g, 1.0 - b2, out=gg)
-                gg *= g
-                v *= b2
-                v += gg
-                np.divide(m, bc1, out=step)
-                step *= self.lr
-                np.divide(v, bc2, out=gg)
-                np.sqrt(gg, out=gg)
-                gg += self.EPS
-                step /= gg
-                self.flat[i:j] -= step
+        for i in range(0, n, ADAM_CHUNK):
+            j = min(i + ADAM_CHUNK, n)
+            g, m, v = grad[i:j], self.m_flat[i:j], self.v_flat[i:j]
+            step, gg = scratch[0, :j - i], scratch[1, :j - i]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=step)
+            m += step
+            np.multiply(g, 1.0 - b2, out=gg)
+            gg *= g
+            v *= b2
+            v += gg
+            np.divide(m, bc1, out=step)
+            step *= self.lr
+            np.divide(v, bc2, out=gg)
+            np.sqrt(gg, out=gg)
+            gg += self.EPS
+            step /= gg
+            self.flat[i:j] -= step
 
 
 class PPOTrainer:
@@ -185,7 +157,9 @@ class PPOTrainer:
         self.hiddens = tuple(hiddens)
         self.critic_hiddens = tuple(critic_hiddens)
         self.activation = activation
-        self.seed = int(seed)
+        if not (is_int(seed) and seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        self.seed = seed
 
         ss = np.random.SeedSequence(self.seed)
         init_ss, shuffle_ss, *env_ss = ss.spawn(2 + self.ppo.n_envs)
@@ -216,8 +190,7 @@ class PPOTrainer:
         self.value_net = Mlp(init_rng, self.obs_dim, self.critic_hiddens, 1,
                              activation, prefix="v.", params=self.params)
 
-        self.optimizer = Adam(self.flat_params, shapes, self.ppo.learning_rate)
-        self.skip: set[str] = set()
+        self.optimizer = Adam(self.flat_params, self.ppo.learning_rate)
 
         self._obs = self.envs.observe()
         self.noise = NoiseSampler(self.policy, self.cfg, self.env_rngs)
@@ -271,7 +244,7 @@ class PPOTrainer:
             obs = self._obs
             it = dist_internals(self.policy, obs, self.cfg)
             actions = self.noise.sample(it.x, it.mean)
-            logp = log_prob(self.policy, obs, actions, self.cfg, internals=it)
+            logp = log_prob(self.policy, it, actions)
             _, values = self.value_net.forward(obs)
             buf.obs[t] = obs
             buf.actions[t] = actions
@@ -364,7 +337,7 @@ class PPOTrainer:
                         f"starting at {start}", epoch=epoch, start=start,
                         last_stats={k: v / n_batches for k, v in stats.items()}
                         if n_batches else {})
-                self.optimizer.step(tape.flat, skip=self.skip)
+                self.optimizer.step(tape.flat)
 
                 with np.errstate(over="ignore"):
                     log_ratio = logp - old_logp[idx]

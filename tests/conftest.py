@@ -182,8 +182,7 @@ def logp_gradient_check(policy, cfg, obs, actions, h=1e-6):
                 # mean moves with the parameters, covariance stays at base
                 import dataclasses
                 cur = dataclasses.replace(base_it, mean=cur.mean, x=cur.x)
-            return float(np.sum(log_prob(policy, obs, actions, cfg,
-                                         internals=cur)))
+            return float(np.sum(log_prob(policy, cur, actions)))
 
         it_nd = np.nditer(arr, flags=["multi_index"])
         for _ in it_nd:

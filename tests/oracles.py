@@ -309,7 +309,7 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray], skip: set[str] = frozenset()):
+             grads: dict[str, np.ndarray]):
         if self.lr == 0.0:
             return
         self.t += 1
@@ -320,8 +320,6 @@ class Adam:
         #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
         # so the results are bitwise those of the out-of-place formula
         for k, p in params.items():
-            if k in skip:
-                continue
             g = grads[k]
             m, v = self.m[k], self.v[k]
             m *= self.beta1

@@ -308,15 +308,6 @@ class TestCovarianceReport:
         assert np.all(np.diff(report.eigenvalues) <= 1e-12)
         assert np.all(report.eigenvalues >= -1e-10)
 
-    def test_analytic_noise_cov_attached_for_lattice(self):
-        policy, cfg = lattice_policy(seed=11)
-        rng = np.random.default_rng(12)
-        states = rng.standard_normal((60, 2))
-        actions = rng.standard_normal((60, 4))
-        report = covariance_report(actions, policy, states, cfg)
-        expected = analytic_latent_noise_cov(policy, states, cfg)
-        np.testing.assert_allclose(report.analytic_noise_cov, expected)
-
     def test_noise_structure_correlates_with_analytic(self):
         # empirical exploration-noise covariance off-diagonals follow the
         # analytic latent-noise covariance on the same states

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from latticerl import cli
-from latticerl.cli import ANALYSIS_KINDS, main, run_analysis, run_training
+from latticerl.analysis import analytic_latent_noise_cov
+from latticerl.cli import (
+    ANALYSIS_KINDS,
+    collect_action_log,
+    main,
+    run_analysis,
+    run_training,
+)
 from latticerl.config import RunConfig
 from latticerl.errors import UnknownAnalysisKind
 from latticerl.exploration import LatticeConfig
@@ -123,10 +130,15 @@ class TestRunTraining:
         assert trainer.strategy == "lattice"
 
 
+def train_and_load(out_dir, **overrides):
+    """The trainer of the final checkpoint of a tiny_config run."""
+    out = run_training(tiny_config(**overrides), out_dir)
+    return load_checkpoint(out / "checkpoints" / "final.json")
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    out = run_training(tiny_config(), tmp_path_factory.mktemp("cli") / "run")
-    return load_checkpoint(out / "checkpoints" / "final.json")
+    return train_and_load(tmp_path_factory.mktemp("cli") / "run")
 
 
 class TestAnalyze:
@@ -145,6 +157,22 @@ class TestAnalyze:
         assert saved["eigenvalues"] == summary["eigenvalues"]
         analytic = read_matrix_csv(tmp_path / "analytic_noise_cov.csv")
         assert analytic.shape == (6, 6)
+
+    @pytest.mark.parametrize("strategy", ["lattice", "gsde"])
+    def test_analytic_noise_cov_csv(self, strategy, tmp_path):
+        trainer = train_and_load(tmp_path / "run", strategy=strategy)
+        run_analysis(trainer, "covariance", tmp_path, seed=3, episodes=2)
+        _, states = collect_action_log(trainer, 2, 3)
+        expected = analytic_latent_noise_cov(trainer.policy, states,
+                                             trainer.cfg)
+        written = read_matrix_csv(tmp_path / "analytic_noise_cov.csv")
+        assert written.tobytes() == expected.tobytes()
+
+    def test_diagonal_writes_no_analytic_noise_cov(self, tmp_path):
+        trainer = train_and_load(tmp_path / "run", strategy="diagonal")
+        run_analysis(trainer, "covariance", tmp_path, seed=3, episodes=2)
+        assert (tmp_path / "empirical_cov.csv").is_file()
+        assert not (tmp_path / "analytic_noise_cov.csv").exists()
 
     def test_pca(self, trained, tmp_path):
         summary = run_analysis(trained, "pca", tmp_path, seed=0, episodes=2,
@@ -299,6 +327,27 @@ class TestMainEntry:
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: field '{section}': {field}")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("flex_ext_arm", "target_range", float("inf")),
+        ("flex_ext_arm", "gain", float("nan")),
+        ("flex_ext_arm", "max_steps", 2.5), ("flex_ext_arm", "dt", -0.02),
+        ("flex_ext_arm", "n_flexors", True),
+        ("point_reacher", "pairs_per_axis", "3"),
+        ("point_reacher", "solved_radius", 0.0)])
+    def test_invalid_env_value_exit_code(self, tmp_path, capsys, name, field,
+                                         value):
+        # these used to exit 1 with an OverflowError traceback, exit 2 on a
+        # "singular" covariance, or train at 2 steps or on reversed time
+        path = tmp_path / "bad_env.json"
+        path.write_text(json.dumps({**small_budget(),
+                                    "env": {"name": name, field: value}}))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field 'env': {field}")
+        assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_invalid_seed_override_exit_code(self, tmp_path, capsys):

@@ -516,8 +516,7 @@ class TestMergedBackward:
 
         def objective():
             cur = dist_internals(policy, obs, cfg)
-            return float(np.sum(w_pg * log_prob(policy, obs, actions, cfg,
-                                                internals=cur))
+            return float(np.sum(w_pg * log_prob(policy, cur, actions))
                          + np.sum(w_ent * entropy_batch(policy, cur)))
 
         worst = 0.0

@@ -1,27 +1,36 @@
-"""Every name the benchmark's tracer wraps must exist in the library, so a
-change that renames or deletes one fails here rather than in a traced
+"""Every name the benchmark's tracer wraps must exist in the library, and
+each work counter it keeps must read the exact count off a real result, so
+a change that renames or deletes one fails here rather than in a traced
 benchmark run."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from latticerl.exploration import LatticeConfig, resample_perturbations
+from latticerl.policy import MlpPolicy, dist_internals
+from latticerl.trainer import save_checkpoint
+
+from conftest import schema1_reference_trainer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _tracing_targets():
-    """perfbench/tracing.py's TARGETS, read by loading the file on its own
-    (it imports only the standard library)."""
+def _load_tracing():
+    """perfbench/tracing.py, loaded as a file on its own (it imports only
+    the standard library)."""
     spec = importlib.util.spec_from_file_location("_perfbench_tracing",
                                                   TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-TARGETS = _tracing_targets()
+tracing = _load_tracing()
+TARGETS = tracing.TARGETS
 
 
 @pytest.mark.parametrize("span,module,attr", TARGETS,
@@ -35,3 +44,30 @@ def test_traced_name_resolves(span, module, attr):
         assert callable(vars(getattr(owner, cls_name)).get(meth))
     else:
         assert callable(getattr(owner, attr, None))
+
+
+def _count(span, args, result):
+    assert span in {name for name, _, _ in TARGETS}
+    return tracing.COUNTS[span][1](args, result)
+
+
+def test_counters_read_exact_counts(tmp_path):
+    assert set(tracing.COUNTS) == {"exploration.resample_perturbations",
+                                   "policy.dist_internals",
+                                   "trainer.save_checkpoint"}
+    cfg = LatticeConfig()
+    n_x, n_a, rows = 5, 3, 7
+    policy = MlpPolicy(2, n_a, cfg, hiddens=(4, n_x),
+                       rng=np.random.default_rng(0))
+    args = (policy.noise_std, cfg, n_a, np.random.default_rng(1))
+    assert _count("exploration.resample_perturbations", args,
+                  resample_perturbations(*args)) == n_x * n_x + n_a * n_x
+
+    args = (policy, np.ones((rows, 2)), cfg)
+    assert _count("policy.dist_internals", args,
+                  dist_internals(*args)) == rows
+
+    args = (tmp_path / "ckpt.json", schema1_reference_trainer())
+    result = save_checkpoint(*args)
+    assert _count("trainer.save_checkpoint", args, result) == \
+        len(args[0].read_bytes())

@@ -93,89 +93,72 @@ def views_of(flat: np.ndarray, like: dict) -> dict:
 
 class TestAdam:
     def test_zero_lr_is_noop(self):
-        flat, params, shapes = flat_params({"a": np.array([1.0, 2.0])})
-        opt = Adam(flat, shapes, lr=0.0)
+        flat, params, _ = flat_params({"a": np.array([1.0, 2.0])})
+        opt = Adam(flat, lr=0.0)
         before = params["a"].copy()
         opt.step(np.array([10.0, -10.0]))
         np.testing.assert_array_equal(params["a"], before)
 
-    def test_skip_set(self):
-        flat, params, shapes = flat_params({"a": np.array([1.0]),
-                                            "b": np.array([1.0])})
-        opt = Adam(flat, shapes, lr=0.1)
-        opt.step(np.array([1.0, 1.0]), skip={"b"})
-        assert params["a"][0] != 1.0
-        assert params["b"][0] == 1.0
-
     def test_in_place_matches_out_of_place_formula(self):
         rng = np.random.default_rng(3)
-        shapes = {"w": (7, 5), "b": (5,), "frozen": (3,)}
+        shapes = {"w": (7, 5), "b": (5,), "s": (3,)}
         flat, params, _ = flat_params(
             {k: rng.standard_normal(s) for k, s in shapes.items()})
         ref_p = {k: v.copy() for k, v in params.items()}
         ref_m = {k: np.zeros_like(v) for k, v in params.items()}
         ref_v = {k: np.zeros_like(v) for k, v in params.items()}
-        opt = Adam(flat, shapes, lr=3e-3)
+        opt = Adam(flat, lr=3e-3)
         b1, b2, eps, lr = Adam.BETA1, Adam.BETA2, Adam.EPS, opt.lr
         grad, grads = flat_layout(shapes)
         for t in range(1, 201):
             for k, g in grads.items():
                 g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.integers(
                     -6, 3)
-            opt.step(grad, skip={"frozen"})
+            opt.step(grad)
             bc1 = 1.0 - b1 ** t
             bc2 = 1.0 - b2 ** t
-            for k in ("w", "b"):
-                g = grads[k]
+            for k, g in grads.items():
                 ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
                 ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g * g
                 m_hat = ref_m[k] / bc1
                 v_hat = ref_v[k] / bc2
                 ref_p[k] = ref_p[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = views_of(opt.m_flat, params), views_of(opt.v_flat, params)
         for k in params:
             assert params[k].tobytes() == ref_p[k].tobytes(), k
-            assert opt.m[k].tobytes() == ref_m[k].tobytes(), k
-            assert opt.v[k].tobytes() == ref_v[k].tobytes(), k
+            assert m[k].tobytes() == ref_m[k].tobytes(), k
+            assert v[k].tobytes() == ref_v[k].tobytes(), k
 
     def test_quadratic_convergence(self):
-        flat, params, shapes = flat_params({"a": np.array([5.0])})
-        opt = Adam(flat, shapes, lr=0.1)
+        flat, params, _ = flat_params({"a": np.array([5.0])})
+        opt = Adam(flat, lr=0.1)
         for _ in range(500):
             opt.step(2.0 * flat)
         assert abs(params["a"][0]) < 1e-3
 
     def test_matches_per_key_oracle_across_chunks(self):
-        # segments longer than a chunk, chunk edges inside a run of
-        # segments, and a skipped segment splitting the runs
+        # segments longer than a chunk, with the chunk edges at n, 2n, 3n
+        # and 4n falling inside w0, w1, w2 and w2
         rng = np.random.default_rng(8)
         n = trainer_mod.ADAM_CHUNK
         shapes = {"w0": (3, n // 2 + 5), "b0": (7,), "w1": (n + 3,),
-                  "s": (1,), "frozen": (4, 4), "w2": (2 * n + 1,)}
+                  "s": (1,), "b1": (4, 4), "w2": (2 * n + 1,)}
         flat, params, _ = flat_params(
             {k: rng.standard_normal(s) for k, s in shapes.items()})
         ref = {k: v.copy() for k, v in params.items()}
-        opt = Adam(flat, shapes, lr=1e-2)
+        opt = Adam(flat, lr=1e-2)
         oracle = oracles.Adam(ref, lr=1e-2)
         grad, grads = flat_layout(shapes)
         for _ in range(5):
             grad[...] = rng.standard_normal(grad.size) * 10.0 ** rng.uniform(
                 -6, 2, grad.size)
-            opt.step(grad, skip={"frozen"})
-            oracle.step(ref, grads, skip={"frozen"})
+            opt.step(grad)
+            oracle.step(ref, grads)
+        m, v = views_of(opt.m_flat, params), views_of(opt.v_flat, params)
         for k in shapes:
             assert params[k].tobytes() == ref[k].tobytes(), k
-            assert opt.m[k].tobytes() == oracle.m[k].tobytes(), k
-            assert opt.v[k].tobytes() == oracle.v[k].tobytes(), k
-
-    def test_unknown_skip_name_raises_before_any_change(self):
-        flat, params, shapes = flat_params({"a": np.array([1.0]),
-                                            "b": np.array([1.0])})
-        opt = Adam(flat, shapes, lr=0.1)
-        with pytest.raises(ValueError, match="'c'"):
-            opt.step(np.array([1.0, 1.0]), skip={"b", "c"})
-        assert opt.t == 0
-        np.testing.assert_array_equal(flat, [1.0, 1.0])
-        np.testing.assert_array_equal(opt.m_flat, 0.0)
+            assert m[k].tobytes() == oracle.m[k].tobytes(), k
+            assert v[k].tobytes() == oracle.v[k].tobytes(), k
 
 
 class TestRollout:
@@ -186,7 +169,9 @@ class TestRollout:
             obs = buf.flat(buf.obs)
             actions = buf.flat(buf.actions)
             stored = buf.flat(buf.log_probs)
-            recomputed = log_prob(tr.policy, obs, actions, tr.cfg)
+            recomputed = log_prob(tr.policy,
+                                  dist_internals(tr.policy, obs, tr.cfg),
+                                  actions)
             np.testing.assert_allclose(recomputed, stored, atol=1e-10)
 
     def test_determinism_across_trainers(self):
@@ -307,7 +292,8 @@ def per_env_reference_rollout(tr, n_steps):
                     p = windows[i]
                     actions[i] = mean[i] + (p.P_a @ x[i] + tr.policy.alpha
                                             * (tr.policy.W @ (p.P_x @ x[i])))
-        logp = log_prob(tr.policy, obs, actions, tr.cfg)
+        logp = log_prob(tr.policy, dist_internals(tr.policy, obs, tr.cfg),
+                        actions)
         _, values = tr.value_net.forward(obs)
         rewards = np.empty(n)
         dones = np.empty(n, dtype=bool)
@@ -631,17 +617,17 @@ class TestPpoUpdate:
         obs = rng.standard_normal((6, 3))
         actions = rng.standard_normal((6, 2)) * 0.5
         adv = rng.standard_normal(6)
-        old_logp = log_prob(policy, obs, actions, cfg) \
-            + rng.normal(0.0, 0.2, 6)
+        old_logp = log_prob(policy, dist_internals(policy, obs, cfg),
+                            actions) + rng.normal(0.0, 0.2, 6)
         eps = 0.3
 
         def surrogate():
-            logp = log_prob(policy, obs, actions, cfg)
+            logp = log_prob(policy, dist_internals(policy, obs, cfg), actions)
             ratio = np.exp(logp - old_logp)
             return float(-np.mean(np.minimum(
                 ratio * adv, np.clip(ratio, 1 - eps, 1 + eps) * adv)))
 
-        logp = log_prob(policy, obs, actions, cfg)
+        logp = log_prob(policy, dist_internals(policy, obs, cfg), actions)
         ratio = np.exp(logp - old_logp)
         inactive = ((adv > 0) & (ratio > 1 + eps)) | \
                    ((adv < 0) & (ratio < 1 - eps))
@@ -664,10 +650,10 @@ class TestStrategyPlugInEquivalence:
     def test_lattice_alpha_zero_matches_diagonal(self,
                                                  constant_obs_registered):
         # constant observation makes the action variance state-independent;
-        # with the variance path suppressed and noise parameters frozen, the
-        # lattice(alpha=0) and diagonal strategies see identical gradients
-        # huge clip threshold: the global gradient norm includes the frozen
-        # noise parameters, whose raw gradients differ between the strategies
+        # with the variance path suppressed, the lattice(alpha=0) and
+        # diagonal strategies see identical gradients on the shared keys
+        # huge clip threshold: the global gradient norm includes the noise
+        # parameters, whose raw gradients differ between the strategies
         ppo = dataclasses.replace(TINY_PPO, learning_rate=1e-3,
                                   max_grad_norm=1e9)
         cfg_lat = LatticeConfig(alpha=0.0, gamma=0.0,
@@ -684,13 +670,13 @@ class TestStrategyPlugInEquivalence:
         # match the diagonal stds to the lattice per-action stds
         it = dist_internals(tr_lat.policy, np.ones((1, 2)), cfg_lat)
         tr_diag.params["log_sigma"][...] = 0.5 * np.log(it.c_a[0])
-        tr_lat.skip |= {"log_std_x", "log_std_a"}
-        tr_diag.skip |= {"log_sigma"}
 
         buf = tr_lat.collect_rollout(8)
         stored = buf.flat(buf.log_probs)
-        recheck = log_prob(tr_diag.policy, buf.flat(buf.obs),
-                           buf.flat(buf.actions), tr_diag.cfg)
+        recheck = log_prob(tr_diag.policy,
+                           dist_internals(tr_diag.policy, buf.flat(buf.obs),
+                                          tr_diag.cfg),
+                           buf.flat(buf.actions))
         np.testing.assert_allclose(recheck, stored, atol=1e-10)
 
         tr_diag._obs = tr_lat._obs.copy()
@@ -701,7 +687,7 @@ class TestStrategyPlugInEquivalence:
         for label, tr in (("lattice", tr_lat), ("diagonal", tr_diag)):
             batches = []
 
-            def recorder(grad, skip=frozenset(), _out=batches, _tr=tr):
+            def recorder(grad, _out=batches, _tr=tr):
                 _out.append({k: g.copy()
                              for k, g in views_of(grad, _tr.params).items()})
 
@@ -736,31 +722,6 @@ class TestFit:
         tr.fit(10_000, target_solved=0.0)
         assert tr.env_steps < 10_000
 
-    def test_skip_freezes_parameters(self):
-        noise_keys = ("log_std_x", "log_std_a")
-        frozen, free = small_trainer(), small_trainer()
-        frozen.skip |= set(noise_keys)
-        before = {k: v.copy() for k, v in frozen.params.items()}
-        for tr in (frozen, free):
-            tr.fit(32)  # one iteration: 8 steps x 4 envs
-            assert tr.updates == 1
-        for k in noise_keys:
-            assert frozen.params[k].tobytes() == before[k].tobytes()
-            assert not np.array_equal(free.params[k], before[k])
-        assert not np.array_equal(frozen.params["pi.w0"], before["pi.w0"])
-
-    @pytest.mark.parametrize("strategy,name", [("lattice", "log_std"),
-                                               ("diagonal", "log_std_x")])
-    def test_unknown_skip_name_fails_before_any_update(self, strategy, name):
-        tr = small_trainer(strategy=strategy)
-        tr.skip |= {name}
-        before = {k: v.copy() for k, v in tr.params.items()}
-        with pytest.raises(ValueError, match=repr(name)):
-            tr.fit(32)
-        for k, v in before.items():
-            assert tr.params[k].tobytes() == v.tobytes(), k
-        assert tr.optimizer.t == 0
-
 
 class OracleAdam:
     """A trainer's optimizer slot filled by the per-key oracle."""
@@ -769,39 +730,34 @@ class OracleAdam:
         self.params = trainer.params
         self.adam = oracles.Adam(trainer.params, trainer.ppo.learning_rate)
 
-    def step(self, grad, skip=frozenset()):
-        self.adam.step(self.params, views_of(grad, self.params), skip)
+    def step(self, grad):
+        self.adam.step(self.params, views_of(grad, self.params))
 
 
 class TestFlatParameters:
-    @pytest.mark.parametrize("strategy,cfg,skip", [
-        ("diagonal", LatticeConfig(), set()),
-        ("lattice", LatticeConfig(period=1), set()),
-        ("lattice", LatticeConfig(period=4), set()),
-        ("lattice", LatticeConfig(full_std=True), set()),
-        ("lattice", LatticeConfig(), {"log_std_x", "pi.b0"})],
-        ids=["diagonal", "lattice-1", "lattice-4", "full_std",
-             "skip-log_std_x-pi.b0"])
-    def test_fit_matches_per_key_oracle(self, strategy, cfg, skip,
-                                        monkeypatch):
+    @pytest.mark.parametrize("strategy,cfg", [
+        ("diagonal", LatticeConfig()),
+        ("lattice", LatticeConfig(period=1)),
+        ("lattice", LatticeConfig(period=4)),
+        ("lattice", LatticeConfig(full_std=True))],
+        ids=["diagonal", "lattice-1", "lattice-4", "full_std"])
+    def test_fit_matches_per_key_oracle(self, strategy, cfg, monkeypatch):
         # the same fit stepped by the per-key Adam and the per-key norm
         ref = small_trainer(strategy=strategy, cfg=cfg, seed=4)
-        ref.skip |= skip
         ref.optimizer = OracleAdam(ref)
         with monkeypatch.context() as mp:
             mp.setattr(GradientTape, "global_norm",
                        lambda tape: oracles.global_norm(tape.grads))
             ref.fit(3 * 32)
         tr = small_trainer(strategy=strategy, cfg=cfg, seed=4)
-        tr.skip |= skip
         tr.fit(3 * 32)
         assert tr.updates == ref.updates == 3
+        m = views_of(tr.optimizer.m_flat, tr.params)
+        v = views_of(tr.optimizer.v_flat, tr.params)
         for k in tr.params:
             assert tr.params[k].tobytes() == ref.params[k].tobytes(), k
-            assert tr.optimizer.m[k].tobytes() == \
-                ref.optimizer.adam.m[k].tobytes(), k
-            assert tr.optimizer.v[k].tobytes() == \
-                ref.optimizer.adam.v[k].tobytes(), k
+            assert m[k].tobytes() == ref.optimizer.adam.m[k].tobytes(), k
+            assert v[k].tobytes() == ref.optimizer.adam.v[k].tobytes(), k
 
     @staticmethod
     def assert_views_of_flat(tr):
@@ -815,9 +771,9 @@ class TestFlatParameters:
             assert np.shares_memory(v, tr.flat_params), k
             assert v.ctypes.data == segment.ctypes.data, k
             offset += v.size
-            assert np.shares_memory(tr.optimizer.m[k], tr.optimizer.m_flat)
-            assert np.shares_memory(tr.optimizer.v[k], tr.optimizer.v_flat)
         assert offset == tr.flat_params.size
+        assert tr.optimizer.m_flat.shape == tr.optimizer.v_flat.shape == \
+            tr.flat_params.shape
 
     def test_params_are_views_after_construction_and_loads(self, tmp_path):
         tr = small_trainer()
@@ -853,9 +809,9 @@ class TestFlatParameters:
         steps = []
         step = tr.optimizer.step
 
-        def recorded(grad, skip=frozenset()):
+        def recorded(grad):
             steps.append(grad.copy())
-            step(grad, skip)
+            step(grad)
 
         monkeypatch.setattr(tr.value_net, "backward", huge_bias_gradient)
         monkeypatch.setattr(tr.optimizer, "step", recorded)
@@ -1245,6 +1201,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorrupt, match=f"'{field}'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_steps", 2.5), ("gain", float("nan")),
+        ("target_range", float("inf")), ("n_flexors", True)])
+    def test_bad_env_parameter(self, tmp_path, field, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_trainer())
+        payload = json.loads(path.read_text())
+        payload["layout"]["env_kwargs"][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointCorrupt, match=field):
+            load_checkpoint(path)
+
     def test_missing_counters_read_zero(self, tmp_path):
         tr = small_trainer()
         tr.fit(32)
@@ -1297,3 +1265,9 @@ class TestGetParams:
         assert echo["ppo"]["batch_size"] == TINY_PPO.batch_size
         assert echo["hiddens"] == [8, 8]
         assert echo["seed"] == 2
+
+    @pytest.mark.parametrize("seed", [True, 2.9, "3", -1])
+    def test_bad_seed(self, seed):
+        # True, 2.9 and "3" used to train with seeds 1, 2 and 3
+        with pytest.raises(ValueError, match=f"seed .*{seed!r}"):
+            small_trainer(seed=seed)
