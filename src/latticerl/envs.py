@@ -9,8 +9,9 @@ Each environment writes its dynamics once, over a leading env axis. A single
 env steps its own scalar state with that code; BatchedEnv keeps the state of
 n copies as (n, ...) arrays and steps them all with the same code, so row i
 of a batch follows, byte for byte, the trajectory of a single env seeded
-like copy i under the same actions. An environment in ENV_REGISTRY must
-provide the interface BatchedEnv uses:
+like copy i under the same actions. Every episode lasts max_steps, and the
+rows of a batch start and end their episodes together, on one step count.
+An environment in ENV_REGISTRY must provide the interface BatchedEnv uses:
 
 - ``state_fields``: names of the attributes that hold the episode state
   (the step count aside);
@@ -81,10 +82,12 @@ class EpisodeMetrics:
     energy: float
 
     @classmethod
-    def from_logs(cls, rewards, solved_flags, actions, max_steps: int):
+    def from_logs(cls, rewards, solved_flags, actions):
+        """Metrics of one episode from its per-step logs; the solved
+        fraction is over its len(rewards) steps."""
         return cls(
             cumulative_reward=float(np.sum(rewards)),
-            solved_fraction=float(np.sum(solved_flags)) / float(max_steps),
+            solved_fraction=float(np.sum(solved_flags)) / float(len(rewards)),
             energy=energy_of(actions),
         )
 
@@ -286,25 +289,23 @@ class PointReacher:
 
 
 class BatchedEnv:
-    """n copies of one environment stepped as arrays.
+    """n copies of one environment stepped as arrays, on one episode clock.
 
     Built from n single envs of one class and equal parameters: copy i lends
     its rng, which draws row i's episode starts (BatchedEnv([env] * n) draws
     n starts in row order from env's rng, as n resets of env would); the
     parameters and the dynamics are copy 0's. The state fields are (n, ...)
-    attributes of this holder. step checks the whole action array before
-    any row moves, so a bad row leaves every row as it was. Rows are not
-    reset by step; reset the rows whose dones are set.
+    attributes of this holder. All rows start their episodes together, so
+    step_count is one int and step's done one bool; step does not reset,
+    so reset every row once done is set. step checks the whole action array
+    before any row moves, so a bad row leaves every row as it was.
     """
 
     def __init__(self, envs):
         self.env = envs[0]
         self.rngs = [e.rng for e in envs]
         self.n = len(envs)
-        starts = [self.env.initial_state(rng) for rng in self.rngs]
-        for j, name in enumerate(self.env.state_fields):
-            setattr(self, name, np.array([s[j] for s in starts], dtype=float))
-        self.step_count = np.zeros(self.n, dtype=int)
+        self.reset()
 
     @property
     def obs_dim(self) -> int:
@@ -321,19 +322,19 @@ class BatchedEnv:
     def observe(self) -> np.ndarray:
         return self.env.observation(self)
 
-    def reset(self, rows) -> np.ndarray:
-        """Start a new episode in each of rows (row i draws from its own
-        rng); returns the observations of all rows."""
-        for i in rows:
-            for name, value in zip(self.env.state_fields,
-                                   self.env.initial_state(self.rngs[i])):
-                getattr(self, name)[i] = value
-            self.step_count[i] = 0
+    def reset(self) -> np.ndarray:
+        """Start a new episode in every row, row i drawing from its own rng,
+        in row order; returns the observations."""
+        starts = [self.env.initial_state(rng) for rng in self.rngs]
+        for j, name in enumerate(self.env.state_fields):
+            setattr(self, name, np.array([s[j] for s in starts], dtype=float))
+        self.step_count = 0
         return self.observe()
 
     def step(self, actions):
         """One step of every row under actions (n, A). Returns obs
-        (n, obs_dim), rewards (n,), dones (n,) and solved (n,)."""
+        (n, obs_dim), rewards (n,), done (one bool for every row) and
+        solved (n,)."""
         a = clipped_action(actions, (self.n, self.env.action_dim))
         rewards, solved, _ = self.env.advance(self, a)
         self.step_count += 1

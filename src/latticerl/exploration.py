@@ -94,11 +94,6 @@ class NoiseStdMatrices:
                     "log_std_a": (n_actions, n_latent)}
         return {"log_std_x": (1, n_latent), "log_std_a": (1, n_latent)}
 
-    @classmethod
-    def create(cls, n_actions: int, n_latent: int, cfg: LatticeConfig):
-        return cls(**{k: np.full(s, float(cfg.init_log_std)) for k, s
-                      in cls.shapes(n_actions, n_latent, cfg).items()})
-
     @property
     def n_latent(self) -> int:
         return self.log_std_x.shape[1]
@@ -222,7 +217,9 @@ class NoiseSampler:
     """The action-noise process of a policy over a batch of environments.
 
     Env i draws only from rngs[i], a Generator or any object with its
-    standard_normal(size), and owns its perturbation window. The rows
+    standard_normal(size), and owns its perturbation window. The envs share
+    one episode clock: they start their episodes together (reset), so
+    their windows open and close at the same steps. The rows
     of P_x are iid N(0, D_x), D_x = Diag(S_x^2) with the unclipped sampling
     stds, and those of P_a iid N(0, D_a). With reduced stds a window keeps
     no matrix: for a latent x it forms c = Q^T D x, r = x - Q c and
@@ -248,11 +245,11 @@ class NoiseSampler:
         self.perturbations: list[PerturbationMatrices | None] = \
             [None] * len(self.rngs)
         self.windows: _Windows | None = None
-        self.ep_step = np.zeros(len(self.rngs), dtype=int)
+        self.ep_step = 0
 
     def sample(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
         """Actions for one step of every env from its latent row x[i] and
-        mean action mean[i]; advances each env's episode step."""
+        mean action mean[i]; advances the episode step."""
         policy = self.policy
         if policy.strategy == "diagonal":
             z = np.stack([rng.standard_normal(policy.action_dim)
@@ -265,32 +262,25 @@ class NoiseSampler:
                 actions[i] = mean[i] + (p.P_a @ x[i] + policy.alpha
                                         * (policy.W @ (p.P_x @ x[i])))
         else:
-            p_x, p_a = self._window_products(x)
+            p_x, p_a = self._open(x) if self.windows is None \
+                else self._continue(x)
             actions = mean + (p_a + policy.alpha * (p_x @ policy.W.T))
         self.ep_step += 1
         period = self.cfg.period_steps
-        if period is not None and period > 1:
-            # a window is dead once it has served its last step
-            self._close(np.flatnonzero(self.ep_step % period == 0))
+        if period is not None and period > 1 and self.ep_step % period == 0:
+            # the windows are dead once they have served their last step
+            self._close()
         return actions
 
-    def reset(self, i: int):
-        """Env i starts a new episode: its next step opens a fresh window."""
-        self.ep_step[i] = 0
-        self._close([i])
+    def reset(self):
+        """Every env starts a new episode: the next step opens fresh
+        windows."""
+        self.ep_step = 0
+        self._close()
 
-    def _close(self, rows):
-        for i in rows:
-            self.perturbations[i] = None
-        w = self.windows
-        if w is not None:
-            w.n_seen[rows] = 0
-            w.n_dir[rows] = 0
-            if not w.n_seen.any():
-                self.windows = None
-            else:
-                w.q[rows] = 0.0
-                w.y[rows] = 0.0
+    def _close(self):
+        self.perturbations = [None] * len(self.rngs)
+        self.windows = None
 
     def _matrices(self, i: int) -> PerturbationMatrices:
         """Env i's perturbation matrices, drawn when its window opens."""
@@ -305,23 +295,9 @@ class NoiseSampler:
         n = self.policy.n_latent + self.policy.action_dim
         return np.stack([rng.standard_normal(n) for rng in rngs])
 
-    def _window_products(self, x: np.ndarray):
-        """P_x x and P_a x of every env under its window's matrices."""
-        w = self.windows
-        if w is None:
-            # every env opens a window, as at each step of period 1
-            return self._open(x)
-        fresh = np.flatnonzero(w.n_seen == 0)
-        p_x = np.empty((len(x), self.policy.n_latent))
-        p_a = np.empty((len(x), self.policy.action_dim))
-        if fresh.size:
-            p_x[fresh], p_a[fresh] = self._open(x, fresh)
-        self._continue(np.flatnonzero(w.n_seen > 0), x, p_x, p_a)
-        return p_x, p_a
-
-    def _open(self, x, rows=None):
-        """Products sd * z of the opening step of envs rows, or of every
-        env; keeps the windows that outlive the step."""
+    def _open(self, x):
+        """Products sd * z of every env's opening step; holds the windows
+        when they outlive the step."""
         policy = self.policy
         n_x = policy.n_latent
         eff = sampling_log_std(policy.noise_std, self.cfg)
@@ -329,61 +305,45 @@ class NoiseSampler:
         s2_a = np.exp(2.0 * eff.log_std_a)
         x2 = x * x
         # unclipped S^2 in the stored shape: a reduced (1, N_x) row gives
-        # one sd per sample, broadcast over the N_x or N_a outputs. The sds
-        # of every row, so that a row's bytes do not depend on which rows
-        # open a window with it.
+        # one sd per sample, broadcast over the N_x or N_a outputs
         sd_x = np.sqrt(x2 @ s2_x.T)
         sd_a = np.sqrt(x2 @ s2_a.T)
-        if rows is None:
-            rngs = self.rngs
-        else:
-            sd_x, sd_a, x = sd_x[rows], sd_a[rows], x[rows]
-            rngs = [self.rngs[i] for i in rows]
-        z = self._normals(rngs)
+        z = self._normals(self.rngs)
         p_x = sd_x * z[:, :n_x]
         p_a = sd_a * z[:, n_x:]
-        period = self.cfg.period_steps
-        if period > 1:
-            if rows is None:
-                rows = np.arange(len(self.rngs))
-            kept = (self.ep_step[rows] + 1) % period != 0
-            if kept.any():
-                rho = np.concatenate([sd_x, sd_a], axis=1)
-                self._keep(rows[kept], x[kept], np.concatenate([s2_x, s2_a]),
-                           p_x[kept], p_a[kept], rho[kept], z[kept])
+        if self.cfg.period_steps > 1:
+            w = self.windows = _Windows.allocate(
+                len(x), min(self.cfg.period_steps, WINDOW_SLOTS), n_x,
+                policy.action_dim)
+            w.s2[:] = np.concatenate([s2_x, s2_a])
+            rows = np.arange(len(x))
+            self._remember(rows, x, p_x, p_a)
+            # the residual of a first latent is the latent itself; x = 0
+            # opens no direction
+            rho = np.concatenate([sd_x, sd_a], axis=1)
+            new = np.any(rho > 0.0, axis=1)
+            r = np.broadcast_to(x[new, None], (np.count_nonzero(new), 2, n_x))
+            self._add_directions(rows[new], r, rho[new], z[new])
         return p_x, p_a
 
-    def _keep(self, rows, x, s2, p_x, p_a, rho, z):
-        """Hold the windows of envs rows after their opening step."""
-        if self.windows is None:
-            self.windows = _Windows.allocate(
-                len(self.rngs), min(self.cfg.period_steps, WINDOW_SLOTS),
-                self.policy.n_latent, self.policy.action_dim)
-        self.windows.s2[rows] = s2
-        self._remember(rows, x, p_x, p_a)
-        # the residual of a first latent is the latent itself; x = 0 opens
-        # no direction
-        new = np.any(rho > 0.0, axis=1)
-        r = np.broadcast_to(x[new, None], (np.count_nonzero(new), 2,
-                                           x.shape[1]))
-        self._add_directions(rows[new], r, rho[new], z[new])
-
-    def _continue(self, rows, x, p_x, p_a):
-        """Products of envs rows, whose windows have met a latent already."""
+    def _continue(self, x):
+        """Products of every env, whose windows have met a latent already."""
         w = self.windows
         n_x = self.policy.n_latent
-        x = x[rows]
-        n = w.n_seen[rows].max()
-        same = np.all(w.seen[rows, :n] == x[:, None], axis=2)
-        same &= np.arange(n) < w.n_seen[rows, None]
+        p_x = np.empty((len(x), n_x))
+        p_a = np.empty((len(x), self.policy.action_dim))
+        rows = np.arange(len(x))
+        n = w.n_seen.max()
+        same = np.all(w.seen[:, :n] == x[:, None], axis=2)
+        same &= np.arange(n) < w.n_seen[:, None]
         repeat = same.any(axis=1)
         if repeat.any():
-            p = w.p[rows[repeat], same[repeat].argmax(axis=1)]
-            p_x[rows[repeat]] = p[:, :n_x]
-            p_a[rows[repeat]] = p[:, n_x:]
+            p = w.p[repeat, same[repeat].argmax(axis=1)]
+            p_x[repeat] = p[:, :n_x]
+            p_a[repeat] = p[:, n_x:]
             rows, x = rows[~repeat], x[~repeat]
             if not rows.size:
-                return
+                return p_x, p_a
         # this step stores one latent and may open one direction per row
         w.reserve(w.n_seen[rows].max() + 1)
         m = w.n_dir[rows].max()
@@ -409,6 +369,7 @@ class NoiseSampler:
             p_a[rows[new]] += rho[new, 1:] * z[:, n_x:]
             self._add_directions(rows[new], r[new], rho[new], z)
         self._remember(rows, x, p_x[rows], p_a[rows])
+        return p_x, p_a
 
     def _remember(self, rows, x, p_x, p_a):
         w = self.windows
@@ -427,4 +388,3 @@ class NoiseSampler:
                                     where=rho > 0)
         w.y[rows, j] = z
         w.n_dir[rows] += 1
-

@@ -186,9 +186,6 @@ class Mlp:
     def latent_dim(self) -> int:
         return self.sizes[-2]
 
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def forward(self, obs: np.ndarray, need_cache: bool = False):
         """Returns (latent, out[, cache]); latent is the last hidden output."""
         obs = np.asarray(obs, dtype=float)
@@ -307,9 +304,6 @@ class MlpPolicy:
     def action_from_latent(self, lat: np.ndarray) -> np.ndarray:
         """Mean actions (n, N_a) of latents (n, N_x)."""
         return lat @ self.W.T + self.b
-
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
 
 
 @dataclass

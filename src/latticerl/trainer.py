@@ -194,7 +194,7 @@ class PPOTrainer:
 
         self._obs = self.envs.observe()
         self.noise = NoiseSampler(self.policy, self.cfg, self.env_rngs)
-        # episode logs of every env, written at each env's step count
+        # episode logs of every env, written at the batch's step count
         n, t_max = self.ppo.n_envs, self.envs.max_steps
         self._ep_rewards = np.zeros((n, t_max))
         self._ep_solved = np.zeros((n, t_max), dtype=bool)
@@ -239,7 +239,6 @@ class PPOTrainer:
         buf = RolloutBuffer.allocate(n_steps, self.ppo.n_envs, self.obs_dim,
                                      self.action_dim)
         self.recent_episodes = []
-        rows = np.arange(self.ppo.n_envs)
         for t in range(n_steps):
             obs = self._obs
             it = dist_internals(self.policy, obs, self.cfg)
@@ -250,22 +249,19 @@ class PPOTrainer:
             buf.actions[t] = actions
             buf.log_probs[t] = logp
             buf.values[t] = values[:, 0]
-            self._obs, rewards, dones, solved = self.envs.step(actions)
+            self._obs, rewards, done, solved = self.envs.step(actions)
             buf.rewards[t] = rewards
-            buf.dones[t] = dones
+            buf.dones[t] = done
             k = self.envs.step_count - 1
-            self._ep_rewards[rows, k] = rewards
-            self._ep_solved[rows, k] = solved
-            self._ep_actions[rows, k] = np.clip(actions, 0.0, 1.0)
-            if dones.any():
-                ended = np.flatnonzero(dones)
-                for i in ended:
-                    n_i = k[i] + 1
-                    self.recent_episodes.append(EpisodeMetrics.from_logs(
-                        self._ep_rewards[i, :n_i], self._ep_solved[i, :n_i],
-                        self._ep_actions[i, :n_i], self.envs.max_steps))
-                    self.noise.reset(i)
-                self._obs = self.envs.reset(ended)
+            self._ep_rewards[:, k] = rewards
+            self._ep_solved[:, k] = solved
+            self._ep_actions[:, k] = np.clip(actions, 0.0, 1.0)
+            if done:
+                self.recent_episodes.extend(map(
+                    EpisodeMetrics.from_logs, self._ep_rewards,
+                    self._ep_solved, self._ep_actions))
+                self.noise.reset()
+                self._obs = self.envs.reset()
             self.env_steps += self.ppo.n_envs
         return buf
 
@@ -417,6 +413,8 @@ def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
     sampler at period > 1, which uses only part of its block."""
     if not (is_int(n_episodes) and n_episodes >= 1):
         raise ValueError(f"n_episodes must be an int >= 1, got {n_episodes!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     env_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     env = make_env(trainer.env_name,
                    seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
@@ -456,7 +454,7 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
     _, actions, rewards, solved = run_episodes(trainer, n_episodes, seed,
                                                deterministic)
     episodes = [
-        EpisodeMetrics.from_logs(r, s, np.clip(a, 0.0, 1.0), len(r))
+        EpisodeMetrics.from_logs(r, s, np.clip(a, 0.0, 1.0))
         for a, r, s in zip(actions, rewards, solved)
     ]
 

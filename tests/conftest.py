@@ -60,13 +60,13 @@ def relative_error(numeric, analytic, floor=1e-8):
 
 class ConstantObsEnv:
     """Minimal environment whose observation never changes; used to isolate
-    the exploration noise from the policy's state dependence. It has no
-    episode state besides the step count, and implements the interface
-    BatchedEnv steps."""
+    the exploration noise from the policy's state dependence. Its one state
+    field, zero, stays 0 and gives a batch its shape; it implements the
+    interface BatchedEnv steps."""
 
     name = "constant_obs"
     max_steps = 100
-    state_fields = ()
+    state_fields = ("zero",)
 
     def __init__(self, obs_dim: int = 2, action_dim: int = 4,
                  max_steps: int = 100, seed: int | None = None):
@@ -74,6 +74,7 @@ class ConstantObsEnv:
         self._action_dim = int(action_dim)
         self.max_steps = int(max_steps)
         self.rng = np.random.default_rng(seed)
+        self.zero = 0.0
         self.step_count = 0
 
     @property
@@ -89,14 +90,14 @@ class ConstantObsEnv:
         return {"all": list(range(self._action_dim))}
 
     def initial_state(self, rng):
-        return ()
+        return (0.0,)
 
     def advance(self, s, a):
-        shape = np.shape(s.step_count)
+        shape = np.shape(s.zero)
         return np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
 
     def observation(self, s):
-        return np.ones(np.shape(s.step_count) + (self._obs_dim,))
+        return np.ones(np.shape(s.zero) + (self._obs_dim,))
 
     def observe(self):
         return self.observation(self)

@@ -279,7 +279,7 @@ def run_episodes(trainer, n_episodes: int, seed: int,
                          [np.random.default_rng(noise_ss)])
     for _ in range(n_episodes):
         obs = env.reset()
-        noise.reset(0)
+        noise.reset()
         states, actions, rewards, solved = [], [], [], []
         done = False
         while not done:

@@ -294,7 +294,9 @@ def test_criterion_06_rescaling_invariance():
     n_draws, chunk = 40_000, 8_000
     variances = {}
     for n_x in (16, 64, 256):
-        std = NoiseStdMatrices.create(n_act, n_x, cfg)
+        # unit stds in the reduced (1, N_x) shape
+        std = NoiseStdMatrices(log_std_x=np.zeros((1, n_x)),
+                               log_std_a=np.zeros((1, n_x)))
         s_x, s_a = sampling_std(std, cfg, n_act)
         acc_a = np.zeros(n_act)
         acc_x = 0.0

@@ -54,15 +54,14 @@ class TestEpisodeMetrics:
         m = EpisodeMetrics.from_logs(
             rewards=[1.0, -0.5, 0.25],
             solved_flags=[True, False, True],
-            actions=[(1.0, 0.0), (0.0, 0.0), (1.0, 1.0)],
-            max_steps=4)
+            actions=[(1.0, 0.0), (0.0, 0.0), (1.0, 1.0)])
         assert m.cumulative_reward == pytest.approx(0.75)
-        assert m.solved_fraction == pytest.approx(2 / 4)
+        assert m.solved_fraction == pytest.approx(2 / 3)
         assert m.energy == pytest.approx((0.5 + 0.0 + 1.0) / 3)
 
     def test_zero_energy_iff_zero_actions(self):
-        zero = EpisodeMetrics.from_logs([0], [False], [(0.0, 0.0)], 1)
-        nonzero = EpisodeMetrics.from_logs([0], [False], [(0.1, 0.0)], 1)
+        zero = EpisodeMetrics.from_logs([0], [False], [(0.0, 0.0)])
+        nonzero = EpisodeMetrics.from_logs([0], [False], [(0.1, 0.0)])
         assert zero.energy == 0.0
         assert nonzero.energy > 0.0
 
@@ -315,8 +314,8 @@ class TestBatchedEnv:
         ("point_reacher", {"pairs_per_axis": 3}),
     ])
     def test_rows_match_single_envs(self, name, kwargs):
-        # actions beyond [0, 1] exercise the clip; rows 1 and 3 are also
-        # reset mid-episode, so the rows' episodes end at different steps
+        # actions beyond [0, 1] exercise the clip; every row is also reset
+        # mid-episode, so episodes of fewer than max_steps occur
         n = 5
         kwargs = dict(kwargs, max_steps=7)
         singles = [make_env(name, seed=10 + i, **kwargs) for i in range(n)]
@@ -332,30 +331,28 @@ class TestBatchedEnv:
                 o, r, done, info = env.step(actions[i])
                 assert o.tobytes() == obs[i].tobytes()
                 assert np.float64(r).tobytes() == rewards[i].tobytes()
-                assert done == dones[i]
+                assert done == dones
                 assert info["solved"] == solved[i]
-                assert env.step_count == batch.step_count[i]
+                assert env.step_count == batch.step_count
                 for f in env.state_fields:
                     assert np.asarray(getattr(env, f), dtype=float) \
                         .tobytes() == getattr(batch, f)[i].tobytes()
-            rows = set(np.flatnonzero(dones))
-            if t % 9 == 4:
-                rows |= {1, 3}
-            if rows:
-                obs = batch.reset(sorted(rows))
-                for i in rows:
-                    singles[i].reset()
+            if dones or t % 9 == 4:
+                obs = batch.reset()
+                for env in singles:
+                    env.reset()
                 assert obs.tobytes() == np.stack(
                     [env.observe() for env in singles]).tobytes()
-        assert solved.dtype == bool and dones.dtype == bool
+        assert solved.dtype == bool and isinstance(dones, bool)
 
     @pytest.mark.parametrize("name", ["flex_ext_arm", "point_reacher"])
     def test_bad_action_changes_no_row(self, name):
         batch = BatchedEnv([make_env(name, seed=i) for i in range(4)])
         rng = np.random.default_rng(1)
         batch.step(rng.uniform(0.0, 1.0, (4, batch.action_dim)))
-        fields = batch.env.state_fields + ("step_count",)
+        fields = batch.env.state_fields
         before = [getattr(batch, f).tobytes() for f in fields]
+        step_count = batch.step_count
         bad = rng.uniform(0.0, 1.0, (4, batch.action_dim))
         bad[2, 1] = np.nan
         with pytest.raises(NonFiniteAction):
@@ -365,6 +362,7 @@ class TestBatchedEnv:
         with pytest.raises(DimensionMismatch):
             batch.step(np.zeros((3, batch.action_dim)))
         assert [getattr(batch, f).tobytes() for f in fields] == before
+        assert batch.step_count == step_count
 
 
 class TestRegistry:

@@ -72,7 +72,7 @@ class TestMlpForward:
     def test_param_count_closed_form(self):
         net = Mlp(np.random.default_rng(3), 6, (10, 7), 4)
         expected = (6 * 10 + 10) + (10 * 7 + 7) + (7 * 4 + 4)
-        assert net.n_params() == expected
+        assert sum(v.size for v in net.params.values()) == expected
 
     def test_initial_weights_drawn_into_given_views(self):
         # the bits of drawing each layer's weights as a new array, in layer

@@ -308,16 +308,16 @@ def per_env_reference_rollout(tr, n_steps):
             ep_actions.append(np.clip(actions[i], 0.0, 1.0))
             if done:
                 episodes.append(EpisodeMetrics.from_logs(
-                    ep_rewards, ep_solved, ep_actions, env.max_steps))
+                    ep_rewards, ep_solved, ep_actions))
                 logs[i] = ([], [], [])
                 o = env.reset()
                 ep_step[i] = 0
                 windows[i] = None
-                if fast:
-                    tr.noise.reset(i)
             else:
                 ep_step[i] += 1
             next_obs[i] = o
+        if fast and dones.any():
+            tr.noise.reset()
         for key, value in zip(fields, (obs, actions, logp, values[:, 0],
                                        rewards, dones)):
             fields[key].append(value)
@@ -456,13 +456,19 @@ class TestNoiseSampler:
 
 class TestBatchedRollout:
     @pytest.mark.parametrize("env_name", ["flex_ext_arm", "point_reacher"])
-    @pytest.mark.parametrize("strategy,period", [
-        ("diagonal", 1), ("lattice", 1), ("lattice", 4)])
-    def test_matches_per_env_loop(self, env_name, strategy, period):
+    @pytest.mark.parametrize("strategy,period,full_std", [
+        ("diagonal", 1, False), ("lattice", 1, False), ("lattice", 4, False),
+        ("lattice", "episode", False), ("lattice", 4, True)],
+        ids=["diagonal-1", "lattice-1", "lattice-4", "lattice-episode",
+             "lattice-4-full_std"])
+    def test_matches_per_env_loop(self, env_name, strategy, period, full_std):
         # episodes of 6 steps end three times per env in 20 steps, and the
-        # second rollout continues the episodes the first one left open
+        # second rollout continues the episodes the first one left open;
+        # the matrix path ("episode", full_std at period 4) drops its
+        # matrices at every reset, inside a rollout
         ppo = dataclasses.replace(TINY_PPO, n_envs=3)
-        kwargs = dict(strategy=strategy, cfg=LatticeConfig(period=period),
+        kwargs = dict(strategy=strategy,
+                      cfg=LatticeConfig(period=period, full_std=full_std),
                       ppo=ppo, seed=5, env_name=env_name,
                       env_kwargs={"max_steps": 6})
         tr = small_trainer(**kwargs)
@@ -470,6 +476,7 @@ class TestBatchedRollout:
         for n_steps in (9, 11):
             bufs.append(tr.collect_rollout(n_steps))
             episodes += tr.recent_episodes
+            assert tr.noise.ep_step == tr.envs.step_count
         expected = per_env_reference_rollout(small_trainer(**kwargs), 20)
         for field in ("obs", "actions", "log_probs", "values", "rewards",
                       "dones"):
@@ -485,9 +492,9 @@ class TestBatchedRollout:
 
         def snapshot():
             arrays = [getattr(tr.envs, f) for f in tr.envs.env.state_fields]
-            arrays += [tr.envs.step_count, tr._ep_rewards, tr._ep_solved,
-                       tr._ep_actions, tr._obs]
-            return [a.tobytes() for a in arrays] + [tr.env_steps]
+            arrays += [tr._ep_rewards, tr._ep_solved, tr._ep_actions, tr._obs]
+            return [a.tobytes() for a in arrays] + [tr.envs.step_count,
+                                                    tr.env_steps]
 
         before = snapshot()
         sample = tr.noise.sample
@@ -951,8 +958,7 @@ class TestBatchedEpisodes:
             np.testing.assert_allclose(actions[i], a, rtol=0, atol=1e-9)
             np.testing.assert_allclose(rewards[i], r, rtol=0, atol=1e-9)
             np.testing.assert_array_equal(solved[i], ok)
-            want = EpisodeMetrics.from_logs(r, ok, np.clip(a, 0.0, 1.0),
-                                            t_max)
+            want = EpisodeMetrics.from_logs(r, ok, np.clip(a, 0.0, 1.0))
             got = metrics["per_episode"][i]
             assert got["solved_fraction"] == want.solved_fraction
             assert got["reward"] == pytest.approx(want.cumulative_reward,
@@ -1008,6 +1014,14 @@ class TestBatchedEpisodes:
             evaluate_policy(tr, n_episodes=n)
         with pytest.raises(ValueError, match="n_episodes"):
             run_episodes(tr, n, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 2.9, "3", -1])
+    def test_refuses_bad_seed(self, seed):
+        # True used to evaluate as seed 1, and 2.9 and "3" raised numpy's
+        # TypeError
+        tr = small_trainer()
+        with pytest.raises(ValueError, match=f"seed .*{seed!r}"):
+            evaluate_policy(tr, n_episodes=2, seed=seed)
 
 
 class TestPredict:
