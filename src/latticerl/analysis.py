@@ -9,8 +9,8 @@ import numpy as np
 from .envs import clipped_action
 from .errors import (EmptyGroup, InsufficientSamples, StateSyncUnsupported,
                      is_int)
-from .exploration import LatticeConfig, clip_std, sampling_log_std
-from .policy import MlpPolicy, dist_internals
+from .exploration import LatticeConfig
+from .policy import MlpPolicy, dist_internals, dist_params
 
 
 # --------------------------------------------------------- dual simulation
@@ -195,10 +195,8 @@ def analytic_latent_noise_cov(policy: MlpPolicy, states: np.ndarray,
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     x, _ = policy.forward(states)
-    eff = sampling_log_std(policy.noise_std, cfg)
-    s_x = clip_std(np.exp(eff.log_std_x), cfg.std_min, cfg.std_max)
-    # mean over states of c_x, (R_x,) with the stored row count of s_x
-    c_bar = np.mean((x * x) @ (s_x * s_x).T, axis=0)
+    # mean over states of c_x, (R_x,) with the stored row count of S_x
+    c_bar = np.mean((x * x) @ dist_params(policy, cfg).sx2.T, axis=0)
     w = policy.W
     return policy.alpha ** 2 * ((w * c_bar) @ w.T)
 

@@ -156,16 +156,17 @@ WINDOW_SLOTS = 16
 class _Windows:
     """The open windows of a reduced-std sampler, one row per env.
 
-    Row i keeps D = Diag(S^2) of the stds at its window's opening, for the
-    P_x rows (metric 0) and the P_a rows (metric 1); the latents it has met
-    with their products P_x x | P_a x; and per metric a D-orthonormal basis
-    q_j of those latents with y_j = P_x q_x,j | P_a q_a,j, the standard
-    normals the window drew for direction j. Slots past a row's counts are
-    zero, and there are only as many as the windows have needed, so a long
-    period costs what its windows meet rather than its length.
+    s2 holds D = Diag(S^2) of the stds at the windows' common opening step,
+    for the P_x rows (metric 0) and the P_a rows (metric 1). Row i keeps
+    the latents its window has met with their products P_x x | P_a x; and
+    per metric a D-orthonormal basis q_j of those latents with
+    y_j = P_x q_x,j | P_a q_a,j, the standard normals the window drew for
+    direction j. Slots past a row's counts are zero, and there are only as
+    many as the windows have needed, so a long period costs what its
+    windows meet rather than its length.
     """
 
-    s2: np.ndarray      # (n_envs, 2, N_x)
+    s2: np.ndarray      # (2, N_x), shared by every env
     seen: np.ndarray    # (n_envs, slots, N_x)
     p: np.ndarray       # (n_envs, slots, N_x + N_a)
     n_seen: np.ndarray  # (n_envs,)
@@ -174,8 +175,9 @@ class _Windows:
     n_dir: np.ndarray   # (n_envs,)
 
     @classmethod
-    def allocate(cls, n_envs: int, slots: int, n_x: int, n_a: int):
-        return cls(s2=np.zeros((n_envs, 2, n_x)),
+    def allocate(cls, s2: np.ndarray, n_envs: int, slots: int, n_a: int):
+        n_x = s2.shape[1]
+        return cls(s2=s2,
                    seen=np.zeros((n_envs, slots, n_x)),
                    p=np.zeros((n_envs, slots, n_x + n_a)),
                    n_seen=np.zeros(n_envs, dtype=int),
@@ -233,7 +235,9 @@ class NoiseSampler:
     included). A window uses the stds of its opening step and the current
     W, as held matrices would. full_std at period > 1 and "episode" draw
     P_x and P_a through resample_perturbations and hold them. Diagonal
-    noise draws N(0, sigma^2) per action.
+    noise draws N(0, sigma^2) per action. An rng draws through
+    standard_normal(size) for the matrices and standard_normal(out=row)
+    otherwise.
     """
 
     def __init__(self, policy, cfg: LatticeConfig,
@@ -247,14 +251,16 @@ class NoiseSampler:
         self.windows: _Windows | None = None
         self.ep_step = 0
 
-    def sample(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    def sample(self, x: np.ndarray, mean: np.ndarray,
+               params) -> np.ndarray:
         """Actions for one step of every env from its latent row x[i] and
-        mean action mean[i]; advances the episode step."""
+        mean action mean[i]; advances the episode step. params is
+        dist_params(policy, cfg) of the current parameters, whose sigma or
+        sampling variances (read when a window opens) scale the normals."""
         policy = self.policy
         if policy.strategy == "diagonal":
-            z = np.stack([rng.standard_normal(policy.action_dim)
-                          for rng in self.rngs])
-            actions = mean + z * np.exp(policy.params["log_sigma"])
+            z = self._normals(self.rngs, policy.action_dim)
+            actions = mean + z * params.sigma
         elif self.matrix_path:
             actions = np.empty_like(mean)
             for i in range(len(self.rngs)):
@@ -262,7 +268,7 @@ class NoiseSampler:
                 actions[i] = mean[i] + (p.P_a @ x[i] + policy.alpha
                                         * (policy.W @ (p.P_x @ x[i])))
         else:
-            p_x, p_a = self._open(x) if self.windows is None \
+            p_x, p_a = self._open(x, params) if self.windows is None \
                 else self._continue(x)
             actions = mean + (p_a + policy.alpha * (p_x @ policy.W.T))
         self.ep_step += 1
@@ -291,31 +297,31 @@ class NoiseSampler:
                 self.rngs[i])
         return p
 
-    def _normals(self, rngs) -> np.ndarray:
-        n = self.policy.n_latent + self.policy.action_dim
-        return np.stack([rng.standard_normal(n) for rng in rngs])
+    def _normals(self, rngs, width: int) -> np.ndarray:
+        """(len(rngs), width) normals, row i drawn from rngs[i]."""
+        z = np.empty((len(rngs), width))
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+        return z
 
-    def _open(self, x):
+    def _open(self, x, params):
         """Products sd * z of every env's opening step; holds the windows
         when they outlive the step."""
         policy = self.policy
         n_x = policy.n_latent
-        eff = sampling_log_std(policy.noise_std, self.cfg)
-        s2_x = np.exp(2.0 * eff.log_std_x)
-        s2_a = np.exp(2.0 * eff.log_std_a)
+        s2_x, s2_a = params.var_x, params.var_a
         x2 = x * x
         # unclipped S^2 in the stored shape: a reduced (1, N_x) row gives
         # one sd per sample, broadcast over the N_x or N_a outputs
         sd_x = np.sqrt(x2 @ s2_x.T)
         sd_a = np.sqrt(x2 @ s2_a.T)
-        z = self._normals(self.rngs)
+        z = self._normals(self.rngs, n_x + policy.action_dim)
         p_x = sd_x * z[:, :n_x]
         p_a = sd_a * z[:, n_x:]
         if self.cfg.period_steps > 1:
-            w = self.windows = _Windows.allocate(
-                len(x), min(self.cfg.period_steps, WINDOW_SLOTS), n_x,
-                policy.action_dim)
-            w.s2[:] = np.concatenate([s2_x, s2_a])
+            self.windows = _Windows.allocate(
+                np.concatenate([s2_x, s2_a]), len(x),
+                min(self.cfg.period_steps, WINDOW_SLOTS), policy.action_dim)
             rows = np.arange(len(x))
             self._remember(rows, x, p_x, p_a)
             # the residual of a first latent is the latent itself; x = 0
@@ -348,7 +354,7 @@ class NoiseSampler:
         w.reserve(w.n_seen[rows].max() + 1)
         m = w.n_dir[rows].max()
         q = w.q[rows, :, :m]                      # (k, 2, m, N_x)
-        d = w.s2[rows]                            # (k, 2, N_x)
+        d = w.s2                                  # (2, N_x)
         dx = d * x[:, None]
         c = (q @ dx[..., None])[..., 0]           # (k, 2, m)
         r = x[:, None] - (c[..., None, :] @ q)[..., 0, :]
@@ -364,7 +370,8 @@ class NoiseSampler:
         p_a[rows] = (c[:, 1, None] @ y[:, :, n_x:])[:, 0]
         new = np.any(rho > SPAN_TOL * norm, axis=1)
         if new.any():
-            z = self._normals([self.rngs[i] for i in rows[new]])
+            z = self._normals([self.rngs[i] for i in rows[new]],
+                              n_x + self.policy.action_dim)
             p_x[rows[new]] += rho[new, :1] * z[:, :n_x]
             p_a[rows[new]] += rho[new, 1:] * z[:, n_x:]
             self._add_directions(rows[new], r[new], rho[new], z)

@@ -371,48 +371,101 @@ class DistInternals:
         return (self.basis / self.eig[:, None, :]) @ self.basis.T
 
 
-def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
-                   need_cache: bool = False) -> DistInternals:
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    if need_cache:
-        x, mean, cache = policy.forward(obs, need_cache=True)
-    else:
-        x, mean = policy.forward(obs)
-        cache = None
+@dataclass
+class DistParams:
+    """The parameter-only part of the action distribution: everything
+    dist_internals and NoiseSampler derive from the parameters alone.
+
+    Built by dist_params from the parameters as they are at that call, and
+    not refreshed: the caller builds one per parameter version (a rollout,
+    an evaluation, a minibatch) and must not use it past an update.
+    """
+
+    kind: str
+    # lattice / gsde fields, in the stored shape (R, N_x) of their log-std
+    s_a: np.ndarray | None = None       # clipped stds
+    s_x: np.ndarray | None = None
+    mask_a: np.ndarray | None = None    # 1 where the clip is inactive
+    mask_x: np.ndarray | None = None
+    sa2: np.ndarray | None = None       # s_a * s_a
+    sx2: np.ndarray | None = None       # s_x * s_x
+    # the sampler's unclipped variances exp(2 log S)
+    var_a: np.ndarray | None = None
+    var_x: np.ndarray | None = None
+    # reduced stds: eigh of W W^T
+    basis: np.ndarray | None = None     # (N_a, N_a), V
+    lam: np.ndarray | None = None       # (N_a,)
+    # full_std: row k = vec(w_k w_k^T)
+    k_x: np.ndarray | None = None       # (N_x, N_a^2)
+    # diagonal fields
+    sigma: np.ndarray | None = None     # (N_a,)
+
+
+def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
+    """The parameter-only part of policy's action distribution under cfg."""
     if policy.strategy == "diagonal":
-        sigma = np.exp(policy.params["log_sigma"])
-        return DistInternals(x=x, mean=mean, cache=cache, kind="diagonal",
-                             sigma=sigma)
+        return DistParams(kind="diagonal",
+                          sigma=np.exp(policy.params["log_sigma"]))
     eff = sampling_log_std(policy.noise_std, cfg)
     s_x_raw = np.exp(eff.log_std_x)
     s_a_raw = np.exp(eff.log_std_a)
     s_x = clip_std(s_x_raw, cfg.std_min, cfg.std_max)
     s_a = clip_std(s_a_raw, cfg.std_min, cfg.std_max)
-    mask_x = ((s_x_raw > cfg.std_min) & (s_x_raw < cfg.std_max)).astype(float)
-    mask_a = ((s_a_raw > cfg.std_min) & (s_a_raw < cfg.std_max)).astype(float)
+    p = DistParams(
+        kind=policy.strategy, s_a=s_a, s_x=s_x,
+        mask_a=((s_a_raw > cfg.std_min) & (s_a_raw < cfg.std_max)).astype(
+            float),
+        mask_x=((s_x_raw > cfg.std_min) & (s_x_raw < cfg.std_max)).astype(
+            float),
+        sa2=s_a * s_a, sx2=s_x * s_x,
+        var_a=np.exp(2.0 * eff.log_std_a), var_x=np.exp(2.0 * eff.log_std_x))
+    W = policy.W
+    if s_a.shape[0] == s_x.shape[0] == 1:
+        # reduced stds (or full_std at N_x = N_a = 1): one c_a and one c_x
+        # per row, so every row's covariance is diagonal in the eigenbasis
+        # of W W^T. A full_std head at N_x = 1 has a (1, 1) s_x but N_a rows
+        # of s_a, so both are checked.
+        p.lam, p.basis = np.linalg.eigh(W @ W.T)
+    else:
+        n_a = policy.action_dim
+        p.k_x = (W.T[:, :, None] * W.T[:, None, :]).reshape(-1, n_a * n_a)
+    return p
+
+
+def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
+                   need_cache: bool = False,
+                   params: DistParams | None = None) -> DistInternals:
+    """The action distribution at the states obs. params is
+    dist_params(policy, cfg), built here when not given."""
+    obs = np.atleast_2d(np.asarray(obs, dtype=float))
+    if params is None:
+        params = dist_params(policy, cfg)
+    if need_cache:
+        x, mean, cache = policy.forward(obs, need_cache=True)
+    else:
+        x, mean = policy.forward(obs)
+        cache = None
+    if params.kind == "diagonal":
+        return DistInternals(x=x, mean=mean, cache=cache, kind="diagonal",
+                             sigma=params.sigma)
     alpha = policy.alpha
     n_a = policy.action_dim
     x2 = x * x
-    c_a = x2 @ (s_a * s_a).T
-    c_x = x2 @ (s_x * s_x).T
-    W = policy.W
-    if c_a.shape[1] == c_x.shape[1] == 1:
-        # reduced stds (or full_std at N_x = N_a = 1): one c_a and one c_x
-        # per row. A full_std head at N_x = 1 has a (1, 1) s_x but N_a rows
-        # of s_a, so both are checked.
-        lam, basis = np.linalg.eigh(W @ W.T)
-        eig = c_a + cfg.gamma + (alpha * alpha) * c_x * lam
+    c_a = x2 @ params.sa2.T
+    c_x = x2 @ params.sx2.T
+    stds = dict(s_a=params.s_a, s_x=params.s_x, mask_a=params.mask_a,
+                mask_x=params.mask_x)
+    if params.basis is not None:
+        eig = c_a + cfg.gamma + (alpha * alpha) * c_x * params.lam
         if not (eig > 0.0).all():
             raise NotPositiveDefinite(
                 "batched action covariance is singular; check gamma and the "
                 "latent state")
-        return DistInternals(x=x, mean=mean, cache=cache, kind=policy.strategy,
-                             s_a=s_a, s_x=s_x, mask_a=mask_a, mask_x=mask_x,
-                             c_a=c_a, c_x=c_x,
+        return DistInternals(x=x, mean=mean, cache=cache, kind=params.kind,
+                             **stds, c_a=c_a, c_x=c_x,
                              log_det=np.sum(np.log(eig), axis=1),
-                             basis=basis, lam=lam, eig=eig)
-    k_x = (W.T[:, :, None] * W.T[:, None, :]).reshape(-1, n_a * n_a)
-    cov = ((alpha * alpha) * (c_x @ k_x)).reshape(-1, n_a, n_a)
+                             basis=params.basis, lam=params.lam, eig=eig)
+    cov = ((alpha * alpha) * (c_x @ params.k_x)).reshape(-1, n_a, n_a)
     idx = np.arange(n_a)
     cov[:, idx, idx] += c_a + cfg.gamma
     try:
@@ -422,10 +475,9 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
             "batched action covariance is singular; check gamma and the "
             "latent state") from exc
     log_det = 2.0 * np.sum(np.log(chol[:, idx, idx]), axis=1)
-    return DistInternals(x=x, mean=mean, cache=cache, kind=policy.strategy,
-                         s_a=s_a, s_x=s_x, mask_a=mask_a, mask_x=mask_x,
-                         c_a=c_a, c_x=c_x, log_det=log_det, k_x=k_x,
-                         full_cov=cov, full_chol=chol,
+    return DistInternals(x=x, mean=mean, cache=cache, kind=params.kind,
+                         **stds, c_a=c_a, c_x=c_x, log_det=log_det,
+                         k_x=params.k_x, full_cov=cov, full_chol=chol,
                          full_inv=np.linalg.inv(cov))
 
 

@@ -29,6 +29,7 @@ from .policy import (
     Mlp,
     MlpPolicy,
     dist_internals,
+    dist_params,
     entropy_batch,
     flat_layout,
     log_prob,
@@ -239,10 +240,12 @@ class PPOTrainer:
         buf = RolloutBuffer.allocate(n_steps, self.ppo.n_envs, self.obs_dim,
                                      self.action_dim)
         self.recent_episodes = []
+        # the parameters hold still until the update
+        params = dist_params(self.policy, self.cfg)
         for t in range(n_steps):
             obs = self._obs
-            it = dist_internals(self.policy, obs, self.cfg)
-            actions = self.noise.sample(it.x, it.mean)
+            it = dist_internals(self.policy, obs, self.cfg, params=params)
+            actions = self.noise.sample(it.x, it.mean, params)
             logp = log_prob(self.policy, it, actions)
             _, values = self.value_net.forward(obs)
             buf.obs[t] = obs
@@ -395,10 +398,15 @@ class _Normals:
     def __init__(self, block: np.ndarray):
         self.block, self.used = block, 0
 
-    def standard_normal(self, size):
-        n = math.prod(size) if isinstance(size, tuple) else size
+    def standard_normal(self, size=None, out=None):
+        shape = size if out is None else out.shape
+        n = math.prod(shape)
         self.used += n
-        return self.block[self.used - n:self.used].reshape(size)
+        drawn = self.block[self.used - n:self.used].reshape(shape)
+        if out is None:
+            return drawn
+        out[...] = drawn
+        return out
 
 
 def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
@@ -420,6 +428,8 @@ def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
                    seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
                    **trainer.env_kwargs)
     noise_rng = np.random.default_rng(noise_ss)
+    params = None if deterministic else dist_params(trainer.policy,
+                                                     trainer.cfg)
     width = episode_normals(trainer.policy, trainer.cfg, env.max_steps)
     chunk = max(1, EVAL_CHUNK_NORMALS // width)
     states = np.empty((n_episodes, env.max_steps, env.obs_dim))
@@ -437,7 +447,7 @@ def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
         for t in range(env.max_steps):
             states[rows, t] = obs
             x, mean = trainer.policy.forward(obs)
-            action = mean if deterministic else noise.sample(x, mean)
+            action = mean if deterministic else noise.sample(x, mean, params)
             actions[rows, t] = action
             obs, rewards[rows, t], _, solved[rows, t] = batch.step(action)
     return states, actions, rewards, solved

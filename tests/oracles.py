@@ -36,7 +36,7 @@ from latticerl.exploration import (
     clip_std,
     sampling_log_std,
 )
-from latticerl.policy import LOG_2PI
+from latticerl.policy import LOG_2PI, dist_params
 
 # Relative tolerance on covariance asymmetry before symmetrization is refused.
 SYMMETRY_RTOL = 1e-8
@@ -285,7 +285,8 @@ def run_episodes(trainer, n_episodes: int, seed: int,
         while not done:
             states.append(obs)
             x, mean = trainer.policy.forward(np.atleast_2d(obs))
-            action = mean[0] if deterministic else noise.sample(x, mean)[0]
+            action = mean[0] if deterministic else noise.sample(
+                x, mean, dist_params(trainer.policy, trainer.cfg))[0]
             actions.append(action)
             obs, r, done, info = env.step(action)
             rewards.append(r)

@@ -21,7 +21,7 @@ from latticerl.exploration import (
     rescaled_log_std,
     sampling_log_std,
 )
-from latticerl.policy import MlpPolicy
+from latticerl.policy import MlpPolicy, dist_params
 
 from oracles import (
     action_distribution,
@@ -188,7 +188,8 @@ def window_sampler(period=4, n_envs=3, full_std=False, alpha=0.8):
 
 
 def window_noise(sampler, x):
-    return sampler.sample(x, np.zeros((len(x), N_A)))
+    return sampler.sample(x, np.zeros((len(x), N_A)),
+                          dist_params(sampler.policy, sampler.cfg))
 
 
 def rng_states(rngs):
@@ -214,14 +215,12 @@ class TestWindowSampler:
         w = s.windows
         np.testing.assert_array_equal(w.n_seen, 5)
         np.testing.assert_array_equal(w.n_dir, 4)
-        np.testing.assert_array_equal(w.s2[:, 0], np.exp(2.0 * eff.log_std_x)
-                                      .repeat(3, axis=0))
-        np.testing.assert_array_equal(w.s2[:, 1], np.exp(2.0 * eff.log_std_a)
-                                      .repeat(3, axis=0))
+        np.testing.assert_array_equal(w.s2[0], np.exp(2.0 * eff.log_std_x)[0])
+        np.testing.assert_array_equal(w.s2[1], np.exp(2.0 * eff.log_std_a)[0])
         W, alpha = s.policy.W, s.policy.alpha
         for i in range(3):
             k = w.n_dir[i]
-            y, q, d = w.y[i, :k], w.q[i, :, :k], w.s2[i]
+            y, q, d = w.y[i, :k], w.q[i, :, :k], w.s2
             p_x = y[:, :N_X].T @ (q[0] * d[0])
             p_a = y[:, N_X:].T @ (q[1] * d[1])
             for x, n in zip(xs, noise):

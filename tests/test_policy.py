@@ -1,6 +1,7 @@
 """Policy networks and hand-derived gradients for log-probability and
 entropy, checked against central finite differences."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from latticerl.policy import (
     Mlp,
     MlpPolicy,
     dist_internals,
+    dist_params,
     entropy_and_grad,
     entropy_batch,
     flat_layout,
@@ -214,6 +216,43 @@ class TestCovarianceAlgebra:
                            rng=np.random.default_rng(61))
         with pytest.raises(NotPositiveDefinite):
             dist_internals(policy, np.zeros((2, 3)), cfg)
+        with pytest.raises(NotPositiveDefinite):
+            dist_internals(policy, np.zeros((2, 3)), cfg,
+                           params=dist_params(policy, cfg))
+
+    @pytest.mark.parametrize("strategy,full_std", [
+        ("diagonal", False), ("gsde", False), ("lattice", False),
+        ("gsde", True), ("lattice", True)])
+    def test_given_params_build_the_same_internals(self, strategy, full_std):
+        # with stds clipped at both ends, so the masks are not all ones
+        cfg = LatticeConfig(alpha=0.7, full_std=full_std)
+        policy = MlpPolicy(3, 4, cfg, strategy=strategy, hiddens=(6, 5),
+                           rng=np.random.default_rng(64))
+        rng = np.random.default_rng(65)
+        for k in ("log_std_x", "log_std_a", "log_sigma"):
+            if k in policy.params:
+                v = policy.params[k]
+                v[...] = rng.normal(0.0, 0.5, v.shape)
+                v.flat[:2] = [6.0, -9.0]
+        obs = rng.standard_normal((7, 3))
+
+        def flat(value):
+            if isinstance(value, dict):
+                return [flat(v) for v in value.values()]
+            if isinstance(value, list):
+                return [flat(v) for v in value]
+            if isinstance(value, np.ndarray):
+                return (value.shape, value.tobytes())
+            return value
+
+        built = dist_internals(policy, obs, cfg, need_cache=True)
+        given = dist_internals(policy, obs, cfg, need_cache=True,
+                               params=dist_params(policy, cfg))
+        for f in dataclasses.fields(built):
+            assert flat(getattr(given, f.name)) == \
+                flat(getattr(built, f.name)), f.name
+        if strategy != "diagonal":
+            assert 0.0 < built.mask_x.mean() < 1.0
 
     def test_rank_deficient_head_without_jitter_is_regular(self):
         # N_a = 5 > N_x = 2: W W^T has three zero eigenvalues, which eigh

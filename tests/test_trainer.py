@@ -29,6 +29,7 @@ from latticerl.exploration import (
 from latticerl.policy import (
     GradientTape,
     dist_internals,
+    dist_params,
     flat_layout,
     flat_segments,
     log_prob,
@@ -174,6 +175,50 @@ class TestRollout:
                                   actions)
             np.testing.assert_allclose(recomputed, stored, atol=1e-10)
 
+    @pytest.mark.parametrize("strategy,period,full_std", [
+        ("diagonal", 1, False), ("gsde", 1, False), ("lattice", 1, False),
+        ("lattice", 4, False), ("lattice", "episode", False),
+        ("lattice", 1, True), ("lattice", 4, True)])
+    def test_rollout_after_update_uses_the_updated_params(
+            self, strategy, period, full_std):
+        # the stored log-probs of the rollout after an update are those of
+        # the updated distribution, byte for byte, step by step
+        tr = small_trainer(strategy=strategy,
+                           cfg=LatticeConfig(period=period,
+                                             full_std=full_std),
+                           env_kwargs={"max_steps": 6})
+        before = {k: v.copy() for k, v in tr.params.items()}
+        tr.ppo_update(tr.collect_rollout(8))
+        noise_keys = ("log_sigma",) if strategy == "diagonal" \
+            else ("log_std_a",)
+        for k in (tr.policy.net.head_w_name, *noise_keys):
+            assert not np.array_equal(tr.params[k], before[k]), k
+        buf = tr.collect_rollout(8)
+        for t in range(8):
+            logp = log_prob(tr.policy,
+                            dist_internals(tr.policy, buf.obs[t], tr.cfg),
+                            buf.actions[t])
+            assert logp.tobytes() == buf.log_probs[t].tobytes(), t
+
+    @pytest.mark.parametrize("strategy", ["diagonal", "lattice"])
+    def test_one_dist_params_per_rollout_and_evaluation(self, monkeypatch,
+                                                        strategy):
+        tr = small_trainer(strategy=strategy)
+        calls = []
+        build = policy_mod.dist_params
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        # dist_internals looks it up in the policy module
+        monkeypatch.setattr(policy_mod, "dist_params", counted)
+        monkeypatch.setattr(trainer_mod, "dist_params", counted)
+        tr.collect_rollout(5)
+        assert len(calls) == 1
+        evaluate_policy(tr, n_episodes=3)
+        assert len(calls) == 2
+
     def test_determinism_across_trainers(self):
         bufs = []
         for _ in range(2):
@@ -275,7 +320,7 @@ def per_env_reference_rollout(tr, n_steps):
     for t in range(n_steps):
         x, mean = tr.policy.forward(obs)
         if fast:
-            actions = tr.noise.sample(x, mean)
+            actions = tr.noise.sample(x, mean, dist_params(tr.policy, tr.cfg))
         else:
             actions = np.empty((n, tr.action_dim))
             for i in range(n):
@@ -499,8 +544,8 @@ class TestBatchedRollout:
         before = snapshot()
         sample = tr.noise.sample
 
-        def nan_in_row_two(x, mean):
-            actions = sample(x, mean)
+        def nan_in_row_two(x, mean, params):
+            actions = sample(x, mean, params)
             actions[2, 1] = np.nan
             return actions
 
