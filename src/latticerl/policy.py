@@ -307,54 +307,86 @@ class MlpPolicy:
 
 
 @dataclass
+class DistParams:
+    """The parameter-only part of the action distribution: everything
+    dist_internals and NoiseSampler derive from the parameters alone.
+
+    Built by dist_params from the parameters as they are at that call, and
+    not refreshed: the caller builds one per parameter version (a rollout,
+    an evaluation, a minibatch) and must not use it past an update. Every
+    DistInternals holds the one it was built from.
+    """
+
+    kind: str
+    # lattice / gsde fields, in the stored shape (R, N_x) of their log-std:
+    # R = 1 for the reduced (1, N_x) shape, whose single row stands for
+    # every row of the full matrix, or N_a / N_x with full_std
+    mask_a: np.ndarray | None = None    # 1 where the clip is inactive
+    mask_x: np.ndarray | None = None
+    sa2: np.ndarray | None = None       # squared clipped stds
+    sx2: np.ndarray | None = None
+    # the sampler's unclipped variances exp(2 log S)
+    var_a: np.ndarray | None = None
+    var_x: np.ndarray | None = None
+    # reduced stds: eigh of W W^T
+    basis: np.ndarray | None = None     # (N_a, N_a), V
+    lam: np.ndarray | None = None       # (N_a,)
+    # full_std: row k = vec(w_k w_k^T)
+    k_x: np.ndarray | None = None       # (N_x, N_a^2)
+    # diagonal fields
+    sigma: np.ndarray | None = None     # (N_a,)
+
+
+@dataclass
 class DistInternals:
-    """Cached forward quantities shared by log-prob and entropy paths.
+    """The action distribution at a batch of states: the per-state values
+    shared by the log-prob and entropy paths, and the DistParams they were
+    built from.
 
     The latent x stored here is the exact array consumed by the sampling
-    path, so the rollout and training code never recompute it. Stds, masks
-    and the c_a / c_x seeds keep the stored row count R of their log-std
-    matrix: R = 1 for the reduced (1, N_x) shape, whose single row stands for
-    every row of the full matrix, or N_a / N_x with full_std.
+    path, so the rollout and training code never recompute it. The c_a /
+    c_x seeds keep the stored row count R of params.sa2 / params.sx2.
 
     With reduced stds every row's covariance is
     Sigma_b = (c_a,b + gamma) I + alpha^2 c_x,b W W^T, so all rows share the
-    eigenvectors V of W W^T = V diag(lam) V^T and row b has eigenvalues
-    eig[b] = c_a,b + gamma + alpha^2 c_x,b lam. Nothing of shape
-    (B, N_a, N_a) is formed: cov, chol and cov_inv are built from V and eig
-    each time they are read. full_std rows share no basis, so that path
-    factorizes the batched covariance and stores all three.
+    eigenvectors V = params.basis of W W^T = V diag(params.lam) V^T and row
+    b has eigenvalues eig[b] = c_a,b + gamma + alpha^2 c_x,b lam. Nothing of
+    shape (B, N_a, N_a) is formed: cov, chol and cov_inv are built from V
+    and eig each time they are read. full_std rows share no basis, so that
+    path factorizes the batched covariance and stores all three.
     """
 
     x: np.ndarray            # (B, N_x)
     mean: np.ndarray         # (B, N_a)
     cache: dict | None
-    kind: str
+    params: DistParams
     # lattice / gsde fields
-    s_a: np.ndarray | None = None       # clipped, stored shape (R_a, N_x)
-    s_x: np.ndarray | None = None       # clipped, stored shape (R_x, N_x)
-    mask_a: np.ndarray | None = None    # 1 where the clip is inactive
-    mask_x: np.ndarray | None = None
-    c_a: np.ndarray | None = None       # (B, R_a) = (x * x) @ (s_a * s_a).T
-    c_x: np.ndarray | None = None       # (B, R_x) = (x * x) @ (s_x * s_x).T
+    c_a: np.ndarray | None = None       # (B, R_a) = (x * x) @ params.sa2.T
+    c_x: np.ndarray | None = None       # (B, R_x) = (x * x) @ params.sx2.T
     log_det: np.ndarray | None = None   # (B,)
-    # reduced stds: the shared eigenbasis
-    basis: np.ndarray | None = None     # (N_a, N_a), V
-    lam: np.ndarray | None = None       # (N_a,), eigenvalues of W W^T
-    eig: np.ndarray | None = None       # (B, N_a), eigenvalues of Sigma_b
+    # reduced stds: eigenvalues of Sigma_b
+    eig: np.ndarray | None = None       # (B, N_a)
     # full_std: the batched covariance and its factors
-    k_x: np.ndarray | None = None       # (N_x, N_a^2), row k = vec(w_k w_k^T)
     full_cov: np.ndarray | None = None  # (B, N_a, N_a)
     full_chol: np.ndarray | None = None
     full_inv: np.ndarray | None = None
-    # diagonal fields
-    sigma: np.ndarray | None = None     # (N_a,)
+
+    @property
+    def kind(self) -> str:
+        return self.params.kind
+
+    @property
+    def sigma(self) -> np.ndarray | None:
+        """(N_a,) stds of the diagonal strategy."""
+        return self.params.sigma
 
     @property
     def cov(self) -> np.ndarray:
         """(B, N_a, N_a) action covariances."""
         if self.eig is None:
             return self.full_cov
-        return (self.basis * self.eig[:, None, :]) @ self.basis.T
+        basis = self.params.basis
+        return (basis * self.eig[:, None, :]) @ basis.T
 
     @property
     def chol(self) -> np.ndarray:
@@ -368,37 +400,8 @@ class DistInternals:
         """(B, N_a, N_a) inverses of cov."""
         if self.eig is None:
             return self.full_inv
-        return (self.basis / self.eig[:, None, :]) @ self.basis.T
-
-
-@dataclass
-class DistParams:
-    """The parameter-only part of the action distribution: everything
-    dist_internals and NoiseSampler derive from the parameters alone.
-
-    Built by dist_params from the parameters as they are at that call, and
-    not refreshed: the caller builds one per parameter version (a rollout,
-    an evaluation, a minibatch) and must not use it past an update.
-    """
-
-    kind: str
-    # lattice / gsde fields, in the stored shape (R, N_x) of their log-std
-    s_a: np.ndarray | None = None       # clipped stds
-    s_x: np.ndarray | None = None
-    mask_a: np.ndarray | None = None    # 1 where the clip is inactive
-    mask_x: np.ndarray | None = None
-    sa2: np.ndarray | None = None       # s_a * s_a
-    sx2: np.ndarray | None = None       # s_x * s_x
-    # the sampler's unclipped variances exp(2 log S)
-    var_a: np.ndarray | None = None
-    var_x: np.ndarray | None = None
-    # reduced stds: eigh of W W^T
-    basis: np.ndarray | None = None     # (N_a, N_a), V
-    lam: np.ndarray | None = None       # (N_a,)
-    # full_std: row k = vec(w_k w_k^T)
-    k_x: np.ndarray | None = None       # (N_x, N_a^2)
-    # diagonal fields
-    sigma: np.ndarray | None = None     # (N_a,)
+        basis = self.params.basis
+        return (basis / self.eig[:, None, :]) @ basis.T
 
 
 def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
@@ -412,7 +415,7 @@ def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
     s_x = clip_std(s_x_raw, cfg.std_min, cfg.std_max)
     s_a = clip_std(s_a_raw, cfg.std_min, cfg.std_max)
     p = DistParams(
-        kind=policy.strategy, s_a=s_a, s_x=s_x,
+        kind=policy.strategy,
         mask_a=((s_a_raw > cfg.std_min) & (s_a_raw < cfg.std_max)).astype(
             float),
         mask_x=((s_x_raw > cfg.std_min) & (s_x_raw < cfg.std_max)).astype(
@@ -446,25 +449,21 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
         x, mean = policy.forward(obs)
         cache = None
     if params.kind == "diagonal":
-        return DistInternals(x=x, mean=mean, cache=cache, kind="diagonal",
-                             sigma=params.sigma)
+        return DistInternals(x=x, mean=mean, cache=cache, params=params)
     alpha = policy.alpha
     n_a = policy.action_dim
     x2 = x * x
     c_a = x2 @ params.sa2.T
     c_x = x2 @ params.sx2.T
-    stds = dict(s_a=params.s_a, s_x=params.s_x, mask_a=params.mask_a,
-                mask_x=params.mask_x)
     if params.basis is not None:
         eig = c_a + cfg.gamma + (alpha * alpha) * c_x * params.lam
         if not (eig > 0.0).all():
             raise NotPositiveDefinite(
                 "batched action covariance is singular; check gamma and the "
                 "latent state")
-        return DistInternals(x=x, mean=mean, cache=cache, kind=params.kind,
-                             **stds, c_a=c_a, c_x=c_x,
-                             log_det=np.sum(np.log(eig), axis=1),
-                             basis=params.basis, lam=params.lam, eig=eig)
+        return DistInternals(x=x, mean=mean, cache=cache, params=params,
+                             c_a=c_a, c_x=c_x,
+                             log_det=np.sum(np.log(eig), axis=1), eig=eig)
     cov = ((alpha * alpha) * (c_x @ params.k_x)).reshape(-1, n_a, n_a)
     idx = np.arange(n_a)
     cov[:, idx, idx] += c_a + cfg.gamma
@@ -475,10 +474,9 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
             "batched action covariance is singular; check gamma and the "
             "latent state") from exc
     log_det = 2.0 * np.sum(np.log(chol[:, idx, idx]), axis=1)
-    return DistInternals(x=x, mean=mean, cache=cache, kind=params.kind,
-                         **stds, c_a=c_a, c_x=c_x, log_det=log_det,
-                         k_x=params.k_x, full_cov=cov, full_chol=chol,
-                         full_inv=np.linalg.inv(cov))
+    return DistInternals(x=x, mean=mean, cache=cache, params=params,
+                         c_a=c_a, c_x=c_x, log_det=log_det, full_cov=cov,
+                         full_chol=chol, full_inv=np.linalg.inv(cov))
 
 
 def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
@@ -489,6 +487,7 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     wG_b = half_pg[b] u_b u_b^T + half_inv[b] Sigma_b^-1 through the
     covariance construction. Writes log-std (and variance-path W) grads and
     returns the latent seed d_latent, or None when it vanishes."""
+    p = it.params
     alpha2 = policy.alpha * policy.alpha
     flow = not cfg.stop_variance_gradient
     if it.eig is not None:
@@ -499,13 +498,13 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
                 + half_pg * np.sum(u * u, axis=1))[:, None]
         if alpha2 != 0.0:
             wu = u @ policy.W
-            g_cx = alpha2 * (half_inv * (inv_e @ it.lam)
+            g_cx = alpha2 * (half_inv * (inv_e @ p.lam)
                              + half_pg * np.sum(wu * wu, axis=1))[:, None]
             if flow:
                 # dL/dW = 2 alpha^2 (sum_b c_x,b wG_b) W: a rank-B part plus
                 # V diag(sum_b c_x,b half_inv[b] / e_b) V^T
                 c_x = it.c_x[:, 0]
-                m = (it.basis * ((c_x * half_inv) @ inv_e)) @ it.basis.T
+                m = (p.basis * ((c_x * half_inv) @ inv_e)) @ p.basis.T
                 m += (u * (c_x * half_pg)[:, None]).T @ u
                 grad_w = (2.0 * alpha2) * (m @ policy.W)
     else:
@@ -517,37 +516,34 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
         if alpha2 != 0.0:
             # dL/dc_x = alpha^2 * w_k^T G w_k
             wG_flat = wG.reshape(-1, n_a * n_a)
-            g_cx = alpha2 * (wG_flat @ it.k_x.T)
+            g_cx = alpha2 * (wG_flat @ p.k_x.T)
             if flow:
                 # dL/dW[a, k] = 2 alpha^2 sum_m W[m, k] sum_b wG[b, a, m]
                 # c_x[b, k]
                 gc = (wG_flat.T @ it.c_x).reshape(n_a, n_a, -1)
                 grad_w = 2.0 * alpha2 * np.sum(gc * policy.W, axis=1)
     x2 = it.x * it.x
-    sa2 = it.s_a * it.s_a
-    sx2 = it.s_x * it.s_x
-    tape.add("log_std_a", 2.0 * sa2 * it.mask_a * (g_ca.T @ x2))
+    tape.add("log_std_a", 2.0 * p.sa2 * p.mask_a * (g_ca.T @ x2))
     if alpha2 != 0.0:
-        tape.add("log_std_x", 2.0 * sx2 * it.mask_x * (g_cx.T @ x2))
+        tape.add("log_std_x", 2.0 * p.sx2 * p.mask_x * (g_cx.T @ x2))
     if not flow:
         return None
-    d_latent = g_ca @ sa2
+    d_latent = g_ca @ p.sa2
     if alpha2 != 0.0:
         # variance path into the final linear map
         tape.add(policy.net.head_w_name, grad_w)
-        d_latent += g_cx @ sx2
+        d_latent += g_cx @ p.sx2
     return 2.0 * it.x * d_latent
 
 
-def log_prob_terms(policy: MlpPolicy, it: DistInternals,
-                   actions: np.ndarray):
+def log_prob_terms(it: DistInternals, actions: np.ndarray):
     """Per-row (log pi(a | s), d = mean - a, u = Sigma^-1 d)."""
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape != it.mean.shape:
         raise DimensionMismatch(
             f"actions have shape {actions.shape}, expected {it.mean.shape}")
     d = it.mean - actions  # (B, N_a)
-    n_a = policy.action_dim
+    n_a = it.mean.shape[1]
     if it.kind == "diagonal":
         u = d / (it.sigma * it.sigma)
         logp = (-0.5 * n_a * LOG_2PI
@@ -555,7 +551,8 @@ def log_prob_terms(policy: MlpPolicy, it: DistInternals,
                 - 0.5 * np.sum(d * u, axis=1))
     else:
         if it.eig is not None:
-            u = ((d @ it.basis) / it.eig) @ it.basis.T
+            basis = it.params.basis
+            u = ((d @ basis) / it.eig) @ basis.T
         else:
             u = (it.full_inv @ d[..., None])[..., 0]
         logp = (-0.5 * n_a * LOG_2PI - 0.5 * it.log_det
@@ -563,11 +560,10 @@ def log_prob_terms(policy: MlpPolicy, it: DistInternals,
     return logp, d, u
 
 
-def log_prob(policy: MlpPolicy, it: DistInternals,
-             actions: np.ndarray) -> np.ndarray:
+def log_prob(it: DistInternals, actions: np.ndarray) -> np.ndarray:
     """Batched log pi(a | s) at the states of it, without gradient
     accumulation."""
-    return log_prob_terms(policy, it, actions)[0]
+    return log_prob_terms(it, actions)[0]
 
 
 def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
@@ -604,21 +600,19 @@ def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
 
 def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
                       cfg: LatticeConfig, tape: GradientTape,
-                      weights: np.ndarray | None = None,
-                      internals: DistInternals | None = None) -> np.ndarray:
+                      weights: np.ndarray | None = None) -> np.ndarray:
     """Batched log pi(a | s); accumulates sum_b w_b dlogp_b/dtheta
     (policy_backward with a zero entropy weight)."""
-    it = internals if internals is not None else dist_internals(
-        policy, obs, cfg, need_cache=True)
-    terms = log_prob_terms(policy, it, actions)
+    it = dist_internals(policy, obs, cfg, need_cache=True)
+    terms = log_prob_terms(it, actions)
     w = np.ones(len(terms[0])) if weights is None \
         else np.asarray(weights, float)
     policy_backward(policy, cfg, tape, it, terms, w, np.zeros_like(w))
     return terms[0]
 
 
-def entropy_batch(policy: MlpPolicy, it: DistInternals) -> np.ndarray:
-    n_a = policy.action_dim
+def entropy_batch(it: DistInternals) -> np.ndarray:
+    n_a = it.mean.shape[1]
     if it.kind == "diagonal":
         h = 0.5 * n_a * (LOG_2PI + 1.0) + np.sum(np.log(it.sigma))
         return np.full(it.mean.shape[0], h)
@@ -630,8 +624,8 @@ def entropy_and_grad(policy: MlpPolicy, cfg: LatticeConfig,
                      weights: np.ndarray | None = None) -> np.ndarray:
     """Batched entropy; accumulates sum_b w_b dH_b/dtheta into the tape
     (policy_backward with a zero log-prob weight, at the mean actions)."""
-    h = entropy_batch(policy, it)
+    h = entropy_batch(it)
     w = np.ones(len(h)) if weights is None else np.asarray(weights, float)
-    policy_backward(policy, cfg, tape, it, log_prob_terms(policy, it, it.mean),
+    policy_backward(policy, cfg, tape, it, log_prob_terms(it, it.mean),
                     np.zeros_like(w), w)
     return h

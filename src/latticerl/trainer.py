@@ -157,6 +157,11 @@ class PPOTrainer:
         self.ppo = ppo_cfg if ppo_cfg is not None else PpoConfig()
         self.hiddens = tuple(hiddens)
         self.critic_hiddens = tuple(critic_hiddens)
+        for name, sizes in (("hiddens", self.hiddens),
+                            ("critic_hiddens", self.critic_hiddens)):
+            if not all(is_int(n) and n >= 1 for n in sizes):
+                raise ValueError(
+                    f"{name} must be integers >= 1, got {list(sizes)!r}")
         self.activation = activation
         if not (is_int(seed) and seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
@@ -246,7 +251,7 @@ class PPOTrainer:
             obs = self._obs
             it = dist_internals(self.policy, obs, self.cfg, params=params)
             actions = self.noise.sample(it.x, it.mean, params)
-            logp = log_prob(self.policy, it, actions)
+            logp = log_prob(it, actions)
             _, values = self.value_net.forward(obs)
             buf.obs[t] = obs
             buf.actions[t] = actions
@@ -295,9 +300,9 @@ class PPOTrainer:
                 tape.zero_()
                 it = dist_internals(self.policy, obs[idx], self.cfg,
                                     need_cache=True)
-                terms = log_prob_terms(self.policy, it, actions[idx])
+                terms = log_prob_terms(it, actions[idx])
                 logp = terms[0]
-                ent = entropy_batch(self.policy, it)
+                ent = entropy_batch(it)
                 # clipped surrogate and entropy bonus in one policy backward
                 ratio = np.exp(logp - old_logp[idx])
                 inactive = ((adv > 0) & (ratio > 1.0 + eps)) | \

@@ -168,8 +168,7 @@ def logp_gradient_check(policy, cfg, obs, actions, h=1e-6):
     from latticerl.policy import log_prob, log_prob_and_grad
 
     tape = GradientTape(policy.params)
-    it = dist_internals(policy, obs, cfg, need_cache=True)
-    log_prob_and_grad(policy, obs, actions, cfg, tape, internals=it)
+    log_prob_and_grad(policy, obs, actions, cfg, tape)
 
     base_it = dist_internals(policy, obs, cfg)
     worst = 0.0
@@ -183,7 +182,7 @@ def logp_gradient_check(policy, cfg, obs, actions, h=1e-6):
                 # mean moves with the parameters, covariance stays at base
                 import dataclasses
                 cur = dataclasses.replace(base_it, mean=cur.mean, x=cur.x)
-            return float(np.sum(log_prob(policy, cur, actions)))
+            return float(np.sum(log_prob(cur, actions)))
 
         it_nd = np.nditer(arr, flags=["multi_index"])
         for _ in it_nd:

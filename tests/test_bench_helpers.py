@@ -32,12 +32,15 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-@pytest.mark.parametrize("strategy,period", [("lattice", 4),
-                                             ("diagonal", 1)])
-def test_training_helpers(strategy, period, tmp_path):
+@pytest.mark.parametrize("strategy,period,full_std", [
+    ("lattice", 4, False), ("diagonal", 1, False), ("lattice", 4, True)],
+    ids=["lattice-4", "diagonal-1", "lattice-4-full_std"])
+def test_training_helpers(strategy, period, full_std, tmp_path):
+    # full_std reads the stored factors, reduced stds the eigenbasis ones
     ppo = PpoConfig(batch_size=16, gradient_steps=8, n_epochs=1, n_envs=2)
+    cfg = LatticeConfig(alpha=1.0, period=period, full_std=full_std)
     trainer = PPOTrainer("point_reacher", strategy=strategy,
-                         lattice_cfg=LatticeConfig(alpha=1.0, period=period),
+                         lattice_cfg=cfg,
                          ppo_cfg=ppo, hiddens=(8, 8), critic_hiddens=(8, 8),
                          seed=0)
     rec = workloads.Recorder()

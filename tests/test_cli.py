@@ -400,6 +400,19 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "schema_version 99" in err
 
+    @pytest.mark.parametrize("field", ["hiddens", "critic_hiddens"])
+    def test_zero_width_layer_checkpoint_exit_code(self, tmp_path, capsys,
+                                                   field):
+        # used to end in a ZeroDivisionError traceback from Mlp
+        ckpt = tmp_path / "ckpt.json"
+        payload = json.loads(SCHEMA1_CHECKPOINT.read_text())
+        payload["layout"][field] = [0]
+        ckpt.write_text(json.dumps(payload))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
     def test_schema1_checkpoint_evaluates_as_schema2(self, tmp_path):
         resaved = tmp_path / "schema2.json"
         save_checkpoint(resaved, load_checkpoint(SCHEMA1_CHECKPOINT))

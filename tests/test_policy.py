@@ -15,6 +15,8 @@ from latticerl.exploration import LatticeConfig
 from latticerl.policy import (
     ACTIVATIONS,
     LOG_2PI,
+    DistInternals,
+    DistParams,
     GradientTape,
     Mlp,
     MlpPolicy,
@@ -152,7 +154,7 @@ class TestCovarianceAlgebra:
         obs = rng.standard_normal((5, 3))
         actions = rng.standard_normal((5, 3))
         it = dist_internals(policy, obs, cfg)
-        _, d, u = log_prob_terms(policy, it, actions)
+        _, d, u = log_prob_terms(it, actions)
         cov, cov_inv, chol = it.cov, it.cov_inv, it.chol
         s_x, s_a = distribution_std(policy.noise_std, cfg, 3)
         for b in range(5):
@@ -192,7 +194,7 @@ class TestCovarianceAlgebra:
         obs = rng.standard_normal((batch, 3))
         actions = rng.standard_normal((batch, n_a))
         it = dist_internals(policy, obs, cfg)
-        logp, d, u = log_prob_terms(policy, it, actions)
+        logp, d, u = log_prob_terms(it, actions)
         s_x, s_a = distribution_std(policy.noise_std, cfg, n_a)
         for b in range(batch):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
@@ -237,6 +239,9 @@ class TestCovarianceAlgebra:
         obs = rng.standard_normal((7, 3))
 
         def flat(value):
+            if dataclasses.is_dataclass(value):
+                return [flat(getattr(value, f.name))
+                        for f in dataclasses.fields(value)]
             if isinstance(value, dict):
                 return [flat(v) for v in value.values()]
             if isinstance(value, list):
@@ -246,13 +251,22 @@ class TestCovarianceAlgebra:
             return value
 
         built = dist_internals(policy, obs, cfg, need_cache=True)
-        given = dist_internals(policy, obs, cfg, need_cache=True,
-                               params=dist_params(policy, cfg))
+        p = dist_params(policy, cfg)
+        given = dist_internals(policy, obs, cfg, need_cache=True, params=p)
+        assert given.params is p
+        assert given.kind == p.kind and given.sigma is p.sigma
         for f in dataclasses.fields(built):
             assert flat(getattr(given, f.name)) == \
                 flat(getattr(built, f.name)), f.name
         if strategy != "diagonal":
-            assert 0.0 < built.mask_x.mean() < 1.0
+            assert 0.0 < built.params.mask_x.mean() < 1.0
+
+    def test_internals_and_params_share_no_field(self):
+        # a value of the distribution has one home: per state in
+        # DistInternals, or parameter-only in DistParams
+        names = {f.name for f in dataclasses.fields(DistInternals)}
+        assert names.isdisjoint(
+            f.name for f in dataclasses.fields(DistParams))
 
     def test_rank_deficient_head_without_jitter_is_regular(self):
         # N_a = 5 > N_x = 2: W W^T has three zero eigenvalues, which eigh
@@ -262,7 +276,7 @@ class TestCovarianceAlgebra:
                            rng=np.random.default_rng(62))
         obs = np.random.default_rng(63).standard_normal((4, 3))
         it = dist_internals(policy, obs, cfg)
-        assert np.max(np.abs(it.lam[:3])) < 1e-12
+        assert np.max(np.abs(it.params.lam[:3])) < 1e-12
         s_x, s_a = distribution_std(policy.noise_std, cfg, 5)
         for b in range(4):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
@@ -344,10 +358,9 @@ class TestLogProbGradients:
         # (mean path only) receives exactly zero gradient
         policy, cfg = small_policy_factory(seed=3)
         obs = np.random.default_rng(6).standard_normal((2, 3))
-        it = dist_internals(policy, obs, cfg, need_cache=True)
+        it = dist_internals(policy, obs, cfg)
         tape = GradientTape(policy.params)
-        log_prob_and_grad(policy, obs, it.mean.copy(), cfg, tape,
-                          internals=it)
+        log_prob_and_grad(policy, obs, it.mean.copy(), cfg, tape)
         np.testing.assert_array_equal(tape.grads[policy.net.head_b_name], 0.0)
 
     def test_weighted_accumulation(self, small_policy_factory):
@@ -424,7 +437,7 @@ class TestEntropy:
         policy, cfg = small_policy_factory(seed=15)
         obs = np.random.default_rng(16).standard_normal((3, 3))
         it = dist_internals(policy, obs, cfg)
-        h = entropy_batch(policy, it)
+        h = entropy_batch(it)
         for b in range(3):
             dist = action_distribution(it.x[b], policy.W, policy.noise_std,
                                        cfg)
@@ -434,7 +447,7 @@ class TestEntropy:
         policy, cfg = small_policy_factory(strategy="diagonal", seed=17)
         policy.params["log_sigma"][...] = 0.0
         it = dist_internals(policy, np.zeros((1, 3)), cfg)
-        h = entropy_batch(policy, it)
+        h = entropy_batch(it)
         assert h[0] == pytest.approx(2 * 0.5 * (LOG_2PI + 1.0))
 
     @pytest.mark.parametrize("strategy,stop", [
@@ -478,7 +491,7 @@ class TestEntropy:
 
             def objective():
                 cur = dist_internals(policy, obs, cfg)
-                return float(np.sum(entropy_batch(policy, cur)))
+                return float(np.sum(entropy_batch(cur)))
 
             it_nd = np.nditer(arr, flags=["multi_index"])
             for _ in it_nd:
@@ -529,10 +542,9 @@ class TestMergedBackward:
         it = dist_internals(policy, obs, cfg, need_cache=True)
         merged = GradientTape(policy.params)
         policy_backward(policy, cfg, merged, it, w_pg=w_pg, w_ent=w_ent,
-                        terms=log_prob_terms(policy, it, actions))
+                        terms=log_prob_terms(it, actions))
         tape_pg = GradientTape(policy.params)
-        log_prob_and_grad(policy, obs, actions, cfg, tape_pg, weights=w_pg,
-                          internals=it)
+        log_prob_and_grad(policy, obs, actions, cfg, tape_pg, weights=w_pg)
         tape_ent = GradientTape(policy.params)
         entropy_and_grad(policy, cfg, tape_ent, it, weights=w_ent)
         for k in policy.params:
@@ -551,12 +563,12 @@ class TestMergedBackward:
         it = dist_internals(policy, obs, cfg, need_cache=True)
         tape = GradientTape(policy.params)
         policy_backward(policy, cfg, tape, it, w_pg=w_pg, w_ent=w_ent,
-                        terms=log_prob_terms(policy, it, actions))
+                        terms=log_prob_terms(it, actions))
 
         def objective():
             cur = dist_internals(policy, obs, cfg)
-            return float(np.sum(w_pg * log_prob(policy, cur, actions))
-                         + np.sum(w_ent * entropy_batch(policy, cur)))
+            return float(np.sum(w_pg * log_prob(cur, actions))
+                         + np.sum(w_ent * entropy_batch(cur)))
 
         worst = 0.0
         for name, arr in policy.params.items():

@@ -170,8 +170,7 @@ class TestRollout:
             obs = buf.flat(buf.obs)
             actions = buf.flat(buf.actions)
             stored = buf.flat(buf.log_probs)
-            recomputed = log_prob(tr.policy,
-                                  dist_internals(tr.policy, obs, tr.cfg),
+            recomputed = log_prob(dist_internals(tr.policy, obs, tr.cfg),
                                   actions)
             np.testing.assert_allclose(recomputed, stored, atol=1e-10)
 
@@ -195,8 +194,7 @@ class TestRollout:
             assert not np.array_equal(tr.params[k], before[k]), k
         buf = tr.collect_rollout(8)
         for t in range(8):
-            logp = log_prob(tr.policy,
-                            dist_internals(tr.policy, buf.obs[t], tr.cfg),
+            logp = log_prob(dist_internals(tr.policy, buf.obs[t], tr.cfg),
                             buf.actions[t])
             assert logp.tobytes() == buf.log_probs[t].tobytes(), t
 
@@ -337,8 +335,7 @@ def per_env_reference_rollout(tr, n_steps):
                     p = windows[i]
                     actions[i] = mean[i] + (p.P_a @ x[i] + tr.policy.alpha
                                             * (tr.policy.W @ (p.P_x @ x[i])))
-        logp = log_prob(tr.policy, dist_internals(tr.policy, obs, tr.cfg),
-                        actions)
+        logp = log_prob(dist_internals(tr.policy, obs, tr.cfg), actions)
         _, values = tr.value_net.forward(obs)
         rewards = np.empty(n)
         dones = np.empty(n, dtype=bool)
@@ -669,17 +666,17 @@ class TestPpoUpdate:
         obs = rng.standard_normal((6, 3))
         actions = rng.standard_normal((6, 2)) * 0.5
         adv = rng.standard_normal(6)
-        old_logp = log_prob(policy, dist_internals(policy, obs, cfg),
+        old_logp = log_prob(dist_internals(policy, obs, cfg),
                             actions) + rng.normal(0.0, 0.2, 6)
         eps = 0.3
 
         def surrogate():
-            logp = log_prob(policy, dist_internals(policy, obs, cfg), actions)
+            logp = log_prob(dist_internals(policy, obs, cfg), actions)
             ratio = np.exp(logp - old_logp)
             return float(-np.mean(np.minimum(
                 ratio * adv, np.clip(ratio, 1 - eps, 1 + eps) * adv)))
 
-        logp = log_prob(policy, dist_internals(policy, obs, cfg), actions)
+        logp = log_prob(dist_internals(policy, obs, cfg), actions)
         ratio = np.exp(logp - old_logp)
         inactive = ((adv > 0) & (ratio > 1 + eps)) | \
                    ((adv < 0) & (ratio < 1 - eps))
@@ -725,8 +722,7 @@ class TestStrategyPlugInEquivalence:
 
         buf = tr_lat.collect_rollout(8)
         stored = buf.flat(buf.log_probs)
-        recheck = log_prob(tr_diag.policy,
-                           dist_internals(tr_diag.policy, buf.flat(buf.obs),
+        recheck = log_prob(dist_internals(tr_diag.policy, buf.flat(buf.obs),
                                           tr_diag.cfg),
                            buf.flat(buf.actions))
         np.testing.assert_allclose(recheck, stored, atol=1e-10)
@@ -1260,6 +1256,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorrupt, match=f"'{field}'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["hiddens", "critic_hiddens"])
+    @pytest.mark.parametrize("sizes", [[0], [True, 3], [2.5]])
+    def test_bad_layer_sizes(self, tmp_path, field, sizes):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_trainer())
+        payload = json.loads(path.read_text())
+        payload["layout"][field] = sizes
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointCorrupt, match=field):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("field,value", [
         ("max_steps", 2.5), ("gain", float("nan")),
         ("target_range", float("inf")), ("n_flexors", True)])
@@ -1330,3 +1337,16 @@ class TestGetParams:
         # True, 2.9 and "3" used to train with seeds 1, 2 and 3
         with pytest.raises(ValueError, match=f"seed .*{seed!r}"):
             small_trainer(seed=seed)
+
+    @pytest.mark.parametrize("field", ["hiddens", "critic_hiddens"])
+    @pytest.mark.parametrize("sizes", [[0], [True, 3], [2.5]])
+    def test_bad_layer_sizes(self, field, sizes):
+        # [0] used to fail in Mlp with a ZeroDivisionError, and True
+        # built a layer of one unit
+        with pytest.raises(ValueError, match=field):
+            PPOTrainer("point_reacher", **{field: sizes})
+
+    def test_no_hidden_layers(self):
+        tr = PPOTrainer("point_reacher", hiddens=[], critic_hiddens=[],
+                        ppo_cfg=TINY_PPO)
+        assert tr.policy.n_latent == tr.obs_dim
