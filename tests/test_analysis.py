@@ -242,6 +242,24 @@ class TestDualSim:
         act_mag = np.linalg.norm(result.action.angle_dev, axis=1)
         assert result.wilcoxon_p == wilcoxon(lat_mag, act_mag).pvalue
 
+    def test_small_noise_p_value_is_not_hidden(self):
+        # every deviation is below 2e-9, yet the two conditions still
+        # differ: the signed-rank test does not depend on the noise scale
+        env = FlexExtArm(n_flexors=1, n_extensors=1, seed=2)
+        result = matched_dual_sim(env, LinearArmPolicy(), 1e-8, 200,
+                                  np.random.default_rng(3))
+        lat_mag = np.linalg.norm(result.latent.angle_dev, axis=1)
+        act_mag = np.linalg.norm(result.action.angle_dev, axis=1)
+        assert np.max(np.abs(lat_mag - act_mag)) < 2e-9
+        assert result.wilcoxon_p == wilcoxon(lat_mag, act_mag).pvalue
+        assert result.wilcoxon_p < 1e-3
+
+    def test_no_noise_p_value_is_one(self):
+        env = FlexExtArm(n_flexors=1, n_extensors=1, seed=2)
+        result = matched_dual_sim(env, LinearArmPolicy(), 0.0, 200,
+                                  np.random.default_rng(3))
+        assert result.wilcoxon_p == 1.0
+
     def test_redundancy_amplifies_ratio(self):
         # with n muscles per group the broadcast latent deviation keeps its
         # full effect while independent action noise averages down by 1/n,
@@ -261,6 +279,55 @@ class TestDualSim:
         np.testing.assert_array_equal(lat, x)
         np.testing.assert_allclose(adapter.action_from_latent(lat), mean,
                                    atol=1e-12)
+
+
+class TestSignedRankP:
+    """analysis._signed_rank_p against scipy's signed-rank test on both
+    sides of scipy's switch to the normal approximation above 50 pairs."""
+
+    @staticmethod
+    def pairs(n, kind, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n) + 0.2
+        if kind in ("ties", "both"):
+            # one decimal: |x - y| repeats, across signs too
+            x, y = np.round(x, 1), np.round(y, 1)
+        if kind in ("zeros", "both"):
+            zero = rng.choice(n, size=max(1, n // 10), replace=False)
+            y[zero] = x[zero]
+        return x, y
+
+    @pytest.mark.parametrize("n", [2, 13, 14, 50, 51, 400, 4000])
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "zeros",
+                                      "both"])
+    def test_bit_equal_to_scipy(self, n, kind):
+        # one draw up to 50 pairs, where the value is scipy's own call and
+        # a 13-pair permutation test takes over a second
+        for seed in range(3 if n > 50 else 1):
+            x, y = self.pairs(n, kind, seed)
+            assert analysis._signed_rank_p(x, y) == wilcoxon(x, y).pvalue
+
+    def test_zeros_count_toward_the_switch(self):
+        # 51 pairs, 3 of them equal: the normal approximation over the 48
+        # that differ, as scipy counts the zeros in its 50-pair switch
+        x, y = self.pairs(51, "continuous", 0)
+        y[[4, 17, 30]] = x[[4, 17, 30]]
+        assert analysis._signed_rank_p(x, y) == wilcoxon(x, y).pvalue
+        assert wilcoxon(x, y, method="asymptotic").pvalue \
+            == wilcoxon(x, y).pvalue
+
+    @pytest.mark.parametrize("n", [2, 51])
+    def test_no_pair_differs_is_one(self, n):
+        x = np.linspace(0.0, 1.0, n)
+        assert analysis._signed_rank_p(x, x.copy()) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 51])
+    def test_nan_difference_is_nan(self, n):
+        x, y = self.pairs(n, "continuous", 0)
+        y[1] = np.nan
+        assert np.isnan(analysis._signed_rank_p(x, y))
+        assert np.isnan(wilcoxon(x, y).pvalue)
 
 
 class TestCovarianceReport:

@@ -434,22 +434,41 @@ IMPORT_FOOTPRINT = """
 import sys
 import latticerl
 import latticerl.cli
-for argv in (["evaluate", "--checkpoint", sys.argv[1], "--episodes", "2"],
-             ["analyze", "--checkpoint", sys.argv[1], "--analysis",
-              "covariance", "--episodes", "2", "--out", "reports"]):
+checkpoint = sys.argv[1]
+for kind in sys.argv[2:]:
+    argv = (["evaluate", "--checkpoint", checkpoint, "--episodes", "2"]
+            if kind == "evaluate" else
+            ["analyze", "--checkpoint", checkpoint, "--analysis", kind,
+             "--episodes", "2", "--steps", "200", "--out", "reports"])
     assert latticerl.cli.main(argv) == 0, argv
-print(sorted(m for m in ("scipy.stats", "scipy.special")
-             if m in sys.modules))
+# scipy's own import loads only its private modules and scipy.version
+print(sorted({m.split(".")[1] for m in sys.modules
+              if m.startswith("scipy.") and not m.startswith("scipy._")}
+             - {"version"}) if "scipy" in sys.modules else None)
 """
 
 
-def test_relu_cli_does_not_import_scipy(tmp_path):
-    # scipy.stats and scipy.special take most of a second to import; only
-    # GELU activations and the dual-sim analysis use them
+def scipy_footprint(tmp_path, *kinds) -> str:
+    """The scipy subpackages a fresh process has loaded after running the
+    given subcommands on the ReLU SCHEMA1_CHECKPOINT, or None."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_FOOTPRINT, str(SCHEMA1_CHECKPOINT)],
+        [sys.executable, "-c", IMPORT_FOOTPRINT, str(SCHEMA1_CHECKPOINT),
+         *kinds],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True)
-    assert done.stdout.strip().splitlines()[-1] == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_relu_cli_does_not_import_scipy(tmp_path):
+    # scipy.special takes ~0.2 s and ~17 MiB to import, scipy.stats most of
+    # a second and ~60 MiB more; only GELU activations and the dual sim's
+    # p-value use scipy.special, and only a dual sim of 50 steps or fewer
+    # scipy.stats
+    assert scipy_footprint(tmp_path, "evaluate", "covariance", "pca",
+                           "allocation", "energy") == "None"
+
+
+def test_dual_sim_imports_only_scipy_special(tmp_path):
+    assert scipy_footprint(tmp_path, "dual-sim") == "['special']"
