@@ -1,6 +1,7 @@
 """Diagnostic analyses: paired perturbation simulations, action covariance
 and correlation structure, PCA dimensionality, noise allocation, energy."""
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .envs import clipped_action
 from .errors import (EmptyGroup, InsufficientSamples, StateSyncUnsupported,
-                     is_int)
+                     is_int, is_number)
 from .exploration import LatticeConfig
 from .policy import MlpPolicy, dist_internals, dist_params
 
@@ -237,10 +238,11 @@ def analytic_latent_noise_cov(policy: MlpPolicy, states: np.ndarray,
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     x, _ = policy.forward(states)
+    params = dist_params(policy, cfg)
     # mean over states of c_x, (R_x,) with the stored row count of S_x
-    c_bar = np.mean((x * x) @ dist_params(policy, cfg).sx2.T, axis=0)
+    c_bar = np.mean((x * x) @ params.sx2.T, axis=0)
     w = policy.W
-    return policy.alpha ** 2 * ((w * c_bar) @ w.T)
+    return params.alpha ** 2 * ((w * c_bar) @ w.T)
 
 
 def covariance_report(action_log: np.ndarray) -> CovarianceReport:
@@ -303,7 +305,11 @@ def noise_allocation(policy: MlpPolicy, states: np.ndarray,
 
 def pca_explained_variance(action_log: np.ndarray, threshold: float) -> int:
     """Smallest component count whose cumulative explained variance reaches
-    the threshold; at least 1 by convention."""
+    the threshold; at least 1 by convention. A threshold <= 0 gives 1 and
+    one above 1 (inf included) counts as 1; a NaN or non-number raises
+    ValueError."""
+    if not is_number(threshold) or math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
     actions = np.atleast_2d(np.asarray(action_log, dtype=float))
     n, n_a = actions.shape
     if n < n_a + 1:

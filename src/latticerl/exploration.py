@@ -219,9 +219,10 @@ class NoiseSampler:
     """The action-noise process of a policy over a batch of environments.
 
     Env i draws only from rngs[i], a Generator or any object with its
-    standard_normal(size), and owns its perturbation window. The envs share
-    one episode clock: they start their episodes together (reset), so
-    their windows open and close at the same steps. The rows
+    standard_normal(size), and owns its perturbation window. The envs run
+    on one episode clock, which the caller passes to sample as step, so
+    their windows open and close at the same steps; the sampler's only
+    state is its open windows (or matrices) and its rngs. The rows
     of P_x are iid N(0, D_x), D_x = Diag(S_x^2) with the unclipped sampling
     stds, and those of P_a iid N(0, D_a). With reduced stds a window keeps
     no matrix: for a latent x it forms c = Q^T D x, r = x - Q c and
@@ -234,8 +235,9 @@ class NoiseSampler:
     period 1 every step opens a window, so that is all it does (full_std
     included). A window uses the stds of its opening step and the current
     W, as held matrices would. full_std at period > 1 and "episode" draw
-    P_x and P_a through resample_perturbations and hold them. Diagonal
-    noise draws N(0, sigma^2) per action. An rng draws through
+    every env's P_x and P_a through resample_perturbations when a window
+    opens, in env order, and hold them in perturbations. Diagonal noise
+    draws N(0, sigma^2) per action. An rng draws through
     standard_normal(size) for the matrices and standard_normal(out=row)
     otherwise.
     """
@@ -246,56 +248,46 @@ class NoiseSampler:
         self.cfg = cfg
         self.rngs = list(rngs)
         self.matrix_path = _holds_matrices(cfg)
-        self.perturbations: list[PerturbationMatrices | None] = \
-            [None] * len(self.rngs)
+        self.perturbations: list[PerturbationMatrices] | None = None
         self.windows: _Windows | None = None
-        self.ep_step = 0
 
-    def sample(self, x: np.ndarray, mean: np.ndarray,
-               params) -> np.ndarray:
-        """Actions for one step of every env from its latent row x[i] and
-        mean action mean[i]; advances the episode step. params is
-        dist_params(policy, cfg) of the current parameters, whose sigma or
-        sampling variances (read when a window opens) scale the normals."""
+    def sample(self, x: np.ndarray, mean: np.ndarray, params,
+               step: int) -> np.ndarray:
+        """Actions of every env at episode step step (0 at an episode's
+        first), from its latent row x[i] and mean action mean[i]. params is
+        dist_params(policy, cfg) of the current parameters: its alpha
+        weighs the latent term, its sigma or sampling variances (read when
+        a window opens) scale the normals. Step 0 drops what the previous
+        episode left open; at an integer period p > 1 the windows are
+        dropped after their last step, where (step + 1) % p == 0."""
         policy = self.policy
+        if step == 0:
+            self._close()
         if policy.strategy == "diagonal":
             z = self._normals(self.rngs, policy.action_dim)
             actions = mean + z * params.sigma
         elif self.matrix_path:
+            if self.perturbations is None:
+                self.perturbations = [
+                    resample_perturbations(policy.noise_std, self.cfg,
+                                           policy.action_dim, rng)
+                    for rng in self.rngs]
             actions = np.empty_like(mean)
-            for i in range(len(self.rngs)):
-                p = self._matrices(i)
-                actions[i] = mean[i] + (p.P_a @ x[i] + policy.alpha
+            for i, p in enumerate(self.perturbations):
+                actions[i] = mean[i] + (p.P_a @ x[i] + params.alpha
                                         * (policy.W @ (p.P_x @ x[i])))
         else:
             p_x, p_a = self._open(x, params) if self.windows is None \
                 else self._continue(x)
-            actions = mean + (p_a + policy.alpha * (p_x @ policy.W.T))
-        self.ep_step += 1
+            actions = mean + (p_a + params.alpha * (p_x @ policy.W.T))
         period = self.cfg.period_steps
-        if period is not None and period > 1 and self.ep_step % period == 0:
-            # the windows are dead once they have served their last step
+        if period is not None and (step + 1) % period == 0:
             self._close()
         return actions
 
-    def reset(self):
-        """Every env starts a new episode: the next step opens fresh
-        windows."""
-        self.ep_step = 0
-        self._close()
-
     def _close(self):
-        self.perturbations = [None] * len(self.rngs)
+        self.perturbations = None
         self.windows = None
-
-    def _matrices(self, i: int) -> PerturbationMatrices:
-        """Env i's perturbation matrices, drawn when its window opens."""
-        p = self.perturbations[i]
-        if p is None:
-            p = self.perturbations[i] = resample_perturbations(
-                self.policy.noise_std, self.cfg, self.policy.action_dim,
-                self.rngs[i])
-        return p
 
     def _normals(self, rngs, width: int) -> np.ndarray:
         """(len(rngs), width) normals, row i drawn from rngs[i]."""

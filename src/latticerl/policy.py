@@ -233,7 +233,9 @@ class MlpPolicy:
 
     The noise parameters of the configured exploration strategy live in the
     same parameter dict as the network weights; params, when given, holds a
-    view for each name of MlpPolicy.shapes, as for Mlp.
+    view for each name of MlpPolicy.shapes, as for Mlp. cfg sets the noise
+    shapes and their initial log std only: the distribution reads every
+    other noise setting from the cfg given to dist_params.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, cfg: LatticeConfig,
@@ -243,7 +245,6 @@ class MlpPolicy:
         if strategy not in ("diagonal", "gsde", "lattice"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
-        self.cfg = cfg
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         if params is None:
@@ -269,10 +270,6 @@ class MlpPolicy:
         else:
             shapes["log_sigma"] = (action_dim,)
         return shapes
-
-    @property
-    def alpha(self) -> float:
-        return 0.0 if self.strategy == "gsde" else self.cfg.alpha
 
     @property
     def n_latent(self) -> int:
@@ -309,7 +306,8 @@ class MlpPolicy:
 @dataclass
 class DistParams:
     """The parameter-only part of the action distribution: everything
-    dist_internals and NoiseSampler derive from the parameters alone.
+    dist_internals and NoiseSampler derive from the parameters alone, and
+    alpha, the one value of the model derived from the strategy.
 
     Built by dist_params from the parameters as they are at that call, and
     not refreshed: the caller builds one per parameter version (a rollout,
@@ -318,6 +316,8 @@ class DistParams:
     """
 
     kind: str
+    # the latent noise's weight: 0 for gsde, cfg.alpha for lattice
+    alpha: float = 0.0
     # lattice / gsde fields, in the stored shape (R, N_x) of their log-std:
     # R = 1 for the reduced (1, N_x) shape, whose single row stands for
     # every row of the full matrix, or N_a / N_x with full_std
@@ -416,6 +416,7 @@ def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
     s_a = clip_std(s_a_raw, cfg.std_min, cfg.std_max)
     p = DistParams(
         kind=policy.strategy,
+        alpha=0.0 if policy.strategy == "gsde" else cfg.alpha,
         mask_a=((s_a_raw > cfg.std_min) & (s_a_raw < cfg.std_max)).astype(
             float),
         mask_x=((s_x_raw > cfg.std_min) & (s_x_raw < cfg.std_max)).astype(
@@ -450,7 +451,7 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
         cache = None
     if params.kind == "diagonal":
         return DistInternals(x=x, mean=mean, cache=cache, params=params)
-    alpha = policy.alpha
+    alpha = params.alpha
     n_a = policy.action_dim
     x2 = x * x
     c_a = x2 @ params.sa2.T
@@ -488,7 +489,7 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     covariance construction. Writes log-std (and variance-path W) grads and
     returns the latent seed d_latent, or None when it vanishes."""
     p = it.params
-    alpha2 = policy.alpha * policy.alpha
+    alpha2 = p.alpha * p.alpha
     flow = not cfg.stop_variance_gradient
     if it.eig is not None:
         # in the shared eigenbasis: tr wG_b and <wG_b, W W^T> from |u|^2,

@@ -17,19 +17,6 @@ def write_matrix_csv(path, matrix: np.ndarray):
                 writer.writerow([i, j, repr(float(matrix[i, j]))])
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        entries = [(int(r["row"]), int(r["col"]), float(r["value"]))
-                   for r in reader]
-    n_rows = max(i for i, _, _ in entries) + 1
-    n_cols = max(j for _, j, _ in entries) + 1
-    out = np.zeros((n_rows, n_cols))
-    for i, j, v in entries:
-        out[i, j] = v
-    return out
-
-
 def write_json(path, payload: dict):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -62,14 +49,3 @@ class CurveWriter:
 
     def close(self):
         self.fh.close()
-
-
-def read_curves(path) -> dict[str, np.ndarray]:
-    """The columns of CurveWriter.COLUMNS that the file has, in that order;
-    files written before the PPO statistics columns have seven."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        header = reader.fieldnames or []
-    return {c: np.array([float(r[c]) for r in rows])
-            for c in CurveWriter.COLUMNS if c in header}

@@ -250,7 +250,8 @@ class PPOTrainer:
         for t in range(n_steps):
             obs = self._obs
             it = dist_internals(self.policy, obs, self.cfg, params=params)
-            actions = self.noise.sample(it.x, it.mean, params)
+            actions = self.noise.sample(it.x, it.mean, params,
+                                        self.envs.step_count)
             logp = log_prob(it, actions)
             _, values = self.value_net.forward(obs)
             buf.obs[t] = obs
@@ -268,7 +269,6 @@ class PPOTrainer:
                 self.recent_episodes.extend(map(
                     EpisodeMetrics.from_logs, self._ep_rewards,
                     self._ep_solved, self._ep_actions))
-                self.noise.reset()
                 self._obs = self.envs.reset()
             self.env_steps += self.ppo.n_envs
         return buf
@@ -452,7 +452,8 @@ def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
         for t in range(env.max_steps):
             states[rows, t] = obs
             x, mean = trainer.policy.forward(obs)
-            action = mean if deterministic else noise.sample(x, mean, params)
+            action = mean if deterministic else noise.sample(x, mean, params,
+                                                             t)
             actions[rows, t] = action
             obs, rewards[rows, t], _, solved[rows, t] = batch.step(action)
     return states, actions, rewards, solved

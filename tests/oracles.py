@@ -279,14 +279,14 @@ def run_episodes(trainer, n_episodes: int, seed: int,
                          [np.random.default_rng(noise_ss)])
     for _ in range(n_episodes):
         obs = env.reset()
-        noise.reset()
         states, actions, rewards, solved = [], [], [], []
         done = False
         while not done:
             states.append(obs)
             x, mean = trainer.policy.forward(np.atleast_2d(obs))
             action = mean[0] if deterministic else noise.sample(
-                x, mean, dist_params(trainer.policy, trainer.cfg))[0]
+                x, mean, dist_params(trainer.policy, trainer.cfg),
+                env.step_count)[0]
             actions.append(action)
             obs, r, done, info = env.step(action)
             rewards.append(r)

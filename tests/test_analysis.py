@@ -442,6 +442,15 @@ class TestCovarianceReport:
         got = analytic_latent_noise_cov(policy, np.ones((3, 2)), cfg)
         np.testing.assert_array_equal(got, 0.0)
 
+    def test_analytic_noise_cov_reads_alpha_from_cfg(self):
+        # alpha is the given cfg's, not the one the policy was built with
+        policy, cfg = lattice_policy(seed=20)
+        states = np.random.default_rng(21).standard_normal((6, 2))
+        ref = analytic_latent_noise_cov(policy, states, cfg)
+        got = analytic_latent_noise_cov(policy, states,
+                                        LatticeConfig(alpha=0.3))
+        np.testing.assert_allclose(got, 0.09 * ref, rtol=1e-12, atol=0.0)
+
 
 class TestNoiseAllocation:
     def test_single_group(self):
@@ -514,6 +523,18 @@ class TestPcaExplainedVariance:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             pca_explained_variance(np.zeros((3, 3)), 0.9)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), None, "0.9"])
+    def test_threshold_not_a_number_raises(self, threshold):
+        # NaN compared False everywhere and counted N_a + 1 components
+        actions = np.random.default_rng(29).standard_normal((200, 4))
+        with pytest.raises(ValueError, match="threshold"):
+            pca_explained_variance(actions, threshold)
+
+    def test_threshold_above_one_clamps(self):
+        actions = np.random.default_rng(30).standard_normal((200, 4))
+        assert pca_explained_variance(actions, float("inf")) == 4
+        assert pca_explained_variance(actions, 2.0) == 4
 
     def test_exact_boundary(self):
         # two components at 75% / 25%: threshold 0.75 is reached by one

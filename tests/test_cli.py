@@ -21,10 +21,11 @@ from latticerl.cli import (
 from latticerl.config import RunConfig
 from latticerl.errors import UnknownAnalysisKind
 from latticerl.exploration import LatticeConfig
-from latticerl.reports import read_curves, read_json, read_matrix_csv
+from latticerl.reports import read_json
 from latticerl.trainer import PpoConfig, load_checkpoint, save_checkpoint
 
 from conftest import SCHEMA1_CHECKPOINT
+from report_readers import read_curves, read_matrix_csv
 
 
 def tiny_config(**overrides):

@@ -9,12 +9,12 @@ from latticerl.config import RunConfig
 from latticerl.errors import ConfigError
 from latticerl.reports import (
     CurveWriter,
-    read_curves,
     read_json,
-    read_matrix_csv,
     write_json,
     write_matrix_csv,
 )
+
+from report_readers import read_curves, read_matrix_csv
 
 
 class TestRunConfig:

@@ -187,9 +187,9 @@ def window_sampler(period=4, n_envs=3, full_std=False, alpha=0.8):
                                       for i in range(n_envs)])
 
 
-def window_noise(sampler, x):
+def window_noise(sampler, x, step):
     return sampler.sample(x, np.zeros((len(x), N_A)),
-                          dist_params(sampler.policy, sampler.cfg))
+                          dist_params(sampler.policy, sampler.cfg), step)
 
 
 def rng_states(rngs):
@@ -207,17 +207,17 @@ class TestWindowSampler:
         x1, x2, x4, x6 = (rng.standard_normal((3, N_X)) for _ in range(4))
         xs = [x1, x2, 0.3 * x1 - 1.7 * x2, x4, x2, x1 + 1e-8 * x6]
         eff = sampling_log_std(s.policy.noise_std, s.cfg)
-        noise = [window_noise(s, xs[0])]
+        noise = [window_noise(s, xs[0], 0)]
         # stds that change inside the window do not reach it
         s.policy.params["log_std_x"] += 0.3
         s.policy.params["log_std_a"] -= 0.2
-        noise += [window_noise(s, x) for x in xs[1:]]
+        noise += [window_noise(s, x, t) for t, x in enumerate(xs[1:], 1)]
         w = s.windows
         np.testing.assert_array_equal(w.n_seen, 5)
         np.testing.assert_array_equal(w.n_dir, 4)
         np.testing.assert_array_equal(w.s2[0], np.exp(2.0 * eff.log_std_x)[0])
         np.testing.assert_array_equal(w.s2[1], np.exp(2.0 * eff.log_std_a)[0])
-        W, alpha = s.policy.W, s.policy.alpha
+        W, alpha = s.policy.W, dist_params(s.policy, s.cfg).alpha
         for i in range(3):
             k = w.n_dir[i]
             y, q, d = w.y[i, :k], w.q[i, :, :k], w.s2
@@ -238,14 +238,15 @@ class TestWindowSampler:
         n_envs, n_windows = 2000, 10
         s = window_sampler(period=4, n_envs=n_envs)
         xs = np.random.default_rng(2).standard_normal((4, N_X))
-        noise = np.stack([window_noise(s, np.tile(x, (n_envs, 1)))
-                          for _ in range(n_windows) for x in xs])
+        noise = np.stack([window_noise(s, np.tile(x, (n_envs, 1)), t)
+                          for _ in range(n_windows)
+                          for t, x in enumerate(xs)])
         blocks = noise.reshape(n_windows, 4, n_envs, N_A).transpose(
             0, 2, 1, 3).reshape(-1, 4 * N_A)
         emp = blocks.T @ blocks / len(blocks)
         eff = sampling_log_std(s.policy.noise_std, s.cfg)
         d_x, d_a = np.exp(2.0 * eff.log_std_x[0]), np.exp(2.0 * eff.log_std_a[0])
-        W, alpha = s.policy.W, s.policy.alpha
+        W, alpha = s.policy.W, dist_params(s.policy, s.cfg).alpha
         cov = np.block([[(xs[a] * d_a) @ xs[b] * np.eye(N_A)
                          + alpha ** 2 * ((xs[a] * d_x) @ xs[b]) * (W @ W.T)
                          for b in range(4)] for a in range(4)])
@@ -260,13 +261,13 @@ class TestWindowSampler:
     def test_window_opens_like_period_one(self):
         x = np.random.default_rng(3).standard_normal((3, N_X))
         s4, s1 = window_sampler(period=4), window_sampler(period=1)
-        assert window_noise(s4, x).tobytes() == window_noise(s1, x).tobytes()
-        window_noise(s4, x)
-        # a reset mid-window opens fresh ones at the next step
+        assert window_noise(s4, x, 0).tobytes() == \
+            window_noise(s1, x, 0).tobytes()
+        window_noise(s4, x, 1)
+        # a step-0 sample mid-window drops the window and opens a fresh one
         s1.rngs = copy.deepcopy(s4.rngs)
-        s4.reset()
         x2 = 2.0 * x + 1.0
-        n4, n1 = window_noise(s4, x2), window_noise(s1, x2)
+        n4, n1 = window_noise(s4, x2, 0), window_noise(s1, x2, 0)
         assert n4.tobytes() == n1.tobytes()
         np.testing.assert_array_equal(s4.windows.n_seen, [1, 1, 1])
         np.testing.assert_array_equal(s4.windows.n_dir, [1, 1, 1])
@@ -279,13 +280,13 @@ class TestWindowSampler:
         rngs = copy.deepcopy(s.rngs)
         x = np.random.default_rng(4).standard_normal((3, N_X))
         eff = sampling_log_std(s.policy.noise_std, s.cfg)
-        for _ in range(3):
+        for t in range(3):
             z = np.stack([r.standard_normal(N_X + N_A) for r in rngs])
             sd_x = np.sqrt((x * x) @ np.exp(2.0 * eff.log_std_x).T)
             sd_a = np.sqrt((x * x) @ np.exp(2.0 * eff.log_std_a).T)
-            expected = sd_a * z[:, N_X:] + s.policy.alpha * (
-                (sd_x * z[:, :N_X]) @ s.policy.W.T)
-            assert window_noise(s, x).tobytes() == expected.tobytes()
+            expected = sd_a * z[:, N_X:] + dist_params(
+                s.policy, s.cfg).alpha * ((sd_x * z[:, :N_X]) @ s.policy.W.T)
+            assert window_noise(s, x, t).tobytes() == expected.tobytes()
             assert s.windows is None
 
     def test_draws_only_for_new_directions(self):
@@ -302,19 +303,19 @@ class TestWindowSampler:
 
         rng = np.random.default_rng(5)
         x1, x2, x3 = (rng.standard_normal((2, N_X)) for _ in range(3))
-        n1 = window_noise(s, x1)
+        n1 = window_noise(s, x1, 0)
         assert drawn(1)
-        np.testing.assert_array_equal(window_noise(s, np.zeros((2, N_X))),
+        np.testing.assert_array_equal(window_noise(s, np.zeros((2, N_X)), 1),
                                       0.0)
-        np.testing.assert_allclose(window_noise(s, 2.0 * x1), 2.0 * n1,
+        np.testing.assert_allclose(window_noise(s, 2.0 * x1, 2), 2.0 * n1,
                                    rtol=1e-12, atol=1e-14)
         assert drawn(1)
-        window_noise(s, x2)
+        window_noise(s, x2, 3)
         assert drawn(2)
-        window_noise(s, x1)
-        window_noise(s, 0.5 * x1 + 3.0 * x2)
+        window_noise(s, x1, 4)
+        window_noise(s, 0.5 * x1 + 3.0 * x2, 5)
         assert drawn(2)
-        window_noise(s, x3)
+        window_noise(s, x3, 6)
         assert drawn(3)
         np.testing.assert_array_equal(s.windows.n_dir, 3)
 
@@ -323,11 +324,13 @@ class TestWindowSampler:
         # and the noise does not depend on how many slots it started with
         xs = np.random.default_rng(6).standard_normal((40, 2, N_X))
         roomy = window_sampler(period=10 ** 9, n_envs=2)
-        noise = [window_noise(roomy, x).tobytes() for x in xs]
+        noise = [window_noise(roomy, x, t).tobytes()
+                 for t, x in enumerate(xs)]
         assert roomy.windows.seen.shape[1] == 64
         monkeypatch.setattr(exploration, "WINDOW_SLOTS", 1)
         tight = window_sampler(period=10 ** 9, n_envs=2)
-        assert [window_noise(tight, x).tobytes() for x in xs] == noise
+        assert [window_noise(tight, x, t).tobytes()
+                for t, x in enumerate(xs)] == noise
         np.testing.assert_array_equal(tight.windows.n_seen, 40)
         np.testing.assert_array_equal(tight.windows.n_dir, N_X)
 
@@ -336,14 +339,46 @@ class TestWindowSampler:
         # leaves the window without a direction
         s = window_sampler(period=4, n_envs=2)
         ref = copy.deepcopy(s.rngs)
-        np.testing.assert_array_equal(window_noise(s, np.zeros((2, N_X))),
+        np.testing.assert_array_equal(window_noise(s, np.zeros((2, N_X)), 0),
                                       0.0)
         np.testing.assert_array_equal(s.windows.n_dir, 0)
         for r in ref:
             r.standard_normal(N_X + N_A)
         assert rng_states(ref) == rng_states(s.rngs)
-        window_noise(s, np.ones((2, N_X)))
+        window_noise(s, np.ones((2, N_X)), 1)
         np.testing.assert_array_equal(s.windows.n_dir, 1)
+
+    @pytest.mark.parametrize("period,full_std", [("episode", False),
+                                                 (4, True)])
+    def test_matrices_drawn_when_a_window_opens(self, period, full_std):
+        # the matrix path draws every env's P_x and P_a from its own rng at
+        # a window's first step, N_x^2 + N_a N_x normals, and nothing at
+        # its later steps; a step-0 sample mid-window draws fresh ones
+        s = window_sampler(period=period, full_std=full_std)
+        x = np.random.default_rng(7).standard_normal((3, N_X))
+
+        def advanced(rngs, windows):
+            rngs = copy.deepcopy(rngs)
+            for r in rngs:
+                r.standard_normal(windows * (N_X * N_X + N_A * N_X))
+            return rng_states(rngs)
+
+        ref = copy.deepcopy(s.rngs)
+        n0 = window_noise(s, x, 0)
+        held = s.perturbations
+        assert rng_states(s.rngs) == advanced(ref, 1)
+        for p, r in zip(held, copy.deepcopy(ref)):
+            expected = resample_perturbations(s.policy.noise_std, s.cfg, N_A,
+                                              r)
+            assert p.P_x.tobytes() == expected.P_x.tobytes()
+            assert p.P_a.tobytes() == expected.P_a.tobytes()
+        for t in (1, 2):
+            assert window_noise(s, x, t).tobytes() == n0.tobytes()
+        assert s.perturbations is held
+        assert rng_states(s.rngs) == advanced(ref, 1)
+        assert window_noise(s, x, 0).tobytes() != n0.tobytes()
+        assert s.perturbations is not held
+        assert rng_states(s.rngs) == advanced(ref, 2)
 
 
 class TestPerturbedAction:

@@ -431,6 +431,52 @@ class TestLogProbGradients:
             np.testing.assert_array_equal(results[0][1][k], results[1][1][k])
 
 
+class TestAlphaFromCfg:
+    """The distribution takes alpha from the cfg it is given, like every
+    other noise setting, not from the cfg the policy was built with."""
+
+    @staticmethod
+    def _policy(full_std, strategy="lattice"):
+        built = LatticeConfig(alpha=1.0, full_std=full_std,
+                              init_log_std=-0.3)
+        policy = MlpPolicy(3, 3, built, strategy=strategy, hiddens=(5, 4),
+                           activation="tanh", rng=np.random.default_rng(71))
+        rng = np.random.default_rng(72)
+        for name in ("log_std_x", "log_std_a"):
+            policy.params[name] += rng.normal(0.0, 0.3,
+                                              policy.params[name].shape)
+        cfg = LatticeConfig(alpha=0.3, full_std=full_std)
+        return policy, cfg, rng.standard_normal((4, 3)), \
+            rng.standard_normal((4, 3))
+
+    @pytest.mark.parametrize("full_std", [False, True],
+                             ids=["reduced", "full"])
+    def test_covariance_and_log_prob(self, full_std):
+        policy, cfg, obs, actions = self._policy(full_std)
+        it = dist_internals(policy, obs, cfg)
+        logp = log_prob_and_grad(policy, obs, actions, cfg,
+                                 GradientTape(policy.params))
+        s_x, s_a = distribution_std(policy.noise_std, cfg, 3)
+        for b in range(len(obs)):
+            ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, 0.3,
+                                     cfg.gamma)
+            np.testing.assert_allclose(it.cov[b], ref, rtol=1e-12,
+                                       atol=1e-15)
+            dist = oracles.FullCovGaussian(it.mean[b], ref)
+            assert logp[b] == pytest.approx(dist.log_density(actions[b]),
+                                            rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("full_std", [False, True],
+                             ids=["reduced", "full"])
+    def test_finite_differences(self, full_std):
+        policy, cfg, obs, actions = self._policy(full_std)
+        assert logp_gradient_check(policy, cfg, obs, actions) < 1e-4
+
+    def test_gsde_alpha_is_zero(self):
+        policy, cfg, _, _ = self._policy(False, strategy="gsde")
+        assert dist_params(policy, cfg).alpha == 0.0
+
+
 class TestEntropy:
     def test_entropy_batch_matches_distribution(self, small_policy_factory):
         from oracles import action_distribution

@@ -307,6 +307,7 @@ def per_env_reference_rollout(tr, n_steps):
     fast = tr.strategy != "diagonal" and period is not None and (
         period == 1 or not tr.cfg.full_std)
     n = tr.ppo.n_envs
+    alpha = dist_params(tr.policy, tr.cfg).alpha
     envs = single_envs_like(tr)
     windows = [None] * n
     ep_step = [0] * n
@@ -318,7 +319,8 @@ def per_env_reference_rollout(tr, n_steps):
     for t in range(n_steps):
         x, mean = tr.policy.forward(obs)
         if fast:
-            actions = tr.noise.sample(x, mean, dist_params(tr.policy, tr.cfg))
+            actions = tr.noise.sample(x, mean, dist_params(tr.policy, tr.cfg),
+                                      ep_step[0])
         else:
             actions = np.empty((n, tr.action_dim))
             for i in range(n):
@@ -333,7 +335,7 @@ def per_env_reference_rollout(tr, n_steps):
                         windows[i] = resample_perturbations(
                             tr.policy.noise_std, tr.cfg, tr.action_dim, rng)
                     p = windows[i]
-                    actions[i] = mean[i] + (p.P_a @ x[i] + tr.policy.alpha
+                    actions[i] = mean[i] + (p.P_a @ x[i] + alpha
                                             * (tr.policy.W @ (p.P_x @ x[i])))
         logp = log_prob(dist_internals(tr.policy, obs, tr.cfg), actions)
         _, values = tr.value_net.forward(obs)
@@ -358,8 +360,6 @@ def per_env_reference_rollout(tr, n_steps):
             else:
                 ep_step[i] += 1
             next_obs[i] = o
-        if fast and dones.any():
-            tr.noise.reset()
         for key, value in zip(fields, (obs, actions, logp, values[:, 0],
                                        rewards, dones)):
             fields[key].append(value)
@@ -407,20 +407,20 @@ class TestNoiseSampler:
         np.testing.assert_array_equal(held.n_seen, 3)
         tr.collect_rollout(1)
         assert tr.noise.windows is None
-        assert tr.noise.perturbations == [None] * 3
+        assert tr.noise.perturbations is None
 
         # full_std at period 4 holds perturbation matrices instead
         tr = small_trainer(cfg=LatticeConfig(period=4, full_std=True),
                            ppo=ppo, env_kwargs={"max_steps": 8})
         tr.collect_rollout(8)
-        assert tr.noise.perturbations == [None] * 3
+        assert tr.noise.perturbations is None
         tr.collect_rollout(2)
         held = tr.noise.perturbations
         assert all(p is not None for p in held)
         tr.collect_rollout(1)
         assert all(a is b for a, b in zip(tr.noise.perturbations, held))
         tr.collect_rollout(1)
-        assert tr.noise.perturbations == [None] * 3
+        assert tr.noise.perturbations is None
         assert tr.noise.windows is None
 
     @staticmethod
@@ -518,7 +518,6 @@ class TestBatchedRollout:
         for n_steps in (9, 11):
             bufs.append(tr.collect_rollout(n_steps))
             episodes += tr.recent_episodes
-            assert tr.noise.ep_step == tr.envs.step_count
         expected = per_env_reference_rollout(small_trainer(**kwargs), 20)
         for field in ("obs", "actions", "log_probs", "values", "rewards",
                       "dones"):
@@ -541,8 +540,8 @@ class TestBatchedRollout:
         before = snapshot()
         sample = tr.noise.sample
 
-        def nan_in_row_two(x, mean, params):
-            actions = sample(x, mean, params)
+        def nan_in_row_two(x, mean, params, step):
+            actions = sample(x, mean, params, step)
             actions[2, 1] = np.nan
             return actions
 
