@@ -147,9 +147,9 @@ def matched_dual_sim(env, policy, sigma_latent: float, n_steps: int,
 
     wilcoxon_p is the two-sided Wilcoxon signed-rank test of the per-step
     angle-deviation norms, latent against action, equal to scipy's
-    wilcoxon on them: its normal approximation, computed in numpy, above
-    50 steps, and scipy.stats.wilcoxon itself at 50 or fewer. It is 1.0
-    when no step's norms differ, at sigma_latent = 0 say."""
+    wilcoxon on them: its normal approximation, computed without scipy,
+    above 50 steps, and scipy.stats.wilcoxon itself at 50 or fewer. It is
+    1.0 when no step's norms differ, at sigma_latent = 0 say."""
     _check_n_steps(n_steps, 2)
     latent_cond = dual_sim_experiment(env, policy, "latent", sigma_latent,
                                       n_steps, rng)
@@ -181,8 +181,9 @@ def _signed_rank_p(x: np.ndarray, y: np.ndarray) -> float:
     scipy gives NaN. Above 50 pairs it is scipy's asymptotic branch in
     numpy: zero differences dropped, average ranks of |x - y| with the
     tie-corrected variance, and the normal tail without continuity
-    correction. So only scipy.special is loaded there; scipy.stats alone
-    takes most of a second and ~60 MiB to import.
+    correction, that tail from _ndtr_nonpositive. So no scipy is loaded
+    there; scipy.special takes ~17 MiB to import, scipy.stats most of a
+    second and ~60 MiB more.
     """
     d = x - y
     if np.isnan(d).any():
@@ -197,7 +198,6 @@ def _signed_rank_p(x: np.ndarray, y: np.ndarray) -> float:
         # zeros, and a permutation test with them up to 13 pairs.
         from scipy.stats import wilcoxon
         return float(wilcoxon(x, y).pvalue)
-    from scipy.special import ndtr
     mag = np.abs(nonzero)
     order = np.argsort(mag, kind="stable")
     sorted_mag = mag[order]
@@ -210,7 +210,58 @@ def _signed_rank_p(x: np.ndarray, y: np.ndarray) -> float:
     se = count * (count + 1.) * (2. * count + 1.)
     t = ties.astype(float)
     se = np.sqrt((se - np.sum(t ** 3 - t) / 2) / 24)
-    return float(2 * ndtr(-abs((r_plus - mn) / se)))
+    return 2 * _ndtr_nonpositive(-abs(float((r_plus - mn) / se)))
+
+
+# Cephes' erf/erfc coefficients as scipy.special.ndtr uses them, highest
+# power first; a leading 1.0 stands for the implied one of p1evl
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_SQRTH = 7.07106781186547524401E-1
+_MAXLOG = 7.09782712893383996843E2
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr_nonpositive(a: float) -> float:
+    """Standard normal CDF at a finite a <= 0, bit-equal to
+    scipy.special.ndtr(a): Cephes' ndtr with its erf and erfc inlined for
+    that half, same coefficients, Horner order and branch points, and
+    math.exp for libm's exp."""
+    z = -a * _SQRTH                    # erfc's argument, >= 0
+    if z < 1.0:
+        w = z * z
+        erf_z = z * _polevl(w, _ERF_T) / _polevl(w, _ERF_U)
+        # ndtr's 0.5 + 0.5 * erf(-z) below SQRTH, else 0.5 * erfc(z)
+        return 0.5 - 0.5 * erf_z if z < _SQRTH else 0.5 * (1.0 - erf_z)
+    if z * z > _MAXLOG:                # erfc underflows
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+    return 0.5 * (math.exp(-z * z) * _polevl(z, p) / _polevl(z, q))
 
 
 # ------------------------------------------------------- covariance report

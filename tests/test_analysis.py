@@ -330,6 +330,42 @@ class TestSignedRankP:
         assert np.isnan(wilcoxon(x, y).pvalue)
 
 
+class TestNdtrNonpositive:
+    """analysis._ndtr_nonpositive, the p-value's normal tail, against
+    scipy.special.ndtr bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(a):
+        from scipy.special import ndtr
+        got = np.array([analysis._ndtr_nonpositive(float(v)) for v in a])
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      ndtr(a).view(np.int64))
+
+    @pytest.mark.parametrize("branch", ["erf", "erfc_below_1",
+                                        "erfc_below_8", "underflow"])
+    def test_straddles_branch_point(self, branch):
+        # erfc's argument z = -a * SQRTH; each branch point in z, with a
+        # runs of ulps on both sides of it and a coarser grid across it
+        sqrth = analysis._SQRTH
+        edge = {"erf": sqrth, "erfc_below_1": 1.0, "erfc_below_8": 8.0,
+                "underflow": np.sqrt(analysis._MAXLOG)}[branch]
+        a0 = -edge / sqrth
+        up = np.nextafter(a0, 0.0) - a0
+        a = np.r_[a0 + up * np.arange(-500, 501),
+                  np.linspace(a0 - 0.5, min(a0 + 0.5, 0.0), 2001)]
+        z = -a * sqrth
+        below = (z * z <= analysis._MAXLOG if branch == "underflow"
+                 else z < edge)
+        assert below.any() and not below.all()
+        self.assert_bit_equal(a)
+
+    def test_negative_zero_and_random(self):
+        a = np.r_[-0.0, -np.random.default_rng(0).uniform(0.0, 40.0,
+                                                           20_000)]
+        self.assert_bit_equal(a)
+        assert analysis._ndtr_nonpositive(-0.0) == 0.5
+
+
 class TestCovarianceReport:
     def test_known_latent_covariance(self):
         # deterministic linear map of Gaussian latents: Cov(a) = W C W^T

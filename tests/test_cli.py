@@ -435,12 +435,12 @@ IMPORT_FOOTPRINT = """
 import sys
 import latticerl
 import latticerl.cli
-checkpoint = sys.argv[1]
-for kind in sys.argv[2:]:
+checkpoint, steps = sys.argv[1:3]
+for kind in sys.argv[3:]:
     argv = (["evaluate", "--checkpoint", checkpoint, "--episodes", "2"]
             if kind == "evaluate" else
             ["analyze", "--checkpoint", checkpoint, "--analysis", kind,
-             "--episodes", "2", "--steps", "200", "--out", "reports"])
+             "--episodes", "2", "--steps", steps, "--out", "reports"])
     assert latticerl.cli.main(argv) == 0, argv
 # scipy's own import loads only its private modules and scipy.version
 print(sorted({m.split(".")[1] for m in sys.modules
@@ -449,14 +449,15 @@ print(sorted({m.split(".")[1] for m in sys.modules
 """
 
 
-def scipy_footprint(tmp_path, *kinds) -> str:
+def scipy_footprint(tmp_path, *kinds, steps: int = 200) -> str:
     """The scipy subpackages a fresh process has loaded after running the
-    given subcommands on the ReLU SCHEMA1_CHECKPOINT, or None."""
+    given subcommands on the ReLU SCHEMA1_CHECKPOINT, each analysis with
+    --steps steps, or None."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_FOOTPRINT, str(SCHEMA1_CHECKPOINT),
-         *kinds],
+         str(steps), *kinds],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True)
     return done.stdout.strip().splitlines()[-1]
@@ -464,12 +465,16 @@ def scipy_footprint(tmp_path, *kinds) -> str:
 
 def test_relu_cli_does_not_import_scipy(tmp_path):
     # scipy.special takes ~0.2 s and ~17 MiB to import, scipy.stats most of
-    # a second and ~60 MiB more; only GELU activations and the dual sim's
-    # p-value use scipy.special, and only a dual sim of 50 steps or fewer
-    # scipy.stats
+    # a second and ~60 MiB more; only GELU activations use scipy.special,
+    # and only a dual sim of 50 steps or fewer scipy.stats
     assert scipy_footprint(tmp_path, "evaluate", "covariance", "pca",
                            "allocation", "energy") == "None"
 
 
-def test_dual_sim_imports_only_scipy_special(tmp_path):
-    assert scipy_footprint(tmp_path, "dual-sim") == "['special']"
+def test_dual_sim_above_50_steps_does_not_import_scipy(tmp_path):
+    assert scipy_footprint(tmp_path, "dual-sim") == "None"
+
+
+def test_dual_sim_of_50_steps_imports_scipy_stats(tmp_path):
+    # scipy's exact signed-rank null distribution, not ported
+    assert "'stats'" in scipy_footprint(tmp_path, "dual-sim", steps=50)
