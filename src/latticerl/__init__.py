@@ -14,10 +14,9 @@ from .exploration import (
     NoiseStdMatrices,
     PerturbationMatrices,
     clip_std,
-    resample_perturbations,
     rescaled_log_std,
 )
-from .policy import GradientTape, Mlp, MlpPolicy, log_prob, log_prob_and_grad
+from .policy import GradientTape, Mlp, MlpPolicy, log_prob
 from .trainer import (
     Adam,
     PpoConfig,

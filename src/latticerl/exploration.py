@@ -148,7 +148,7 @@ def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
 # Relative residual (in the metric D) below which a latent lies in the span
 # of its window's earlier latents and opens no new direction.
 SPAN_TOL = 1e-12
-# Latent slots a window starts with; they double as a window meets more.
+# Step slots a window starts with; they double as a window runs longer.
 WINDOW_SLOTS = 16
 
 
@@ -157,19 +157,19 @@ class _Windows:
     """The open windows of a reduced-std sampler, one row per env.
 
     s2 holds D = Diag(S^2) of the stds at the windows' common opening step,
-    for the P_x rows (metric 0) and the P_a rows (metric 1). Row i keeps
-    the latents its window has met with their products P_x x | P_a x; and
-    per metric a D-orthonormal basis q_j of those latents with
-    y_j = P_x q_x,j | P_a q_a,j, the standard normals the window drew for
-    direction j. Slots past a row's counts are zero, and there are only as
-    many as the windows have needed, so a long period costs what its
-    windows meet rather than its length.
+    for the P_x rows (metric 0) and the P_a rows (metric 1). Slot t of seen
+    and p is window step t: row i's latent there and its products
+    P_x x | P_a x, so the episode clock, step % period, tells how far the
+    windows are filled. Per metric, row i also keeps a D-orthonormal basis
+    q_j of its latents with y_j = P_x q_x,j | P_a q_a,j, the standard
+    normals the window drew for direction j; slots past n_dir are zero.
+    There are only as many slots as the windows have run steps, so a long
+    period costs what its windows run rather than its length.
     """
 
     s2: np.ndarray      # (2, N_x), shared by every env
     seen: np.ndarray    # (n_envs, slots, N_x)
     p: np.ndarray       # (n_envs, slots, N_x + N_a)
-    n_seen: np.ndarray  # (n_envs,)
     q: np.ndarray       # (n_envs, 2, slots, N_x)
     y: np.ndarray       # (n_envs, slots, N_x + N_a)
     n_dir: np.ndarray   # (n_envs,)
@@ -180,13 +180,12 @@ class _Windows:
         return cls(s2=s2,
                    seen=np.zeros((n_envs, slots, n_x)),
                    p=np.zeros((n_envs, slots, n_x + n_a)),
-                   n_seen=np.zeros(n_envs, dtype=int),
                    q=np.zeros((n_envs, 2, slots, n_x)),
                    y=np.zeros((n_envs, slots, n_x + n_a)),
                    n_dir=np.zeros(n_envs, dtype=int))
 
     def reserve(self, n: int):
-        """Make room for n latents in every window."""
+        """Make room for n steps in every window."""
         slots = self.seen.shape[1]
         if n > slots:
             more = max(n, 2 * slots) - slots
@@ -277,8 +276,9 @@ class NoiseSampler:
                 actions[i] = mean[i] + (p.P_a @ x[i] + params.alpha
                                         * (policy.W @ (p.P_x @ x[i])))
         else:
+            t = step % self.cfg.period_steps
             p_x, p_a = self._open(x, params) if self.windows is None \
-                else self._continue(x)
+                else self._continue(x, t)
             actions = mean + (p_a + params.alpha * (p_x @ policy.W.T))
         period = self.cfg.period_steps
         if period is not None and (step + 1) % period == 0:
@@ -311,39 +311,36 @@ class NoiseSampler:
         p_x = sd_x * z[:, :n_x]
         p_a = sd_a * z[:, n_x:]
         if self.cfg.period_steps > 1:
-            self.windows = _Windows.allocate(
+            w = self.windows = _Windows.allocate(
                 np.concatenate([s2_x, s2_a]), len(x),
                 min(self.cfg.period_steps, WINDOW_SLOTS), policy.action_dim)
-            rows = np.arange(len(x))
-            self._remember(rows, x, p_x, p_a)
+            w.seen[:, 0] = x
+            w.p[:, 0] = np.concatenate([p_x, p_a], axis=1)
             # the residual of a first latent is the latent itself; x = 0
             # opens no direction
             rho = np.concatenate([sd_x, sd_a], axis=1)
             new = np.any(rho > 0.0, axis=1)
             r = np.broadcast_to(x[new, None], (np.count_nonzero(new), 2, n_x))
-            self._add_directions(rows[new], r, rho[new], z[new])
+            self._add_directions(np.flatnonzero(new), r, rho[new], z[new])
         return p_x, p_a
 
-    def _continue(self, x):
-        """Products of every env, whose windows have met a latent already."""
+    def _continue(self, x, t):
+        """Products of every env at window step t > 0, stored with x in slot
+        t; a latent met at an earlier step of the window gets that step's
+        products back."""
         w = self.windows
         n_x = self.policy.n_latent
-        p_x = np.empty((len(x), n_x))
-        p_a = np.empty((len(x), self.policy.action_dim))
-        rows = np.arange(len(x))
-        n = w.n_seen.max()
-        same = np.all(w.seen[:, :n] == x[:, None], axis=2)
-        same &= np.arange(n) < w.n_seen[:, None]
+        w.reserve(t + 1)
+        w.seen[:, t] = x
+        p = w.p[:, t]
+        same = np.all(w.seen[:, :t] == x[:, None], axis=2)
         repeat = same.any(axis=1)
-        if repeat.any():
-            p = w.p[repeat, same[repeat].argmax(axis=1)]
-            p_x[repeat] = p[:, :n_x]
-            p_a[repeat] = p[:, n_x:]
-            rows, x = rows[~repeat], x[~repeat]
-            if not rows.size:
-                return p_x, p_a
-        # this step stores one latent and may open one direction per row
-        w.reserve(w.n_seen[rows].max() + 1)
+        p[repeat] = w.p[repeat, same[repeat].argmax(axis=1)]
+        if repeat.all():
+            return p[:, :n_x], p[:, n_x:]
+        # the other rows may open one direction each
+        rows = np.flatnonzero(~repeat)
+        x = x[rows]
         m = w.n_dir[rows].max()
         q = w.q[rows, :, :m]                      # (k, 2, m, N_x)
         d = w.s2                                  # (2, N_x)
@@ -358,24 +355,16 @@ class NoiseSampler:
         rho = np.sqrt(np.sum(d * r * r, axis=2))  # (k, 2)
         norm = np.sqrt(np.sum(dx * x[:, None], axis=2))
         y = w.y[rows, :m]                         # (k, m, N_x + N_a)
-        p_x[rows] = (c[:, 0, None] @ y[:, :, :n_x])[:, 0]
-        p_a[rows] = (c[:, 1, None] @ y[:, :, n_x:])[:, 0]
+        p[rows, :n_x] = (c[:, 0, None] @ y[:, :, :n_x])[:, 0]
+        p[rows, n_x:] = (c[:, 1, None] @ y[:, :, n_x:])[:, 0]
         new = np.any(rho > SPAN_TOL * norm, axis=1)
         if new.any():
             z = self._normals([self.rngs[i] for i in rows[new]],
                               n_x + self.policy.action_dim)
-            p_x[rows[new]] += rho[new, :1] * z[:, :n_x]
-            p_a[rows[new]] += rho[new, 1:] * z[:, n_x:]
+            p[rows[new], :n_x] += rho[new, :1] * z[:, :n_x]
+            p[rows[new], n_x:] += rho[new, 1:] * z[:, n_x:]
             self._add_directions(rows[new], r[new], rho[new], z)
-        self._remember(rows, x, p_x[rows], p_a[rows])
-        return p_x, p_a
-
-    def _remember(self, rows, x, p_x, p_a):
-        w = self.windows
-        t = w.n_seen[rows]
-        w.seen[rows, t] = x
-        w.p[rows, t] = np.concatenate([p_x, p_a], axis=1)
-        w.n_seen[rows] += 1
+        return p[:, :n_x], p[:, n_x:]
 
     def _add_directions(self, rows, r, rho, z):
         """Append r / rho (per metric) to the bases of envs rows, with the

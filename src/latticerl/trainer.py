@@ -250,8 +250,8 @@ class PPOTrainer:
         for t in range(n_steps):
             obs = self._obs
             it = dist_internals(self.policy, obs, self.cfg, params=params)
-            actions = self.noise.sample(it.x, it.mean, params,
-                                        self.envs.step_count)
+            k = self.envs.step_count
+            actions = self.noise.sample(it.x, it.mean, params, k)
             logp = log_prob(it, actions)
             _, values = self.value_net.forward(obs)
             buf.obs[t] = obs
@@ -261,7 +261,6 @@ class PPOTrainer:
             self._obs, rewards, done, solved = self.envs.step(actions)
             buf.rewards[t] = rewards
             buf.dones[t] = done
-            k = self.envs.step_count - 1
             self._ep_rewards[:, k] = rewards
             self._ep_solved[:, k] = solved
             self._ep_actions[:, k] = np.clip(actions, 0.0, 1.0)
@@ -304,7 +303,8 @@ class PPOTrainer:
                 logp = terms[0]
                 ent = entropy_batch(it)
                 # clipped surrogate and entropy bonus in one policy backward
-                ratio = np.exp(logp - old_logp[idx])
+                log_ratio = logp - old_logp[idx]
+                ratio = np.exp(log_ratio)
                 inactive = ((adv > 0) & (ratio > 1.0 + eps)) | \
                            ((adv < 0) & (ratio < 1.0 - eps))
                 w_pg = np.where(inactive, 0.0, -(adv * ratio) / b)
@@ -343,8 +343,6 @@ class PPOTrainer:
                         if n_batches else {})
                 self.optimizer.step(tape.flat)
 
-                with np.errstate(over="ignore"):
-                    log_ratio = logp - old_logp[idx]
                 stats["pg_loss"] += pg_loss
                 stats["value_loss"] += value_loss
                 stats["entropy"] += float(np.mean(ent))

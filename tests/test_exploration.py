@@ -213,7 +213,9 @@ class TestWindowSampler:
         s.policy.params["log_std_a"] -= 0.2
         noise += [window_noise(s, x, t) for t, x in enumerate(xs[1:], 1)]
         w = s.windows
-        np.testing.assert_array_equal(w.n_seen, 5)
+        # slot t holds window step t, the repeat included
+        np.testing.assert_array_equal(w.seen[:, :6], np.stack(xs, axis=1))
+        assert w.p[:, 4].tobytes() == w.p[:, 1].tobytes()
         np.testing.assert_array_equal(w.n_dir, 4)
         np.testing.assert_array_equal(w.s2[0], np.exp(2.0 * eff.log_std_x)[0])
         np.testing.assert_array_equal(w.s2[1], np.exp(2.0 * eff.log_std_a)[0])
@@ -269,7 +271,8 @@ class TestWindowSampler:
         x2 = 2.0 * x + 1.0
         n4, n1 = window_noise(s4, x2, 0), window_noise(s1, x2, 0)
         assert n4.tobytes() == n1.tobytes()
-        np.testing.assert_array_equal(s4.windows.n_seen, [1, 1, 1])
+        np.testing.assert_array_equal(s4.windows.seen[:, 0], x2)
+        assert not s4.windows.seen[:, 1:].any()
         np.testing.assert_array_equal(s4.windows.n_dir, [1, 1, 1])
 
     @pytest.mark.parametrize("full_std", [False, True])
@@ -320,8 +323,8 @@ class TestWindowSampler:
         np.testing.assert_array_equal(s.windows.n_dir, 3)
 
     def test_long_period_grows_its_window(self, monkeypatch):
-        # a window's slots grow with the latents it meets, not its period,
-        # and the noise does not depend on how many slots it started with
+        # a window's slots grow with the steps it runs, not its period, and
+        # the noise does not depend on how many slots it started with
         xs = np.random.default_rng(6).standard_normal((40, 2, N_X))
         roomy = window_sampler(period=10 ** 9, n_envs=2)
         noise = [window_noise(roomy, x, t).tobytes()
@@ -331,8 +334,29 @@ class TestWindowSampler:
         tight = window_sampler(period=10 ** 9, n_envs=2)
         assert [window_noise(tight, x, t).tobytes()
                 for t, x in enumerate(xs)] == noise
-        np.testing.assert_array_equal(tight.windows.n_seen, 40)
+        assert tight.windows.seen.shape[1] == 64
+        np.testing.assert_array_equal(tight.windows.seen[:, :40],
+                                      xs.transpose(1, 0, 2))
         np.testing.assert_array_equal(tight.windows.n_dir, N_X)
+
+    def test_slot_t_holds_window_step_t(self):
+        # every env writes its latent and products into slot t at window
+        # step t, also env 1, which meets its step-1 latent again at step 3
+        s = window_sampler(period=8)
+        xs = np.random.default_rng(8).standard_normal((8, 3, N_X))
+        xs[3, 1] = xs[1, 1]
+        alpha = dist_params(s.policy, s.cfg).alpha
+        noise = []
+        for t, x in enumerate(xs):
+            noise.append(window_noise(s, x, t))
+            if t == 0:
+                w = s.windows
+            np.testing.assert_array_equal(w.seen[:, t], x)
+            p = w.p[:, t]
+            assert noise[t].tobytes() == (np.zeros((3, N_A)) + (
+                p[:, N_X:] + alpha * (p[:, :N_X] @ s.policy.W.T))).tobytes()
+        assert s.windows is None
+        assert noise[3][1].tobytes() == noise[1][1].tobytes()
 
     def test_zero_first_latent_opens_no_direction(self):
         # the opening step always draws, as at period 1; a zero latent

@@ -398,13 +398,16 @@ class TestNoiseSampler:
                            env_kwargs={"max_steps": 8})
         tr.collect_rollout(8)
         assert tr.noise.windows is None
-        tr.collect_rollout(2)
+        buf = tr.collect_rollout(2)
         held = tr.noise.windows
-        np.testing.assert_array_equal(held.n_seen, 2)
         assert np.all(held.n_dir <= 2)
-        tr.collect_rollout(1)
+        buf3 = tr.collect_rollout(1)
         assert tr.noise.windows is held
-        np.testing.assert_array_equal(held.n_seen, 3)
+        # slot t holds the latents of window step t; the last is still empty
+        x = [tr.policy.forward(obs)[0]
+             for obs in (*buf.obs, *buf3.obs)]
+        np.testing.assert_array_equal(held.seen[:, :3], np.stack(x, axis=1))
+        assert not held.seen[:, 3].any()
         tr.collect_rollout(1)
         assert tr.noise.windows is None
         assert tr.noise.perturbations is None
