@@ -11,10 +11,7 @@ from .envs import (
 from .exploration import (
     LatticeConfig,
     NoiseSampler,
-    NoiseStdMatrices,
     PerturbationMatrices,
-    clip_std,
-    rescaled_log_std,
 )
 from .policy import GradientTape, Mlp, MlpPolicy, log_prob
 from .trainer import (

@@ -172,9 +172,6 @@ class FlexExtArm:
 
     # ------------------------------------------------------- one env
 
-    def observe(self) -> np.ndarray:
-        return self.observation(self)
-
     def reset(self) -> np.ndarray:
         self.theta, self.theta_dot, self.theta_target = \
             self.initial_state(self.rng)
@@ -270,9 +267,6 @@ class PointReacher:
         return np.array(s.pos, dtype=float)
 
     # ------------------------------------------------------- one env
-
-    def observe(self) -> np.ndarray:
-        return self.observation(self)
 
     def reset(self) -> np.ndarray:
         self.pos, self.vel, self.target = self.initial_state(self.rng)

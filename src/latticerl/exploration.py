@@ -12,7 +12,10 @@ N_x + N_a normals for each new latent direction it meets, its products
 P_x x, P_a x taken from their Gaussian conditional on the window's earlier
 ones, instead of the N_x^2 + N_a N_x entries of the two matrices; period 1
 draws once per step. full_std at period > 1 and "episode" draw the
-matrices. Runs are bit-reproducible from config and seed.
+matrices. The stds reach this module already rescaled:
+policy.dist_params is the one place that turns the learnable log-stds
+into stds, and the sampler reads them off the DistParams it is given.
+Runs are bit-reproducible from config and seed.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,8 @@ class LatticeConfig:
     """Knobs of the latent-noise model.
 
     period is a step count, or the string "episode" to resample perturbation
-    matrices only at environment resets. The stds are clipped into
+    matrices only at environment resets. policy.dist_params reads rescale,
+    std_min, std_max and gamma: the distribution's stds are clipped into
     [std_min, std_max]; std_max = inf clips them from below only.
     """
 
@@ -75,31 +79,6 @@ class LatticeConfig:
 
 
 @dataclass
-class NoiseStdMatrices:
-    """Learnable log-std matrices for the latent and action perturbations.
-
-    Reduced shape (1, N_x) ties a column's std across rows; full shape stores
-    one entry per matrix element.
-    """
-
-    log_std_x: np.ndarray  # (N_x, N_x) or (1, N_x)
-    log_std_a: np.ndarray  # (N_a, N_x) or (1, N_x)
-
-    @staticmethod
-    def shapes(n_actions: int, n_latent: int,
-               cfg: LatticeConfig) -> dict[str, tuple]:
-        """Shapes of log_std_x and log_std_a, by field name."""
-        if cfg.full_std:
-            return {"log_std_x": (n_latent, n_latent),
-                    "log_std_a": (n_actions, n_latent)}
-        return {"log_std_x": (1, n_latent), "log_std_a": (1, n_latent)}
-
-    @property
-    def n_latent(self) -> int:
-        return self.log_std_x.shape[1]
-
-
-@dataclass
 class PerturbationMatrices:
     """Sampled noise matrices, held fixed for a resampling window."""
 
@@ -107,41 +86,20 @@ class PerturbationMatrices:
     P_a: np.ndarray  # (N_a, N_x)
 
 
-def rescaled_log_std(raw: NoiseStdMatrices, n_latent: int) -> NoiseStdMatrices:
-    """Subtract 0.5 log(N_x) elementwise so per-component noise variance does
-    not grow with the latent width."""
-    if n_latent < 1:
-        raise ValueError("n_latent must be >= 1")
-    shift = 0.5 * np.log(float(n_latent))
-    return NoiseStdMatrices(
-        log_std_x=raw.log_std_x - shift,
-        log_std_a=raw.log_std_a - shift,
-    )
-
-
-def clip_std(std: np.ndarray, std_min: float, std_max: float) -> np.ndarray:
-    """Clamp stds into [std_min, std_max]. Applied only when forming the
-    distribution's variance, never to already-drawn samples."""
-    return np.clip(std, std_min, std_max)
-
-
-def sampling_log_std(std: NoiseStdMatrices,
-                     cfg: LatticeConfig) -> NoiseStdMatrices:
-    """Log stds of the perturbation entries, in their stored shapes."""
-    return rescaled_log_std(std, std.n_latent) if cfg.rescale else std
-
-
-def resample_perturbations(std: NoiseStdMatrices, cfg: LatticeConfig,
-                           n_actions: int,
+def resample_perturbations(params, n_actions: int,
                            rng: np.random.Generator) -> PerturbationMatrices:
-    """Draw fresh P matrices, entrywise N(0, S_ij^2)."""
-    # exp in the stored shape, broadcast by the in-place scaling: the same
-    # bytes as scaling by the stds expanded to full shape
-    eff = sampling_log_std(std, cfg)
-    p_x = rng.standard_normal((std.n_latent, std.n_latent))
-    p_x *= np.exp(eff.log_std_x)
-    p_a = rng.standard_normal((n_actions, std.n_latent))
-    p_a *= np.exp(eff.log_std_a)
+    """Draw fresh P matrices, entrywise N(0, S_ij^2). params is
+    dist_params(policy, cfg), or any object with its unclipped sampling
+    stds sd_x and sd_a in their stored shapes."""
+    # scaled in place by the stds in their stored shape, broadcast: the
+    # same bytes as scaling by the stds expanded to full shape
+    n_x = params.sd_x.shape[1]
+    p_x = np.empty((n_x, n_x))
+    rng.standard_normal(out=p_x)
+    p_x *= params.sd_x
+    p_a = np.empty((n_actions, n_x))
+    rng.standard_normal(out=p_a)
+    p_a *= params.sd_a
     return PerturbationMatrices(P_x=p_x, P_a=p_a)
 
 
@@ -218,7 +176,7 @@ class NoiseSampler:
     """The action-noise process of a policy over a batch of environments.
 
     Env i draws only from rngs[i], a Generator or any object with its
-    standard_normal(size), and owns its perturbation window. The envs run
+    standard_normal(out=...), and owns its perturbation window. The envs run
     on one episode clock, which the caller passes to sample as step, so
     their windows open and close at the same steps; the sampler's only
     state is its open windows (or matrices) and its rngs. The rows
@@ -234,11 +192,11 @@ class NoiseSampler:
     period 1 every step opens a window, so that is all it does (full_std
     included). A window uses the stds of its opening step and the current
     W, as held matrices would. full_std at period > 1 and "episode" draw
-    every env's P_x and P_a through resample_perturbations when a window
-    opens, in env order, and hold them in perturbations. Diagonal noise
-    draws N(0, sigma^2) per action. An rng draws through
-    standard_normal(size) for the matrices and standard_normal(out=row)
-    otherwise.
+    every env's P_x and P_a through resample_perturbations, with the
+    sampling stds sd_x and sd_a of the params given when a window opens,
+    in env order, and hold them in perturbations. Diagonal noise draws
+    N(0, sigma^2) per action. Every draw is standard_normal(out=...) into
+    a preallocated array.
     """
 
     def __init__(self, policy, cfg: LatticeConfig,
@@ -255,10 +213,11 @@ class NoiseSampler:
         """Actions of every env at episode step step (0 at an episode's
         first), from its latent row x[i] and mean action mean[i]. params is
         dist_params(policy, cfg) of the current parameters: its alpha
-        weighs the latent term, its sigma or sampling variances (read when
-        a window opens) scale the normals. Step 0 drops what the previous
-        episode left open; at an integer period p > 1 the windows are
-        dropped after their last step, where (step + 1) % p == 0."""
+        weighs the latent term, its sigma, sampling variances or, on the
+        matrix path, sampling stds (read when a window opens) scale the
+        normals. Step 0 drops what the previous episode left open; at an
+        integer period p > 1 the windows are dropped after their last
+        step, where (step + 1) % p == 0."""
         policy = self.policy
         if step == 0:
             self._close()
@@ -268,8 +227,7 @@ class NoiseSampler:
         elif self.matrix_path:
             if self.perturbations is None:
                 self.perturbations = [
-                    resample_perturbations(policy.noise_std, self.cfg,
-                                           policy.action_dim, rng)
+                    resample_perturbations(params, policy.action_dim, rng)
                     for rng in self.rngs]
             actions = np.empty_like(mean)
             for i, p in enumerate(self.perturbations):

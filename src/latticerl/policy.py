@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .exploration import (
-    LatticeConfig,
-    NoiseStdMatrices,
-    clip_std,
-    sampling_log_std,
-)
+from .exploration import STRATEGIES, LatticeConfig
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 _SQRT2 = np.sqrt(2.0)
@@ -242,7 +237,7 @@ class MlpPolicy:
                  strategy: str = "lattice", hiddens=(256, 256),
                  activation: str = "relu", *, rng: np.random.Generator,
                  params: dict[str, np.ndarray] | None = None):
-        if strategy not in ("diagonal", "gsde", "lattice"):
+        if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self.obs_dim = obs_dim
@@ -262,11 +257,16 @@ class MlpPolicy:
     @staticmethod
     def shapes(obs_dim: int, action_dim: int, cfg: LatticeConfig,
                strategy: str, hiddens=(256, 256)) -> dict[str, tuple]:
-        """Parameter shapes by name: the network's, then the noise's."""
+        """Parameter shapes by name: the network's, then the noise's. A
+        reduced (1, N_x) log-std ties a column's std across rows; full_std
+        stores one per matrix element."""
         shapes = Mlp.shapes(obs_dim, hiddens, action_dim, "pi.")
         if strategy in ("gsde", "lattice"):
             n_latent = [obs_dim, *hiddens][-1]
-            shapes.update(NoiseStdMatrices.shapes(action_dim, n_latent, cfg))
+            rows_x, rows_a = (n_latent, action_dim) if cfg.full_std \
+                else (1, 1)
+            shapes["log_std_x"] = (rows_x, n_latent)
+            shapes["log_std_a"] = (rows_a, n_latent)
         else:
             shapes["log_sigma"] = (action_dim,)
         return shapes
@@ -282,13 +282,6 @@ class MlpPolicy:
     @property
     def b(self) -> np.ndarray:
         return self.params[self.net.head_b_name]
-
-    @property
-    def noise_std(self) -> NoiseStdMatrices:
-        return NoiseStdMatrices(
-            log_std_x=self.params["log_std_x"],
-            log_std_a=self.params["log_std_a"],
-        )
 
     def forward(self, obs: np.ndarray, need_cache: bool = False):
         """(latent x, mean action W x + b) for a batch of observations."""
@@ -306,8 +299,11 @@ class MlpPolicy:
 @dataclass
 class DistParams:
     """The parameter-only part of the action distribution: everything
-    dist_internals and NoiseSampler derive from the parameters alone, and
-    alpha, the one value of the model derived from the strategy.
+    dist_internals and NoiseSampler derive from the parameters alone, with
+    alpha, the one value of the model derived from the strategy, and the
+    regularizer gamma. Its stds are the only ones derived from the
+    learnable log-stds: dist_params rescales those by the latent width and
+    clips their exp.
 
     Built by dist_params from the parameters as they are at that call, and
     not refreshed: the caller builds one per parameter version (a rollout,
@@ -318,6 +314,8 @@ class DistParams:
     kind: str
     # the latent noise's weight: 0 for gsde, cfg.alpha for lattice
     alpha: float = 0.0
+    # the covariance's diagonal regularizer, cfg.gamma (lattice / gsde)
+    gamma: float = 0.0
     # lattice / gsde fields, in the stored shape (R, N_x) of their log-std:
     # R = 1 for the reduced (1, N_x) shape, whose single row stands for
     # every row of the full matrix, or N_a / N_x with full_std
@@ -325,7 +323,11 @@ class DistParams:
     mask_x: np.ndarray | None = None
     sa2: np.ndarray | None = None       # squared clipped stds
     sx2: np.ndarray | None = None
-    # the sampler's unclipped variances exp(2 log S)
+    # the sampler's unclipped stds exp(log S), for the matrix path
+    sd_a: np.ndarray | None = None
+    sd_x: np.ndarray | None = None
+    # its unclipped variances exp(2 log S), for the window path: sd * sd
+    # would move the last bits of every lattice training run
     var_a: np.ndarray | None = None
     var_x: np.ndarray | None = None
     # reduced stds: eigh of W W^T
@@ -405,24 +407,30 @@ class DistInternals:
 
 
 def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
-    """The parameter-only part of policy's action distribution under cfg."""
+    """The parameter-only part of policy's action distribution under cfg.
+
+    With cfg.rescale the log-stds are shifted by -0.5 log N_x, so the
+    per-component noise variance does not grow with the latent width. The
+    sampler draws with their exp, unclipped; the distribution clamps it
+    into [cfg.std_min, cfg.std_max], never an already-drawn sample."""
     if policy.strategy == "diagonal":
         return DistParams(kind="diagonal",
                           sigma=np.exp(policy.params["log_sigma"]))
-    eff = sampling_log_std(policy.noise_std, cfg)
-    s_x_raw = np.exp(eff.log_std_x)
-    s_a_raw = np.exp(eff.log_std_a)
-    s_x = clip_std(s_x_raw, cfg.std_min, cfg.std_max)
-    s_a = clip_std(s_a_raw, cfg.std_min, cfg.std_max)
+    log_x, log_a = policy.params["log_std_x"], policy.params["log_std_a"]
+    if cfg.rescale:
+        shift = 0.5 * np.log(float(policy.n_latent))
+        log_x, log_a = log_x - shift, log_a - shift
+    sd_x, sd_a = np.exp(log_x), np.exp(log_a)
+    s_x = np.clip(sd_x, cfg.std_min, cfg.std_max)
+    s_a = np.clip(sd_a, cfg.std_min, cfg.std_max)
     p = DistParams(
         kind=policy.strategy,
         alpha=0.0 if policy.strategy == "gsde" else cfg.alpha,
-        mask_a=((s_a_raw > cfg.std_min) & (s_a_raw < cfg.std_max)).astype(
-            float),
-        mask_x=((s_x_raw > cfg.std_min) & (s_x_raw < cfg.std_max)).astype(
-            float),
-        sa2=s_a * s_a, sx2=s_x * s_x,
-        var_a=np.exp(2.0 * eff.log_std_a), var_x=np.exp(2.0 * eff.log_std_x))
+        gamma=cfg.gamma,
+        mask_a=((sd_a > cfg.std_min) & (sd_a < cfg.std_max)).astype(float),
+        mask_x=((sd_x > cfg.std_min) & (sd_x < cfg.std_max)).astype(float),
+        sa2=s_a * s_a, sx2=s_x * s_x, sd_a=sd_a, sd_x=sd_x,
+        var_a=np.exp(2.0 * log_a), var_x=np.exp(2.0 * log_x))
     W = policy.W
     if s_a.shape[0] == s_x.shape[0] == 1:
         # reduced stds (or full_std at N_x = N_a = 1): one c_a and one c_x
@@ -457,7 +465,7 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
     c_a = x2 @ params.sa2.T
     c_x = x2 @ params.sx2.T
     if params.basis is not None:
-        eig = c_a + cfg.gamma + (alpha * alpha) * c_x * params.lam
+        eig = c_a + params.gamma + (alpha * alpha) * c_x * params.lam
         if not (eig > 0.0).all():
             raise NotPositiveDefinite(
                 "batched action covariance is singular; check gamma and the "
@@ -467,7 +475,7 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
                              log_det=np.sum(np.log(eig), axis=1), eig=eig)
     cov = ((alpha * alpha) * (c_x @ params.k_x)).reshape(-1, n_a, n_a)
     idx = np.arange(n_a)
-    cov[:, idx, idx] += c_a + cfg.gamma
+    cov[:, idx, idx] += c_a + params.gamma
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

@@ -401,14 +401,10 @@ class _Normals:
     def __init__(self, block: np.ndarray):
         self.block, self.used = block, 0
 
-    def standard_normal(self, size=None, out=None):
-        shape = size if out is None else out.shape
-        n = math.prod(shape)
+    def standard_normal(self, *, out: np.ndarray) -> np.ndarray:
+        n = out.size
         self.used += n
-        drawn = self.block[self.used - n:self.used].reshape(shape)
-        if out is None:
-            return drawn
-        out[...] = drawn
+        out[...] = self.block[self.used - n:self.used].reshape(out.shape)
         return out
 
 

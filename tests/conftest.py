@@ -99,9 +99,6 @@ class ConstantObsEnv:
     def observation(self, s):
         return np.ones(np.shape(s.zero) + (self._obs_dim,))
 
-    def observe(self):
-        return self.observation(self)
-
     def reset(self):
         self.step_count = 0
         return self.observation(self)

@@ -7,7 +7,9 @@ Gaussian with a Cholesky factor, the covariance
 Diag(S_a^2 x^2) + alpha^2 W Diag(S_x^2 x^2) W^T + gamma I, the perturbed
 action (W + P_a + alpha W P_x) x, and the stds in their full matrix shapes.
 action_distribution has mean W x without the policy head's bias, so it is
-an oracle for the noise model rather than for a whole policy.
+an oracle for the noise model rather than for a whole policy. LogStds holds
+a pair of log-std matrices, and the stds are derived from it here (the
+0.5 log N_x shift and the clip), independently of policy.dist_params.
 
 dual_sim_experiment is the step-by-step form of the paired simulation that
 analysis plays as episode rows of one two-row state, on a single env whose
@@ -20,6 +22,7 @@ the gradient norm that the trainer runs over one flat vector.
 """
 
 import copy
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,10 +34,7 @@ from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
     NoiseSampler,
-    NoiseStdMatrices,
     PerturbationMatrices,
-    clip_std,
-    sampling_log_std,
 )
 from latticerl.policy import LOG_2PI, dist_params
 
@@ -121,7 +121,45 @@ def _expand(mat: np.ndarray, n_rows: int) -> np.ndarray:
     return np.broadcast_to(mat, (n_rows, mat.shape[1]))
 
 
-def sampling_std(std: NoiseStdMatrices, cfg: LatticeConfig,
+@dataclass
+class LogStds:
+    """Log-std matrices of the latent and action perturbations, in their
+    stored shapes: reduced (1, N_x) rows, or full (N_x, N_x) and
+    (N_a, N_x)."""
+
+    log_std_x: np.ndarray
+    log_std_a: np.ndarray
+
+    @classmethod
+    def of(cls, policy) -> "LogStds":
+        """The log-std parameters of a gsde or lattice policy."""
+        return cls(log_std_x=policy.params["log_std_x"],
+                   log_std_a=policy.params["log_std_a"])
+
+    @property
+    def n_latent(self) -> int:
+        return self.log_std_x.shape[1]
+
+
+def sampling_log_std(std: LogStds, cfg: LatticeConfig) -> LogStds:
+    """Log stds the perturbation entries are drawn with, in their stored
+    shapes: shifted by -0.5 log N_x when cfg.rescale is set."""
+    if not cfg.rescale:
+        return std
+    shift = 0.5 * np.log(float(std.n_latent))
+    return LogStds(log_std_x=std.log_std_x - shift,
+                   log_std_a=std.log_std_a - shift)
+
+
+def perturbation_stds(std: LogStds, cfg: LatticeConfig) -> SimpleNamespace:
+    """The params argument of resample_perturbations: the unclipped
+    sampling stds sd_x and sd_a, in their stored shapes."""
+    eff = sampling_log_std(std, cfg)
+    return SimpleNamespace(sd_x=np.exp(eff.log_std_x),
+                           sd_a=np.exp(eff.log_std_a))
+
+
+def sampling_std(std: LogStds, cfg: LatticeConfig,
                  n_actions: int) -> tuple[np.ndarray, np.ndarray]:
     """Unclipped stds used to draw the perturbation matrices, expanded to
     full (N_x, N_x) and (N_a, N_x) shapes."""
@@ -131,12 +169,13 @@ def sampling_std(std: NoiseStdMatrices, cfg: LatticeConfig,
     return s_x, s_a
 
 
-def distribution_std(std: NoiseStdMatrices, cfg: LatticeConfig,
+def distribution_std(std: LogStds, cfg: LatticeConfig,
                      n_actions: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped stds entering the analytic action distribution."""
+    """Clipped stds entering the analytic action distribution: the
+    sampling stds clamped into [std_min, std_max]."""
     s_x, s_a = sampling_std(std, cfg, n_actions)
-    return (clip_std(s_x, cfg.std_min, cfg.std_max),
-            clip_std(s_a, cfg.std_min, cfg.std_max))
+    return tuple(np.minimum(np.maximum(s, cfg.std_min), cfg.std_max)
+                 for s in (s_x, s_a))
 
 
 def perturbed_action(x: np.ndarray, W: np.ndarray, P: PerturbationMatrices,
@@ -166,7 +205,7 @@ def lattice_covariance(x: np.ndarray, W: np.ndarray, s_a: np.ndarray,
     return cov
 
 
-def action_distribution(x: np.ndarray, W: np.ndarray, std: NoiseStdMatrices,
+def action_distribution(x: np.ndarray, W: np.ndarray, std: LogStds,
                         cfg: LatticeConfig) -> FullCovGaussian:
     """Analytic distribution of the perturbed action for one latent state."""
     x = np.asarray(x, dtype=float)
@@ -207,7 +246,7 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
     action_noise = []
     for _ in range(n_steps):
         state = get_state(env)
-        obs = env.observe()
+        obs = env.observation(env)
         lat = policy.latent(obs[None])[0]
         a_clean = policy.action_from_latent(lat[None])[0]
         if noise_mode == "latent":

@@ -17,7 +17,6 @@ from latticerl.envs import ENV_REGISTRY, FlexExtArm
 from latticerl.errors import NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
-    NoiseStdMatrices,
     PerturbationMatrices,
     resample_perturbations,
 )
@@ -26,10 +25,12 @@ from latticerl.trainer import PpoConfig, PPOTrainer, evaluate_policy
 
 from conftest import ConstantObsEnv, logp_gradient_check
 from oracles import (
+    LogStds,
     accel_of,
     action_distribution,
     distribution_std,
     lattice_covariance,
+    perturbation_stds,
     perturbed_action,
     sampling_std,
 )
@@ -68,7 +69,7 @@ def random_instance(rng, n_a=None, n_x=None, alpha=None, gamma=0.0):
     n_a = int(rng.integers(2, 4)) if n_a is None else n_a
     n_x = int(rng.integers(3, 5)) if n_x is None else n_x
     W = rng.standard_normal((n_a, n_x))
-    std = NoiseStdMatrices(
+    std = LogStds(
         log_std_x=rng.normal(0.0, 0.3, (n_x, n_x)),
         log_std_a=rng.normal(0.0, 0.3, (n_a, n_x)),
     )
@@ -260,7 +261,7 @@ def test_criterion_05_positive_semidefinite_guarantee():
         n_a = int(rng.integers(2, 5))
         n_x = int(rng.integers(2, 5))
         W = rng.standard_normal((n_a, n_x)) * float(rng.uniform(0.2, 3.0))
-        std = NoiseStdMatrices(
+        std = LogStds(
             log_std_x=rng.normal(0.0, 1.0, (n_x, n_x)),
             log_std_a=rng.normal(0.0, 1.0, (n_a, n_x)),
         )
@@ -295,8 +296,8 @@ def test_criterion_06_rescaling_invariance():
     variances = {}
     for n_x in (16, 64, 256):
         # unit stds in the reduced (1, N_x) shape
-        std = NoiseStdMatrices(log_std_x=np.zeros((1, n_x)),
-                               log_std_a=np.zeros((1, n_x)))
+        std = LogStds(log_std_x=np.zeros((1, n_x)),
+                      log_std_a=np.zeros((1, n_x)))
         s_x, s_a = sampling_std(std, cfg, n_act)
         acc_a = np.zeros(n_act)
         acc_x = 0.0
@@ -394,15 +395,16 @@ def test_criterion_09_period_semantics():
         cfg1 = LatticeConfig(alpha=1.0, period=1)
         x = tr.policy.forward(np.ones((1, 2)))[0][0]
         W = tr.policy.W
-        s_x, s_a = sampling_std(tr.policy.noise_std, cfg1, 3)
+        s_x, s_a = sampling_std(LogStds.of(tr.policy), cfg1, 3)
         rng = np.random.default_rng(99)
         n = 100_000
         p_a = rng.standard_normal((n, 3, x.size)) * s_a
         p_x = rng.standard_normal((n, x.size, x.size)) * s_x
         draws = p_a @ x + cfg1.alpha * ((p_x @ x) @ W.T)
         # vectorized draw matches the per-step resampling path
-        P = resample_perturbations(tr.policy.noise_std, cfg1, 3,
-                                   np.random.default_rng(5))
+        P = resample_perturbations(
+            perturbation_stds(LogStds.of(tr.policy), cfg1), 3,
+            np.random.default_rng(5))
         np.testing.assert_allclose(
             perturbed_action(x, W, P, cfg1.alpha) - W @ x,
             P.P_a @ x + cfg1.alpha * (W @ (P.P_x @ x)), atol=1e-12)

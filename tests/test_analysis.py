@@ -418,10 +418,11 @@ class TestCovarianceReport:
         rng = np.random.default_rng(14)
         states = rng.standard_normal((20, 2))
         draws = []
+        sds = oracles.perturbation_stds(oracles.LogStds.of(policy), cfg)
         for s in states:
             x, mean = policy.forward(s[None])
             for _ in range(400):
-                p = resample_perturbations(policy.noise_std, cfg, 4, rng)
+                p = resample_perturbations(sds, 4, rng)
                 noise = p.P_a @ x[0] + cfg.alpha * (
                     policy.W @ (p.P_x @ x[0]))
                 draws.append(noise)
@@ -439,7 +440,7 @@ class TestCovarianceReport:
         got = analytic_latent_noise_cov(policy, states, cfg)
         # brute force: average the per-state closed form
         from oracles import distribution_std
-        s_x, _ = distribution_std(policy.noise_std, cfg, 4)
+        s_x, _ = distribution_std(oracles.LogStds.of(policy), cfg, 4)
         acc = np.zeros((4, 4))
         for s in states:
             x, _ = policy.forward(s[None])
@@ -461,7 +462,7 @@ class TestCovarianceReport:
         # the formula over the expanded (N_x, N_x) clipped stds
         from oracles import distribution_std
         x, _ = policy.forward(states)
-        s_x, _ = distribution_std(policy.noise_std, cfg, 4)
+        s_x, _ = distribution_std(oracles.LogStds.of(policy), cfg, 4)
         c_x = (x * x) @ (s_x * s_x).T
         w = policy.W
         ref = cfg.alpha ** 2 * np.einsum("ak,bk,mk->am", w, c_x, w) / 9

@@ -157,10 +157,10 @@ class TestFlexExtArm:
         env.reset()
         env.step(np.array([1.0, 0.8, 0.2, 0.1, 0.0, 0.3]))
         state = get_state(env)
-        obs_before = env.observe()
+        obs_before = env.observation(env)
         env.step(np.full(6, 0.9))
         set_state(env, state)
-        np.testing.assert_array_equal(env.observe(), obs_before)
+        np.testing.assert_array_equal(env.observation(env), obs_before)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_flexors": 0}, {"n_extensors": 0}, {"n_flexors": -2}])
@@ -246,10 +246,10 @@ class TestPointReacher:
         env.reset()
         env.step(np.full(env.action_dim, 0.7))
         state = get_state(env)
-        obs = env.observe()
+        obs = env.observation(env)
         env.step(np.zeros(env.action_dim))
         set_state(env, state)
-        np.testing.assert_array_equal(env.observe(), obs)
+        np.testing.assert_array_equal(env.observation(env), obs)
 
     def test_solved_near_target(self):
         env = PointReacher(target_range=0.0, seed=0)
@@ -342,7 +342,7 @@ class TestBatchedEnv:
                 for env in singles:
                     env.reset()
                 assert obs.tobytes() == np.stack(
-                    [env.observe() for env in singles]).tobytes()
+                    [env.observation(env) for env in singles]).tobytes()
         assert solved.dtype == bool and isinstance(dones, bool)
 
     @pytest.mark.parametrize("name", ["flex_ext_arm", "point_reacher"])

@@ -14,21 +14,20 @@ from latticerl.errors import DimensionMismatch, NotPositiveDefinite
 from latticerl.exploration import (
     LatticeConfig,
     NoiseSampler,
-    NoiseStdMatrices,
     PerturbationMatrices,
-    clip_std,
     resample_perturbations,
-    rescaled_log_std,
-    sampling_log_std,
 )
 from latticerl.policy import MlpPolicy, dist_params
 
 from oracles import (
+    LogStds,
     action_distribution,
     distribution_std,
     independent_action_noise,
     lattice_covariance,
+    perturbation_stds,
     perturbed_action,
+    sampling_log_std,
     sampling_std,
 )
 
@@ -36,8 +35,20 @@ from oracles import (
 def make_std(rng, n_actions, n_latent, scale=0.3, full=True):
     shape_x = (n_latent, n_latent) if full else (1, n_latent)
     shape_a = (n_actions, n_latent) if full else (1, n_latent)
-    return NoiseStdMatrices(log_std_x=rng.normal(0.0, scale, shape_x),
-                            log_std_a=rng.normal(0.0, scale, shape_a))
+    return LogStds(log_std_x=rng.normal(0.0, scale, shape_x),
+                   log_std_a=rng.normal(0.0, scale, shape_a))
+
+
+def std_policy(n_latent, n_actions=2, log_std=None, **cfg_kwargs):
+    """A lattice policy of latent width n_latent and its cfg, with the
+    log-stds set to log_std (broadcast) when given."""
+    cfg = LatticeConfig(**cfg_kwargs)
+    policy = MlpPolicy(2, n_actions, cfg, hiddens=(n_latent,),
+                       rng=np.random.default_rng(0))
+    if log_std is not None:
+        for k in ("log_std_x", "log_std_a"):
+            policy.params[k][...] = log_std
+    return policy, cfg
 
 
 class TestLatticeConfig:
@@ -63,29 +74,41 @@ class TestLatticeConfig:
 
 
 class TestRescaledLogStd:
+    """dist_params draws with exp(log_std - 0.5 log N_x), or exp(log_std)
+    without rescaling, in the stored shape of the log-stds."""
+
+    @staticmethod
+    def _check(width, rescale):
+        for full_std in (False, True):
+            policy, cfg = std_policy(width, rescale=rescale,
+                                     full_std=full_std)
+            rng = np.random.default_rng(1)
+            for k in ("log_std_x", "log_std_a"):
+                policy.params[k][...] = rng.normal(0.0, 0.5,
+                                                   policy.params[k].shape)
+            p = dist_params(policy, cfg)
+            shift = 0.5 * np.log(width) if rescale else 0.0
+            for sd, k in ((p.sd_x, "log_std_x"), (p.sd_a, "log_std_a")):
+                assert sd.shape == policy.params[k].shape
+                np.testing.assert_array_equal(
+                    sd, np.exp(policy.params[k] - shift))
+
     def test_width_one_is_identity(self):
-        std = NoiseStdMatrices(log_std_x=np.zeros((1, 1)),
-                               log_std_a=np.zeros((2, 1)))
-        out = rescaled_log_std(std, 1)
-        np.testing.assert_array_equal(out.log_std_x, 0.0)
-        np.testing.assert_array_equal(out.log_std_a, 0.0)
+        self._check(1, rescale=True)
 
     def test_width_four_shift(self):
-        std = NoiseStdMatrices(log_std_x=np.zeros((4, 4)),
-                               log_std_a=np.zeros((2, 4)))
-        out = rescaled_log_std(std, 4)
-        np.testing.assert_allclose(out.log_std_x, -0.5 * np.log(4.0))
-        np.testing.assert_allclose(out.log_std_a, -0.5 * np.log(4.0))
+        self._check(4, rescale=True)
+
+    def test_no_shift_without_rescale(self):
+        self._check(4, rescale=False)
 
     def test_variance_invariant_to_width(self):
         # per-component latent noise variance should not grow with N_x
         rng = np.random.default_rng(0)
-        cfg = LatticeConfig(rescale=True)
         variances = []
         for n_x in (64, 128):
-            std = NoiseStdMatrices(log_std_x=np.zeros((n_x, n_x)),
-                                   log_std_a=np.zeros((1, n_x)))
-            s_x, _ = sampling_std(std, cfg, 1)
+            policy, cfg = std_policy(n_x, log_std=0.0, rescale=True)
+            s_x = dist_params(policy, cfg).sd_x
             n = 100_000
             x = rng.standard_normal((n, n_x))
             z = rng.standard_normal((n, n_x)) * s_x[0]
@@ -93,61 +116,68 @@ class TestRescaledLogStd:
             variances.append(eps.var())
         assert variances[1] == pytest.approx(variances[0], rel=0.05)
 
-    def test_rejects_bad_width(self):
-        std = NoiseStdMatrices(log_std_x=np.zeros((1, 1)),
-                               log_std_a=np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            rescaled_log_std(std, 0)
-
 
 class TestClipStd:
+    """dist_params clamps the stds into [std_min, std_max] for the
+    distribution, and only a std inside passes gradient."""
+
+    @staticmethod
+    def _check(std, s2, mask):
+        policy, cfg = std_policy(1, log_std=np.log(std), std_min=0.001,
+                                 std_max=10.0, rescale=False)
+        p = dist_params(policy, cfg)
+        for got_s2, got_mask in ((p.sx2, p.mask_x), (p.sa2, p.mask_a)):
+            assert got_s2.tobytes() == np.full((1, 1), s2).tobytes()
+            assert got_mask.tobytes() == np.full((1, 1), mask).tobytes()
+
     def test_lower_clamp(self):
-        assert clip_std(np.array([0.0005]), 0.001, 10.0)[0] == 0.001
+        self._check(0.0005, 0.001 * 0.001, 0.0)
 
     def test_interior(self):
-        assert clip_std(np.array([3.2]), 0.001, 10.0)[0] == 3.2
+        inside = np.exp(np.log(3.2))
+        self._check(3.2, inside * inside, 1.0)
 
     def test_upper_clamp(self):
-        assert clip_std(np.array([50.0]), 0.001, 10.0)[0] == 10.0
+        self._check(50.0, 10.0 * 10.0, 0.0)
 
     def test_sampling_path_ignores_clip(self):
         # the distribution clamps stds but drawn perturbations do not
-        cfg = LatticeConfig(std_max=2.0, rescale=False)
-        std = NoiseStdMatrices(log_std_x=np.full((1, 1), np.log(5.0)),
-                               log_std_a=np.full((1, 1), np.log(5.0)))
-        s_x_raw, s_a_raw = sampling_std(std, cfg, 1)
-        s_x_dist, s_a_dist = distribution_std(std, cfg, 1)
-        assert s_x_raw[0, 0] == pytest.approx(5.0)
-        assert s_x_dist[0, 0] == 2.0
+        policy, cfg = std_policy(1, n_actions=1, log_std=np.log(5.0),
+                                 std_max=2.0, rescale=False)
+        p = dist_params(policy, cfg)
+        assert p.sd_x[0, 0] == pytest.approx(5.0)
+        assert p.sx2[0, 0] == 4.0
         rng = np.random.default_rng(1)
-        draws = np.array([resample_perturbations(std, cfg, 1, rng).P_x[0, 0]
+        draws = np.array([resample_perturbations(p, 1, rng).P_x[0, 0]
                           for _ in range(20_000)])
         assert draws.std() == pytest.approx(5.0, rel=0.03)
 
 
 class TestResamplePerturbations:
     def test_zero_std_gives_zero(self):
-        std = NoiseStdMatrices(log_std_x=np.full((3, 3), -np.inf),
-                               log_std_a=np.full((2, 3), -np.inf))
-        p = resample_perturbations(std, LatticeConfig(), 2,
+        std = LogStds(log_std_x=np.full((3, 3), -np.inf),
+                      log_std_a=np.full((2, 3), -np.inf))
+        p = resample_perturbations(perturbation_stds(std, LatticeConfig()), 2,
                                    np.random.default_rng(0))
         np.testing.assert_array_equal(p.P_x, 0.0)
         np.testing.assert_array_equal(p.P_a, 0.0)
 
     def test_entry_std_monte_carlo(self):
         cfg = LatticeConfig(rescale=False)
-        std = NoiseStdMatrices(log_std_x=np.full((1, 1), np.log(2.0)),
-                               log_std_a=np.full((1, 1), np.log(2.0)))
+        std = LogStds(log_std_x=np.full((1, 1), np.log(2.0)),
+                      log_std_a=np.full((1, 1), np.log(2.0)))
         rng = np.random.default_rng(2)
-        draws = np.array([resample_perturbations(std, cfg, 1, rng).P_x[0, 0]
+        sds = perturbation_stds(std, cfg)
+        draws = np.array([resample_perturbations(sds, 1, rng).P_x[0, 0]
                           for _ in range(100_000)])
         assert 1.98 <= draws.std() <= 2.02
 
     def test_determinism(self):
         std = make_std(np.random.default_rng(3), 2, 4)
         cfg = LatticeConfig()
-        a = resample_perturbations(std, cfg, 2, np.random.default_rng(7))
-        b = resample_perturbations(std, cfg, 2, np.random.default_rng(7))
+        sds = perturbation_stds(std, cfg)
+        a = resample_perturbations(sds, 2, np.random.default_rng(7))
+        b = resample_perturbations(sds, 2, np.random.default_rng(7))
         np.testing.assert_array_equal(a.P_x, b.P_x)
         np.testing.assert_array_equal(a.P_a, b.P_a)
 
@@ -155,7 +185,8 @@ class TestResamplePerturbations:
     def test_bytes_match_expanded_std_scaling(self, full):
         std = make_std(np.random.default_rng(5), 3, 6, full=full)
         cfg = LatticeConfig()
-        p = resample_perturbations(std, cfg, 3, np.random.default_rng(9))
+        p = resample_perturbations(perturbation_stds(std, cfg), 3,
+                                   np.random.default_rng(9))
         s_x, s_a = sampling_std(std, cfg, 3)
         rng = np.random.default_rng(9)
         ref_x = rng.standard_normal(s_x.shape) * s_x
@@ -165,7 +196,7 @@ class TestResamplePerturbations:
 
     def test_shapes(self):
         std = make_std(np.random.default_rng(4), 3, 5, full=False)
-        p = resample_perturbations(std, LatticeConfig(), 3,
+        p = resample_perturbations(perturbation_stds(std, LatticeConfig()), 3,
                                    np.random.default_rng(0))
         assert p.P_x.shape == (5, 5)
         assert p.P_a.shape == (3, 5)
@@ -206,7 +237,7 @@ class TestWindowSampler:
         rng = np.random.default_rng(1)
         x1, x2, x4, x6 = (rng.standard_normal((3, N_X)) for _ in range(4))
         xs = [x1, x2, 0.3 * x1 - 1.7 * x2, x4, x2, x1 + 1e-8 * x6]
-        eff = sampling_log_std(s.policy.noise_std, s.cfg)
+        eff = sampling_log_std(LogStds.of(s.policy), s.cfg)
         noise = [window_noise(s, xs[0], 0)]
         # stds that change inside the window do not reach it
         s.policy.params["log_std_x"] += 0.3
@@ -246,7 +277,7 @@ class TestWindowSampler:
         blocks = noise.reshape(n_windows, 4, n_envs, N_A).transpose(
             0, 2, 1, 3).reshape(-1, 4 * N_A)
         emp = blocks.T @ blocks / len(blocks)
-        eff = sampling_log_std(s.policy.noise_std, s.cfg)
+        eff = sampling_log_std(LogStds.of(s.policy), s.cfg)
         d_x, d_a = np.exp(2.0 * eff.log_std_x[0]), np.exp(2.0 * eff.log_std_a[0])
         W, alpha = s.policy.W, dist_params(s.policy, s.cfg).alpha
         cov = np.block([[(xs[a] * d_a) @ xs[b] * np.eye(N_A)
@@ -282,7 +313,7 @@ class TestWindowSampler:
         s = window_sampler(period=1, full_std=full_std)
         rngs = copy.deepcopy(s.rngs)
         x = np.random.default_rng(4).standard_normal((3, N_X))
-        eff = sampling_log_std(s.policy.noise_std, s.cfg)
+        eff = sampling_log_std(LogStds.of(s.policy), s.cfg)
         for t in range(3):
             z = np.stack([r.standard_normal(N_X + N_A) for r in rngs])
             sd_x = np.sqrt((x * x) @ np.exp(2.0 * eff.log_std_x).T)
@@ -392,8 +423,8 @@ class TestWindowSampler:
         held = s.perturbations
         assert rng_states(s.rngs) == advanced(ref, 1)
         for p, r in zip(held, copy.deepcopy(ref)):
-            expected = resample_perturbations(s.policy.noise_std, s.cfg, N_A,
-                                              r)
+            expected = resample_perturbations(
+                perturbation_stds(LogStds.of(s.policy), s.cfg), N_A, r)
             assert p.P_x.tobytes() == expected.P_x.tobytes()
             assert p.P_a.tobytes() == expected.P_a.tobytes()
         for t in (1, 2):
@@ -492,8 +523,9 @@ class TestActionDistribution:
         dist = action_distribution(x, W, std, cfg)
         n = 200_000
         draws = np.empty((n, 3))
+        sds = perturbation_stds(std, cfg)
         for i in range(n):
-            p = resample_perturbations(std, cfg, 3, rng)
+            p = resample_perturbations(sds, 3, rng)
             draws[i] = perturbed_action(x, W, p, cfg.alpha)
         np.testing.assert_allclose(draws.mean(axis=0), dist.mean,
                                    atol=4.0 * np.sqrt(dist.cov.max() / n) * 3)

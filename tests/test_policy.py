@@ -33,7 +33,7 @@ from latticerl.policy import (
 
 from conftest import finite_difference, logp_gradient_check, relative_error
 import oracles
-from oracles import distribution_std, lattice_covariance
+from oracles import LogStds, distribution_std, lattice_covariance
 
 
 class TestMlpForward:
@@ -156,7 +156,7 @@ class TestCovarianceAlgebra:
         it = dist_internals(policy, obs, cfg)
         _, d, u = log_prob_terms(it, actions)
         cov, cov_inv, chol = it.cov, it.cov_inv, it.chol
-        s_x, s_a = distribution_std(policy.noise_std, cfg, 3)
+        s_x, s_a = distribution_std(LogStds.of(policy), cfg, 3)
         for b in range(5):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
                                      cfg.gamma)
@@ -195,7 +195,7 @@ class TestCovarianceAlgebra:
         actions = rng.standard_normal((batch, n_a))
         it = dist_internals(policy, obs, cfg)
         logp, d, u = log_prob_terms(it, actions)
-        s_x, s_a = distribution_std(policy.noise_std, cfg, n_a)
+        s_x, s_a = distribution_std(LogStds.of(policy), cfg, n_a)
         for b in range(batch):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
                                      cfg.gamma)
@@ -261,6 +261,25 @@ class TestCovarianceAlgebra:
         if strategy != "diagonal":
             assert 0.0 < built.params.mask_x.mean() < 1.0
 
+    @pytest.mark.parametrize("full_std", [False, True],
+                             ids=["reduced", "full"])
+    def test_given_params_carry_gamma(self, full_std):
+        # given params, the covariance takes gamma from them, as it takes
+        # alpha and the stds, not from the cfg passed beside them
+        cfg = LatticeConfig(alpha=0.7, gamma=1e-3, full_std=full_std)
+        policy = MlpPolicy(3, 4, cfg, hiddens=(6, 5),
+                           rng=np.random.default_rng(66))
+        obs = np.random.default_rng(67).standard_normal((7, 3))
+        want = dist_internals(policy, obs, cfg)
+        got = dist_internals(policy, obs, dataclasses.replace(cfg, gamma=0.5),
+                             params=dist_params(policy, cfg))
+        assert (want.eig is None) == full_std
+        for name in ("eig", "log_det", "full_cov"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert a.tobytes() == b.tobytes(), name
+
     def test_internals_and_params_share_no_field(self):
         # a value of the distribution has one home: per state in
         # DistInternals, or parameter-only in DistParams
@@ -277,7 +296,7 @@ class TestCovarianceAlgebra:
         obs = np.random.default_rng(63).standard_normal((4, 3))
         it = dist_internals(policy, obs, cfg)
         assert np.max(np.abs(it.params.lam[:3])) < 1e-12
-        s_x, s_a = distribution_std(policy.noise_std, cfg, 5)
+        s_x, s_a = distribution_std(LogStds.of(policy), cfg, 5)
         for b in range(4):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, cfg.alpha,
                                      cfg.gamma)
@@ -456,7 +475,7 @@ class TestAlphaFromCfg:
         it = dist_internals(policy, obs, cfg)
         logp = log_prob_and_grad(policy, obs, actions, cfg,
                                  GradientTape(policy.params))
-        s_x, s_a = distribution_std(policy.noise_std, cfg, 3)
+        s_x, s_a = distribution_std(LogStds.of(policy), cfg, 3)
         for b in range(len(obs)):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, 0.3,
                                      cfg.gamma)
@@ -485,7 +504,7 @@ class TestEntropy:
         it = dist_internals(policy, obs, cfg)
         h = entropy_batch(it)
         for b in range(3):
-            dist = action_distribution(it.x[b], policy.W, policy.noise_std,
+            dist = action_distribution(it.x[b], policy.W, LogStds.of(policy),
                                        cfg)
             assert h[b] == pytest.approx(dist.entropy(), abs=1e-10)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from latticerl.exploration import LatticeConfig, resample_perturbations
-from latticerl.policy import MlpPolicy, dist_internals
+from latticerl.policy import MlpPolicy, dist_internals, dist_params
 from latticerl.trainer import save_checkpoint
 
 from conftest import schema1_reference_trainer
@@ -59,7 +59,7 @@ def test_counters_read_exact_counts(tmp_path):
     n_x, n_a, rows = 5, 3, 7
     policy = MlpPolicy(2, n_a, cfg, hiddens=(4, n_x),
                        rng=np.random.default_rng(0))
-    args = (policy.noise_std, cfg, n_a, np.random.default_rng(1))
+    args = (dist_params(policy, cfg), n_a, np.random.default_rng(1))
     assert _count("exploration.resample_perturbations", args,
                   resample_perturbations(*args)) == n_x * n_x + n_a * n_x
 

@@ -54,7 +54,13 @@ from conftest import (
     schema1_reference_trainer,
 )
 import oracles
-from oracles import distribution_std, lattice_covariance, sampling_std
+from oracles import (
+    LogStds,
+    distribution_std,
+    lattice_covariance,
+    perturbation_stds,
+    sampling_std,
+)
 
 TINY_PPO = PpoConfig(learning_rate=1e-3, batch_size=16, gradient_steps=8,
                      n_epochs=2, n_envs=4)
@@ -312,7 +318,7 @@ def per_env_reference_rollout(tr, n_steps):
     windows = [None] * n
     ep_step = [0] * n
     logs = [([], [], []) for _ in range(n)]
-    obs = np.stack([env.observe() for env in envs])
+    obs = np.stack([env.observation(env) for env in envs])
     fields = {k: [] for k in ("obs", "actions", "log_probs", "values",
                               "rewards", "dones")}
     episodes = []
@@ -333,7 +339,8 @@ def per_env_reference_rollout(tr, n_steps):
                     if windows[i] is None or (period is not None
                                               and ep_step[i] % period == 0):
                         windows[i] = resample_perturbations(
-                            tr.policy.noise_std, tr.cfg, tr.action_dim, rng)
+                            perturbation_stds(LogStds.of(tr.policy), tr.cfg),
+                            tr.action_dim, rng)
                     p = windows[i]
                     actions[i] = mean[i] + (p.P_a @ x[i] + alpha
                                             * (tr.policy.W @ (p.P_x @ x[i])))
@@ -455,7 +462,7 @@ class TestNoiseSampler:
             del ENV_REGISTRY["constant_obs"]
         x, mean = tr.policy.forward(np.ones((1, 2)))
         noise = buf.actions - mean
-        s_x, s_a = sampling_std(tr.policy.noise_std, tr.cfg, 3)
+        s_x, s_a = sampling_std(LogStds.of(tr.policy), tr.cfg, 3)
         x2 = x[0] * x[0]
         c_x = (s_x * s_x) @ x2
         c_a = (s_a * s_a) @ x2
@@ -487,8 +494,9 @@ class TestNoiseSampler:
         var_fast = np.mean(noise.reshape(-1, 3) ** 2, axis=0)
         rng = np.random.default_rng(17)
         draws = []
+        sds = perturbation_stds(LogStds.of(tr.policy), tr.cfg)
         for _ in range(20_000):
-            p = resample_perturbations(tr.policy.noise_std, tr.cfg, 3, rng)
+            p = resample_perturbations(sds, 3, rng)
             draws.append(p.P_a @ x + tr.cfg.alpha
                          * (tr.policy.W @ (p.P_x @ x)))
         var_matrix = np.mean(np.square(draws), axis=0)
@@ -1087,7 +1095,7 @@ class TestPredict:
                              rng=np.random.default_rng(4))
         z = np.random.default_rng(4).standard_normal(actions.shape)
         x, mean = tr.policy.forward(obs)
-        s_x, s_a = distribution_std(tr.policy.noise_std, tr.cfg,
+        s_x, s_a = distribution_std(LogStds.of(tr.policy), tr.cfg,
                                     tr.action_dim)
         for b in range(4):
             cov = lattice_covariance(x[b], tr.policy.W, s_a, s_x,
