@@ -9,6 +9,7 @@ contributions be switched off independently (stop_variance_gradient).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,8 @@ def _relu(z):
 
 
 def _relu_d(z):
-    return (z > 0.0).astype(float)
+    # a bool mask: dh * (z > 0) has the bits of dh * 1.0 and dh * 0.0
+    return z > 0.0
 
 
 def _tanh(z):
@@ -89,7 +91,11 @@ class GradientTape:
     def __init__(self, params: dict[str, np.ndarray]):
         shapes = {k: v.shape for k, v in params.items()}
         self.flat, self.grads = flat_layout(shapes)
-        self._segments = list(flat_segments(shapes).values())
+        segments = flat_segments(shapes).values()
+        # global_norm squares each key's segment into the head of one
+        # buffer as long as the largest segment
+        sq = np.empty(max((b - a for a, b in segments), default=0))
+        self._squares = [(self.flat[a:b], sq[:b - a]) for a, b in segments]
 
     def zero_(self):
         self.flat.fill(0.0)
@@ -98,12 +104,12 @@ class GradientTape:
         self.grads[name] += value
 
     def global_norm(self) -> float:
-        # one square of the flat buffer, then a pairwise sum per key added
-        # in key order: the bits of adding np.sum(g * g) key by key
-        sq = self.flat * self.flat
+        # per key, a square and its pairwise sum, added in key order: the
+        # bits of adding np.sum(g * g) key by key
         total = 0.0
-        for a, b in self._segments:
-            total += float(sq[a:b].sum())
+        for g, sq in self._squares:
+            np.multiply(g, g, out=sq)
+            total += float(sq.sum())
         return float(np.sqrt(total))
 
     def clip_global_norm(self, max_norm: float) -> float:
@@ -136,12 +142,15 @@ class Mlp:
         self.sizes = [in_dim, *hiddens, out_dim]
         self.activation = activation
         self.prefix = prefix
+        # (weight, bias) names per layer, the head last
+        self._keys = [(f"{prefix}w{i}", f"{prefix}b{i}")
+                      for i in range(len(self.sizes) - 1)]
         if params is None:
             _, params = flat_layout(self.shapes(in_dim, hiddens, out_dim,
                                                 prefix))
         self.params = params
-        n_layers = len(self.sizes) - 1
-        for i in range(n_layers):
+        n_layers = len(self._keys)
+        for i, (w_name, b_name) in enumerate(self._keys):
             fan_in = self.sizes[i]
             if i == n_layers - 1:
                 scale = np.sqrt(1.0 / fan_in)
@@ -149,10 +158,10 @@ class Mlp:
                 scale = np.sqrt(1.0 / fan_in)
             else:
                 scale = np.sqrt(2.0 / fan_in)
-            w = params[f"{prefix}w{i}"]
+            w = params[w_name]
             rng.standard_normal(out=w)
             w *= scale
-            params[f"{prefix}b{i}"][...] = 0.0
+            params[b_name][...] = 0.0
 
     @staticmethod
     def shapes(in_dim: int, hiddens, out_dim: int,
@@ -166,16 +175,12 @@ class Mlp:
         return shapes
 
     @property
-    def n_hidden_layers(self) -> int:
-        return len(self.sizes) - 2
-
-    @property
     def head_w_name(self) -> str:
-        return f"{self.prefix}w{len(self.sizes) - 2}"
+        return self._keys[-1][0]
 
     @property
     def head_b_name(self) -> str:
-        return f"{self.prefix}b{len(self.sizes) - 2}"
+        return self._keys[-1][1]
 
     @property
     def latent_dim(self) -> int:
@@ -188,37 +193,46 @@ class Mlp:
             raise DimensionMismatch(
                 f"input width {obs.shape[-1]}, expected {self.sizes[0]}")
         act, _ = ACTIVATIONS[self.activation]
+        params = self.params
         h = obs
         hs = [h]
         zs = []
-        for i in range(self.n_hidden_layers):
-            z = h @ self.params[f"{self.prefix}w{i}"].T \
-                + self.params[f"{self.prefix}b{i}"]
+        for w_name, b_name in self._keys[:-1]:
+            z = h @ params[w_name].T
+            z += params[b_name]
             h = act(z)
             hs.append(h)
             zs.append(z)
-        out = h @ self.params[self.head_w_name].T + self.params[self.head_b_name]
+        w_name, b_name = self._keys[-1]
+        out = h @ params[w_name].T
+        out += params[b_name]
         if need_cache:
             return h, out, {"hs": hs, "zs": zs}
         return h, out
 
     def backward(self, cache, d_out: np.ndarray, tape: GradientTape,
-                 d_latent: np.ndarray | None = None) -> np.ndarray:
+                 d_latent: np.ndarray | None = None) -> None:
         """Accumulate grads for a scalar objective whose per-sample seeds are
-        d_out (at the head output) and d_latent (injected at the latent)."""
+        d_out (at the head output) and d_latent (injected at the latent).
+        Returns None: the gradient at the network's input is not formed."""
         _, act_d = ACTIVATIONS[self.activation]
+        params = self.params
         hs, zs = cache["hs"], cache["zs"]
-        tape.add(self.head_w_name, d_out.T @ hs[-1])
-        tape.add(self.head_b_name, d_out.sum(axis=0))
-        dh = d_out @ self.params[self.head_w_name]
+        w_name, b_name = self._keys[-1]
+        tape.add(w_name, d_out.T @ hs[-1])
+        tape.add(b_name, d_out.sum(axis=0))
+        if not zs:
+            return
+        dh = d_out @ params[w_name]
         if d_latent is not None:
-            dh = dh + d_latent
-        for i in reversed(range(self.n_hidden_layers)):
+            dh += d_latent
+        for i in reversed(range(len(zs))):
+            w_name, b_name = self._keys[i]
             dz = dh * act_d(zs[i])
-            tape.add(f"{self.prefix}w{i}", dz.T @ hs[i])
-            tape.add(f"{self.prefix}b{i}", dz.sum(axis=0))
-            dh = dz @ self.params[f"{self.prefix}w{i}"]
-        return dh
+            tape.add(w_name, dz.T @ hs[i])
+            tape.add(b_name, dz.sum(axis=0))
+            if i:
+                dh = dz @ params[w_name]
 
 
 class MlpPolicy:
@@ -323,13 +337,12 @@ class DistParams:
     mask_x: np.ndarray | None = None
     sa2: np.ndarray | None = None       # squared clipped stds
     sx2: np.ndarray | None = None
-    # the sampler's unclipped stds exp(log S), for the matrix path
+    # the rescaled log-stds log S, and the sampler's unclipped stds
+    # exp(log S) for the matrix path
+    log_a: np.ndarray | None = None
+    log_x: np.ndarray | None = None
     sd_a: np.ndarray | None = None
     sd_x: np.ndarray | None = None
-    # its unclipped variances exp(2 log S), for the window path: sd * sd
-    # would move the last bits of every lattice training run
-    var_a: np.ndarray | None = None
-    var_x: np.ndarray | None = None
     # reduced stds: eigh of W W^T
     basis: np.ndarray | None = None     # (N_a, N_a), V
     lam: np.ndarray | None = None       # (N_a,)
@@ -337,6 +350,17 @@ class DistParams:
     k_x: np.ndarray | None = None       # (N_x, N_a^2)
     # diagonal fields
     sigma: np.ndarray | None = None     # (N_a,)
+
+    # the window path's unclipped variances exp(2 log S), formed on first
+    # read, so the update's builds never form them: sd * sd would move the
+    # last bits of every lattice training run
+    @cached_property
+    def var_a(self) -> np.ndarray:
+        return np.exp(2.0 * self.log_a)
+
+    @cached_property
+    def var_x(self) -> np.ndarray:
+        return np.exp(2.0 * self.log_x)
 
 
 @dataclass
@@ -363,8 +387,9 @@ class DistInternals:
     cache: dict | None
     params: DistParams
     # lattice / gsde fields
-    c_a: np.ndarray | None = None       # (B, R_a) = (x * x) @ params.sa2.T
-    c_x: np.ndarray | None = None       # (B, R_x) = (x * x) @ params.sx2.T
+    x2: np.ndarray | None = None        # (B, N_x) = x * x
+    c_a: np.ndarray | None = None       # (B, R_a) = x2 @ params.sa2.T
+    c_x: np.ndarray | None = None       # (B, R_x) = x2 @ params.sx2.T
     log_det: np.ndarray | None = None   # (B,)
     # reduced stds: eigenvalues of Sigma_b
     eig: np.ndarray | None = None       # (B, N_a)
@@ -416,21 +441,23 @@ def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
     if policy.strategy == "diagonal":
         return DistParams(kind="diagonal",
                           sigma=np.exp(policy.params["log_sigma"]))
-    log_x, log_a = policy.params["log_std_x"], policy.params["log_std_a"]
-    if cfg.rescale:
-        shift = 0.5 * np.log(float(policy.n_latent))
-        log_x, log_a = log_x - shift, log_a - shift
+    # new arrays also without the rescale (x - 0.0 is x), so var_a / var_x
+    # formed later read the log-stds of this build, not the live parameters
+    shift = 0.5 * np.log(float(policy.n_latent)) if cfg.rescale else 0.0
+    log_x = policy.params["log_std_x"] - shift
+    log_a = policy.params["log_std_a"] - shift
     sd_x, sd_a = np.exp(log_x), np.exp(log_a)
-    s_x = np.clip(sd_x, cfg.std_min, cfg.std_max)
-    s_a = np.clip(sd_a, cfg.std_min, cfg.std_max)
+    # np.clip's bits, without its argument handling
+    s_x = np.minimum(np.maximum(sd_x, cfg.std_min), cfg.std_max)
+    s_a = np.minimum(np.maximum(sd_a, cfg.std_min), cfg.std_max)
     p = DistParams(
         kind=policy.strategy,
         alpha=0.0 if policy.strategy == "gsde" else cfg.alpha,
         gamma=cfg.gamma,
         mask_a=((sd_a > cfg.std_min) & (sd_a < cfg.std_max)).astype(float),
         mask_x=((sd_x > cfg.std_min) & (sd_x < cfg.std_max)).astype(float),
-        sa2=s_a * s_a, sx2=s_x * s_x, sd_a=sd_a, sd_x=sd_x,
-        var_a=np.exp(2.0 * log_a), var_x=np.exp(2.0 * log_x))
+        sa2=s_a * s_a, sx2=s_x * s_x, log_a=log_a, log_x=log_x, sd_a=sd_a,
+        sd_x=sd_x)
     W = policy.W
     if s_a.shape[0] == s_x.shape[0] == 1:
         # reduced stds (or full_std at N_x = N_a = 1): one c_a and one c_x
@@ -471,8 +498,8 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
                 "batched action covariance is singular; check gamma and the "
                 "latent state")
         return DistInternals(x=x, mean=mean, cache=cache, params=params,
-                             c_a=c_a, c_x=c_x,
-                             log_det=np.sum(np.log(eig), axis=1), eig=eig)
+                             x2=x2, c_a=c_a, c_x=c_x,
+                             log_det=np.log(eig).sum(axis=1), eig=eig)
     cov = ((alpha * alpha) * (c_x @ params.k_x)).reshape(-1, n_a, n_a)
     idx = np.arange(n_a)
     cov[:, idx, idx] += c_a + params.gamma
@@ -482,9 +509,10 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
         raise NotPositiveDefinite(
             "batched action covariance is singular; check gamma and the "
             "latent state") from exc
-    log_det = 2.0 * np.sum(np.log(chol[:, idx, idx]), axis=1)
+    log_det = 2.0 * np.log(chol[:, idx, idx]).sum(axis=1)
     return DistInternals(x=x, mean=mean, cache=cache, params=params,
-                         c_a=c_a, c_x=c_x, log_det=log_det, full_cov=cov,
+                         x2=x2, c_a=c_a, c_x=c_x, log_det=log_det,
+                         full_cov=cov,
                          full_chol=chol, full_inv=np.linalg.inv(cov))
 
 
@@ -503,12 +531,12 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
         # in the shared eigenbasis: tr wG_b and <wG_b, W W^T> from |u|^2,
         # |W^T u|^2, sum 1/e and sum lam/e
         inv_e = 1.0 / it.eig
-        g_ca = (half_inv * np.sum(inv_e, axis=1)
-                + half_pg * np.sum(u * u, axis=1))[:, None]
+        g_ca = (half_inv * inv_e.sum(axis=1)
+                + half_pg * (u * u).sum(axis=1))[:, None]
         if alpha2 != 0.0:
             wu = u @ policy.W
             g_cx = alpha2 * (half_inv * (inv_e @ p.lam)
-                             + half_pg * np.sum(wu * wu, axis=1))[:, None]
+                             + half_pg * (wu * wu).sum(axis=1))[:, None]
             if flow:
                 # dL/dW = 2 alpha^2 (sum_b c_x,b wG_b) W: a rank-B part plus
                 # V diag(sum_b c_x,b half_inv[b] / e_b) V^T
@@ -530,8 +558,8 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
                 # dL/dW[a, k] = 2 alpha^2 sum_m W[m, k] sum_b wG[b, a, m]
                 # c_x[b, k]
                 gc = (wG_flat.T @ it.c_x).reshape(n_a, n_a, -1)
-                grad_w = 2.0 * alpha2 * np.sum(gc * policy.W, axis=1)
-    x2 = it.x * it.x
+                grad_w = 2.0 * alpha2 * (gc * policy.W).sum(axis=1)
+    x2 = it.x2
     tape.add("log_std_a", 2.0 * p.sa2 * p.mask_a * (g_ca.T @ x2))
     if alpha2 != 0.0:
         tape.add("log_std_x", 2.0 * p.sx2 * p.mask_x * (g_cx.T @ x2))
@@ -556,8 +584,8 @@ def log_prob_terms(it: DistInternals, actions: np.ndarray):
     if it.kind == "diagonal":
         u = d / (it.sigma * it.sigma)
         logp = (-0.5 * n_a * LOG_2PI
-                - np.sum(np.log(it.sigma))
-                - 0.5 * np.sum(d * u, axis=1))
+                - np.log(it.sigma).sum()
+                - 0.5 * (d * u).sum(axis=1))
     else:
         if it.eig is not None:
             basis = it.params.basis
@@ -565,7 +593,7 @@ def log_prob_terms(it: DistInternals, actions: np.ndarray):
         else:
             u = (it.full_inv @ d[..., None])[..., 0]
         logp = (-0.5 * n_a * LOG_2PI - 0.5 * it.log_det
-                - 0.5 * np.sum(d * u, axis=1))
+                - 0.5 * (d * u).sum(axis=1))
     return logp, d, u
 
 
@@ -596,8 +624,8 @@ def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
         # the two log_sigma terms as separate adds, log-prob first
         var = it.sigma * it.sigma
         tape.add("log_sigma",
-                 np.sum(w_pg[:, None] * (d * d / var - 1.0), axis=0))
-        tape.add("log_sigma", np.full(policy.action_dim, float(np.sum(w_ent))))
+                 (w_pg[:, None] * (d * d / var - 1.0)).sum(axis=0))
+        tape.add("log_sigma", np.full(policy.action_dim, float(w_ent.sum())))
         d_latent = None
     else:
         half_pg = 0.5 * w_pg
@@ -623,7 +651,7 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
 def entropy_batch(it: DistInternals) -> np.ndarray:
     n_a = it.mean.shape[1]
     if it.kind == "diagonal":
-        h = 0.5 * n_a * (LOG_2PI + 1.0) + np.sum(np.log(it.sigma))
+        h = 0.5 * n_a * (LOG_2PI + 1.0) + np.log(it.sigma).sum()
         return np.full(it.mean.shape[0], h)
     return 0.5 * n_a * (LOG_2PI + 1.0) + 0.5 * it.log_det
 

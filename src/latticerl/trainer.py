@@ -120,7 +120,8 @@ class Adam:
         # in place, in the operation order of
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        # so the results are bitwise those of the out-of-place formula
+        # so the results are bitwise those of the out-of-place formula.
+        # From t = 356 on bc1 is exactly 1.0 in float64, and m / 1.0 is m.
         for i in range(0, n, ADAM_CHUNK):
             j = min(i + ADAM_CHUNK, n)
             g, m, v = grad[i:j], self.m_flat[i:j], self.v_flat[i:j]
@@ -132,8 +133,11 @@ class Adam:
             gg *= g
             v *= b2
             v += gg
-            np.divide(m, bc1, out=step)
-            step *= self.lr
+            if bc1 == 1.0:
+                np.multiply(m, self.lr, out=step)
+            else:
+                np.divide(m, bc1, out=step)
+                step *= self.lr
             np.divide(v, bc2, out=gg)
             np.sqrt(gg, out=gg)
             gg += self.EPS
@@ -296,35 +300,36 @@ class PPOTrainer:
                 b = len(idx)
                 adv = adv_flat[idx]
                 adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+                obs_b = obs[idx]
                 tape.zero_()
-                it = dist_internals(self.policy, obs[idx], self.cfg,
+                it = dist_internals(self.policy, obs_b, self.cfg,
                                     need_cache=True)
                 terms = log_prob_terms(it, actions[idx])
                 logp = terms[0]
-                ent = entropy_batch(it)
+                mean_ent = float(entropy_batch(it).mean())
                 # clipped surrogate and entropy bonus in one policy backward
                 log_ratio = logp - old_logp[idx]
                 ratio = np.exp(log_ratio)
+                ratio_adv = ratio * adv
                 inactive = ((adv > 0) & (ratio > 1.0 + eps)) | \
                            ((adv < 0) & (ratio < 1.0 - eps))
-                w_pg = np.where(inactive, 0.0, -(adv * ratio) / b)
+                w_pg = np.where(inactive, 0.0, -ratio_adv / b)
                 w_ent = np.full(b, -self.ppo.entropy_coef / b)
                 policy_backward(self.policy, self.cfg, tape, it, terms, w_pg,
                                 w_ent)
                 # value loss
-                _, v_out, v_cache = self.value_net.forward(obs[idx],
+                _, v_out, v_cache = self.value_net.forward(obs_b,
                                                            need_cache=True)
-                v = v_out[:, 0]
-                d_v = (self.ppo.value_coef * 2.0 * (v - ret_flat[idx]) / b)
+                v_err = v_out[:, 0] - ret_flat[idx]
+                d_v = (self.ppo.value_coef * 2.0 * v_err / b)
                 self.value_net.backward(v_cache, d_v[:, None], tape)
 
-                surr = np.minimum(ratio * adv,
-                                  np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv)
-                pg_loss = -float(np.mean(surr))
-                value_loss = self.ppo.value_coef * float(
-                    np.mean((v - ret_flat[idx]) ** 2))
-                total = pg_loss + value_loss \
-                    - self.ppo.entropy_coef * float(np.mean(ent))
+                # np.clip's bits, without its argument handling
+                clipped = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps)
+                surr = np.minimum(ratio_adv, clipped * adv)
+                pg_loss = -float(surr.mean())
+                value_loss = self.ppo.value_coef * float((v_err ** 2).mean())
+                total = pg_loss + value_loss - self.ppo.entropy_coef * mean_ent
                 # a finite norm means finite gradients; an infinite one can
                 # also come from finite gradients whose squares overflow,
                 # which the clip has scaled to zero. A NaN norm leaves the
@@ -345,11 +350,11 @@ class PPOTrainer:
 
                 stats["pg_loss"] += pg_loss
                 stats["value_loss"] += value_loss
-                stats["entropy"] += float(np.mean(ent))
-                stats["approx_kl"] += float(np.mean(
-                    np.expm1(log_ratio) - log_ratio))
+                stats["entropy"] += mean_ent
+                stats["approx_kl"] += float(
+                    (np.expm1(log_ratio) - log_ratio).mean())
                 stats["clip_fraction"] += float(
-                    np.mean(np.abs(ratio - 1.0) > eps))
+                    (np.abs(ratio - 1.0) > eps).mean())
                 stats["grad_norm"] += norm
                 n_batches += 1
         for k in stats:

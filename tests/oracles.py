@@ -18,7 +18,9 @@ policy protocol one row at a time. run_episodes is the sequential form of the
 evaluation loop that trainer.run_episodes plays as rows of one batch.
 
 Adam and global_norm are the per-parameter forms of the optimizer step and
-the gradient norm that the trainer runs over one flat vector.
+the gradient norm that the trainer runs over one flat vector; adam_step is
+the optimizer's out-of-place formula. mlp_forward and mlp_backward are the
+network layer by layer, written out of place.
 """
 
 import copy
@@ -384,3 +386,54 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     for g in grads.values():
         total += float(np.sum(g * g))
     return float(np.sqrt(total))
+
+
+def adam_step(p, m, v, g, t: int, lr: float, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8):
+    """Adam's step t (Kingma & Ba, 2015) out of place: the new (p, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+# ------------------------------------------------------------------ network
+
+_ACT = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+# derivatives from the pre-activation z and the output h = act(z)
+_ACT_D = {"relu": lambda z, h: (z > 0.0).astype(float),
+          "tanh": lambda z, h: 1.0 - h * h}
+
+
+def mlp_forward(params: dict, prefix: str, n_layers: int, activation: str,
+                obs: np.ndarray):
+    """The layer inputs hs (obs first, the latent last), the
+    pre-activations zs of the hidden layers and the head output of an
+    n_layers network whose layer i is params[prefix + "w{i}"], "b{i}"."""
+    hs, zs = [obs], []
+    for i in range(n_layers - 1):
+        z = hs[-1] @ params[f"{prefix}w{i}"].T + params[f"{prefix}b{i}"]
+        zs.append(z)
+        hs.append(_ACT[activation](z))
+    i = n_layers - 1
+    out = hs[-1] @ params[f"{prefix}w{i}"].T + params[f"{prefix}b{i}"]
+    return hs, zs, out
+
+
+def mlp_backward(params: dict, prefix: str, activation: str, hs, zs,
+                 d_out: np.ndarray, grads: dict,
+                 d_latent: np.ndarray | None = None):
+    """Add to grads the gradient of sum(d_out * out) + sum(d_latent * latent)
+    for the forward pass (hs, zs) of mlp_forward."""
+    i = len(zs)
+    grads[f"{prefix}w{i}"] += d_out.T @ hs[i]
+    grads[f"{prefix}b{i}"] += np.sum(d_out, axis=0)
+    dh = d_out @ params[f"{prefix}w{i}"]
+    if d_latent is not None:
+        dh = dh + d_latent
+    for i in reversed(range(len(zs))):
+        dz = dh * _ACT_D[activation](zs[i], hs[i + 1])
+        grads[f"{prefix}w{i}"] += dz.T @ hs[i]
+        grads[f"{prefix}b{i}"] += np.sum(dz, axis=0)
+        dh = dz @ params[f"{prefix}w{i}"]

@@ -102,6 +102,29 @@ class TestRescaledLogStd:
     def test_no_shift_without_rescale(self):
         self._check(4, rescale=False)
 
+    @pytest.mark.parametrize("rescale", [True, False])
+    @pytest.mark.parametrize("full_std", [False, True],
+                             ids=["reduced", "full"])
+    def test_window_variances_formed_on_first_read(self, rescale, full_std):
+        # exp(2 log S) of the rescaled log-stds, byte for byte, formed only
+        # when read (an update's builds never read them) and from the
+        # log-stds of the build, not the parameters as they are at the read
+        policy, cfg = std_policy(4, rescale=rescale, full_std=full_std)
+        rng = np.random.default_rng(2)
+        shift = 0.5 * np.log(4.0) if rescale else 0.0
+        expected = {}
+        for k in ("log_std_x", "log_std_a"):
+            policy.params[k][...] = rng.normal(0.0, 0.5,
+                                               policy.params[k].shape)
+            expected[k] = np.exp(2.0 * (policy.params[k] - shift))
+        p = dist_params(policy, cfg)
+        assert "var_x" not in vars(p) and "var_a" not in vars(p)
+        for k in ("log_std_x", "log_std_a"):
+            policy.params[k] += 1.0
+        assert p.var_x.tobytes() == expected["log_std_x"].tobytes()
+        assert p.var_a.tobytes() == expected["log_std_a"].tobytes()
+        assert p.var_x is p.var_x
+
     def test_variance_invariant_to_width(self):
         # per-component latent noise variance should not grow with N_x
         rng = np.random.default_rng(0)

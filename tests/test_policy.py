@@ -68,6 +68,36 @@ class TestMlpForward:
         np.testing.assert_allclose(x, h, atol=1e-10)
         np.testing.assert_allclose(out, ref_out, atol=1e-10)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hiddens", [(), (8,), (64, 64)],
+                             ids=["0", "8", "64x64"])
+    def test_forward_backward_match_per_layer_reference(self, activation,
+                                                        hiddens):
+        # bit for bit against the out-of-place layer-by-layer network, with
+        # two backward calls, one with a latent seed, accumulating into one
+        # tape
+        rng = np.random.default_rng(17)
+        net = Mlp(rng, 5, hiddens, 3, activation=activation, prefix="v.")
+        for k in net.params:
+            if k.startswith("v.b"):
+                net.params[k][...] = rng.standard_normal(net.params[k].shape)
+        tape = GradientTape(net.params)
+        ref = {k: np.zeros_like(v) for k, v in net.params.items()}
+        for d_latent in (rng.standard_normal((11, net.latent_dim)), None):
+            obs = rng.standard_normal((11, 5))
+            x, out, cache = net.forward(obs, need_cache=True)
+            hs, zs, ref_out = oracles.mlp_forward(
+                net.params, "v.", len(hiddens) + 1, activation, obs)
+            assert x.tobytes() == hs[-1].tobytes()
+            assert out.tobytes() == ref_out.tobytes()
+            d_out = rng.standard_normal(out.shape)
+            assert net.backward(cache, d_out, tape, d_latent=d_latent) \
+                is None
+            oracles.mlp_backward(net.params, "v.", activation, hs, zs, d_out,
+                                 ref, d_latent)
+        for k in ref:
+            assert tape.grads[k].tobytes() == ref[k].tobytes(), k
+
     def test_input_width_check(self):
         net = Mlp(np.random.default_rng(2), 3, (4,), 2)
         with pytest.raises(DimensionMismatch):
@@ -700,17 +730,37 @@ class TestGradientTape:
         for k in ref:
             np.testing.assert_array_equal(tape.grads[k], ref[k])
 
-    def test_global_norm_bits_match_per_key_sums(self):
-        # the wide (256x256) lattice layout, gradients of random magnitudes
-        rng = np.random.default_rng(12)
+    @staticmethod
+    def wide_tape(rng) -> GradientTape:
+        """A tape of the wide (256x256) lattice layout."""
         policy = MlpPolicy(9, 8, LatticeConfig(), hiddens=(256, 256), rng=rng)
         value = Mlp(rng, 9, (256, 256), 1, prefix="v.")
-        tape = GradientTape({**policy.params, **value.params})
+        return GradientTape({**policy.params, **value.params})
+
+    def test_global_norm_bits_match_per_key_sums(self):
+        # gradients of random magnitudes
+        rng = np.random.default_rng(12)
+        tape = self.wide_tape(rng)
         for _ in range(300):
             for g in tape.grads.values():
                 g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(
                     -8, 2)
             assert tape.global_norm() == oracles.global_norm(tape.grads)
+
+    def test_overflowing_square_matches_per_key_sums(self):
+        # one square past the float64 range makes both norms inf, and the
+        # buffer it was squared into leaves the next norm alone
+        rng = np.random.default_rng(14)
+        tape = self.wide_tape(rng)
+        for g in tape.grads.values():
+            g[...] = rng.standard_normal(g.shape)
+        tape.grads["pi.w1"][3, 7] = 1e200
+        with np.errstate(over="ignore"):
+            assert tape.global_norm() == oracles.global_norm(tape.grads) \
+                == np.inf
+        tape.grads["pi.w1"][3, 7] = 0.5
+        norm = tape.global_norm()
+        assert np.isfinite(norm) and norm == oracles.global_norm(tape.grads)
 
     def test_overflowing_square_gives_infinite_norm(self):
         # finite gradients: no NaN, and the clip scales them to zero

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ class TestAdam:
             assert params[k].tobytes() == ref_p[k].tobytes(), k
             assert m[k].tobytes() == ref_m[k].tobytes(), k
             assert v[k].tobytes() == ref_v[k].tobytes(), k
+
+    @pytest.mark.parametrize("lr", [3e-3, 0.0])
+    def test_matches_out_of_place_formula_where_bias_correction_ends(self,
+                                                                     lr):
+        # 1 - beta1^t rounds to exactly 1.0 in float64 from t = 356 on, where
+        # the step multiplies m by lr directly; lr = 0 steps nothing
+        assert 1.0 - Adam.BETA1 ** 355 < 1.0 == 1.0 - Adam.BETA1 ** 356
+        rng = np.random.default_rng(23)
+        flat = rng.standard_normal(40)
+        opt = Adam(flat, lr=lr)
+        p, m, v = flat.copy(), np.zeros(40), np.zeros(40)
+        for t in range(1, 359):
+            g = rng.standard_normal(40) * 10.0 ** rng.integers(-6, 3)
+            opt.step(g)
+            p, m, v = oracles.adam_step(p, m, v, g, t, lr, Adam.BETA1,
+                                        Adam.BETA2, Adam.EPS)
+            if t >= 354:
+                assert flat.tobytes() == p.tobytes(), t
+                if lr:
+                    assert opt.m_flat.tobytes() == m.tobytes(), t
+                    assert opt.v_flat.tobytes() == v.tobytes(), t
+        assert opt.t == (358 if lr else 0)
 
     def test_quadratic_convergence(self):
         flat, params, _ = flat_params({"a": np.array([5.0])})
@@ -629,6 +652,30 @@ class TestPpoUpdate:
         tr.ppo_update(buf)
         # one minibatch: the policy and the value net once each
         assert calls == {"backward": 2, "variance": 1, "logp": 1}
+
+    def test_value_backward_and_step_read_through_the_instance(self):
+        # wrappers set on the trainer's value net and optimizer see every
+        # minibatch of every update and change no trained byte
+        ppo = dataclasses.replace(TINY_PPO, batch_size=12, n_epochs=3)
+        tr, twin = small_trainer(ppo=ppo), small_trainer(ppo=ppo)
+        calls = {"backward": 0, "step": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        tr.value_net.backward = counted("backward", tr.value_net.backward)
+        tr.optimizer.step = counted("step", tr.optimizer.step)
+        n = ppo.gradient_steps * ppo.n_envs
+        per_update = ppo.n_epochs * math.ceil(n / ppo.batch_size)
+        for k in (1, 2):
+            for t in (tr, twin):
+                t.ppo_update(t.collect_rollout(ppo.gradient_steps))
+            assert calls == {"backward": k * per_update,
+                             "step": k * per_update}
+            assert tr.flat_params.tobytes() == twin.flat_params.tobytes()
 
     @pytest.mark.parametrize("strategy,cfg", [
         ("lattice", LatticeConfig()), ("lattice", LatticeConfig(period=4)),
