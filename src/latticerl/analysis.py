@@ -156,21 +156,23 @@ def matched_dual_sim(env, policy, sigma_latent: float, n_steps: int,
     sigma_match = latent_cond.action_noise.std(axis=0)
     action_cond = dual_sim_experiment(env, policy, "action", sigma_match,
                                       n_steps, rng)
-    var_latent = np.var(latent_cond.accel_dev, axis=0)
-    var_action = np.var(action_cond.accel_dev, axis=0)
-    accel_ratio = float(np.sum(var_latent) / np.sum(var_action)) \
-        if np.sum(var_action) > 0 else float("nan")
-    ang_latent = np.var(latent_cond.angle_dev, axis=0)
-    ang_action = np.var(action_cond.angle_dev, axis=0)
-    angle_ratio = float(np.sum(ang_latent) / np.sum(ang_action)) \
-        if np.sum(ang_action) > 0 else float("nan")
     lat_mag = np.linalg.norm(latent_cond.angle_dev, axis=1)
     act_mag = np.linalg.norm(action_cond.angle_dev, axis=1)
     return DualSimResult(latent=latent_cond, action=action_cond,
                          sigma_match=sigma_match,
-                         accel_variance_ratio=accel_ratio,
-                         angle_variance_ratio=angle_ratio,
+                         accel_variance_ratio=_variance_ratio(
+                             latent_cond.accel_dev, action_cond.accel_dev),
+                         angle_variance_ratio=_variance_ratio(
+                             latent_cond.angle_dev, action_cond.angle_dev),
                          wilcoxon_p=_signed_rank_p(lat_mag, act_mag))
+
+
+def _variance_ratio(latent_dev: np.ndarray, action_dev: np.ndarray) -> float:
+    """Summed per-column variance of latent_dev over that of action_dev;
+    NaN when the latter is zero."""
+    var_action = np.sum(np.var(action_dev, axis=0))
+    return float(np.sum(np.var(latent_dev, axis=0)) / var_action) \
+        if var_action > 0 else float("nan")
 
 
 def _signed_rank_p(x: np.ndarray, y: np.ndarray) -> float:

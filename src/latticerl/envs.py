@@ -83,12 +83,13 @@ class EpisodeMetrics:
 
     @classmethod
     def from_logs(cls, rewards, solved_flags, actions):
-        """Metrics of one episode from its per-step logs; the solved
-        fraction is over its len(rewards) steps."""
+        """Metrics of one episode from its per-step logs: solved fraction
+        over its len(rewards) steps, energy of the actions the env applied,
+        the logged ones clipped to [0, 1]."""
         return cls(
             cumulative_reward=float(np.sum(rewards)),
             solved_fraction=float(np.sum(solved_flags)) / float(len(rewards)),
-            energy=energy_of(actions),
+            energy=energy_of(np.clip(actions, 0.0, 1.0)),
         )
 
 

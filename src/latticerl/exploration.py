@@ -11,8 +11,9 @@ stds NoiseSampler forms no matrix at any integer period. A window draws
 N_x + N_a normals for each new latent direction it meets, its products
 P_x x, P_a x taken from their Gaussian conditional on the window's earlier
 ones, instead of the N_x^2 + N_a N_x entries of the two matrices; period 1
-draws once per step. full_std at period > 1 and "episode" draw the
-matrices. The stds reach this module already rescaled:
+draws once per step. Full stds at period > 1 and "episode" draw the
+matrices: the stored log-std shapes pick the path, and of a cfg this
+module reads the period only. The stds reach it already rescaled:
 policy.dist_params is the one place that turns the learnable log-stds
 into stds, and the sampler reads them off the DistParams it is given.
 Runs are bit-reproducible from config and seed.
@@ -34,7 +35,8 @@ class LatticeConfig:
     period is a step count, or the string "episode" to resample perturbation
     matrices only at environment resets. policy.dist_params reads rescale,
     std_min, std_max and gamma: the distribution's stds are clipped into
-    [std_min, std_max]; std_max = inf clips them from below only.
+    [std_min, std_max]; std_max = inf clips them from below only. full_std
+    makes MlpPolicy.shapes store one log-std per matrix element (full stds).
     """
 
     alpha: float = 1.0
@@ -155,9 +157,10 @@ class _Windows:
                                                    axis=axis))
 
 
-def _holds_matrices(cfg: LatticeConfig) -> bool:
-    """Whether NoiseSampler draws and holds P_x and P_a."""
-    return cfg.period_steps is None or (cfg.full_std and cfg.period_steps > 1)
+def _holds_matrices(policy, cfg: LatticeConfig) -> bool:
+    """Whether NoiseSampler holds P_x, P_a: "episode", full stds at p > 1."""
+    return cfg.period_steps is None or (cfg.period_steps > 1
+                                        and not policy.reduced_std)
 
 
 def episode_normals(policy, cfg: LatticeConfig, n_steps: int) -> int:
@@ -166,7 +169,7 @@ def episode_normals(policy, cfg: LatticeConfig, n_steps: int) -> int:
     n_x, n_a = policy.n_latent, policy.action_dim
     if policy.strategy == "diagonal":
         return n_steps * n_a
-    if _holds_matrices(cfg):
+    if _holds_matrices(policy, cfg):
         windows = -(-n_steps // (cfg.period_steps or n_steps))
         return windows * (n_x * n_x + n_a * n_x)
     return n_steps * (n_x + n_a)
@@ -189,14 +192,14 @@ class NoiseSampler:
     A latent equal to one met earlier in the window gets that step's
     products back, so a repeated state gets byte-equal noise. The opening
     step holds no direction and gives sd * z with sd^2 = x^2 S^2^T; at
-    period 1 every step opens a window, so that is all it does (full_std
-    included). A window uses the stds of its opening step and the current
-    W, as held matrices would. full_std at period > 1 and "episode" draw
-    every env's P_x and P_a through resample_perturbations, with the
-    sampling stds sd_x and sd_a of the params given when a window opens,
-    in env order, and hold them in perturbations. Diagonal noise draws
-    N(0, sigma^2) per action. Every draw is standard_normal(out=...) into
-    a preallocated array.
+    period 1 every step opens a window, so that is all it does (full
+    stds included). A window uses the stds of its opening step and the
+    current W, as held matrices would. Full stds at period > 1, as the
+    policy stores them, and "episode" draw every env's P_x and P_a
+    through resample_perturbations, with the sampling stds sd_x and sd_a
+    of the params given when a window opens, in env order, and hold them
+    in perturbations. Diagonal noise draws N(0, sigma^2) per action.
+    Every draw is standard_normal(out=...) into a preallocated array.
     """
 
     def __init__(self, policy, cfg: LatticeConfig,
@@ -204,7 +207,8 @@ class NoiseSampler:
         self.policy = policy
         self.cfg = cfg
         self.rngs = list(rngs)
-        self.matrix_path = _holds_matrices(cfg)
+        self.matrix_path = policy.strategy != "diagonal" \
+            and _holds_matrices(policy, cfg)
         self.perturbations: list[PerturbationMatrices] | None = None
         self.windows: _Windows | None = None
 

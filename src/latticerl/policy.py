@@ -25,18 +25,13 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _relu_d(z):
+def _relu_d(z, h):
     # a bool mask: dh * (z > 0) has the bits of dh * 1.0 and dh * 0.0
     return z > 0.0
 
 
-def _tanh(z):
-    return np.tanh(z)
-
-
-def _tanh_d(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _tanh_d(z, h):
+    return 1.0 - h * h
 
 
 def _gelu(z):
@@ -45,15 +40,16 @@ def _gelu(z):
     return 0.5 * z * (1.0 + erf(z / _SQRT2))
 
 
-def _gelu_d(z):
+def _gelu_d(z, h):
     from scipy.special import erf
     phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     return 0.5 * (1.0 + erf(z / _SQRT2)) + z * phi
 
 
+# name: (f, f'), f' given the pre-activation z and the forward's h = f(z)
 ACTIVATIONS = {
     "relu": (_relu, _relu_d),
-    "tanh": (_tanh, _tanh_d),
+    "tanh": (np.tanh, _tanh_d),
     "gelu": (_gelu, _gelu_d),
 }
 
@@ -182,10 +178,6 @@ class Mlp:
     def head_b_name(self) -> str:
         return self._keys[-1][1]
 
-    @property
-    def latent_dim(self) -> int:
-        return self.sizes[-2]
-
     def forward(self, obs: np.ndarray, need_cache: bool = False):
         """Returns (latent, out[, cache]); latent is the last hidden output."""
         obs = np.asarray(obs, dtype=float)
@@ -228,7 +220,7 @@ class Mlp:
             dh += d_latent
         for i in reversed(range(len(zs))):
             w_name, b_name = self._keys[i]
-            dz = dh * act_d(zs[i])
+            dz = dh * act_d(zs[i], hs[i + 1])
             tape.add(w_name, dz.T @ hs[i])
             tape.add(b_name, dz.sum(axis=0))
             if i:
@@ -256,24 +248,23 @@ class MlpPolicy:
         self.strategy = strategy
         self.obs_dim = obs_dim
         self.action_dim = action_dim
+        shapes = self.shapes(obs_dim, action_dim, cfg, strategy, hiddens)
         if params is None:
-            _, params = flat_layout(self.shapes(obs_dim, action_dim, cfg,
-                                                strategy, hiddens))
+            _, params = flat_layout(shapes)
         self.params = params
-        # the network shares the dict
+        # the network shares the dict; the other names are the log-stds
         self.net = Mlp(rng, obs_dim, hiddens, action_dim, activation, "pi.",
                        params)
-        names = ("log_std_x", "log_std_a") if strategy in ("gsde", "lattice") \
-            else ("log_sigma",)
-        for k in names:
-            params[k][...] = float(cfg.init_log_std)
+        for k in shapes:
+            if not k.startswith(self.net.prefix):
+                params[k][...] = float(cfg.init_log_std)
 
     @staticmethod
     def shapes(obs_dim: int, action_dim: int, cfg: LatticeConfig,
                strategy: str, hiddens=(256, 256)) -> dict[str, tuple]:
         """Parameter shapes by name: the network's, then the noise's. A
         reduced (1, N_x) log-std ties a column's std across rows; full_std
-        stores one per matrix element."""
+        stores one per matrix element. No other code reads cfg.full_std."""
         shapes = Mlp.shapes(obs_dim, hiddens, action_dim, "pi.")
         if strategy in ("gsde", "lattice"):
             n_latent = [obs_dim, *hiddens][-1]
@@ -287,7 +278,14 @@ class MlpPolicy:
 
     @property
     def n_latent(self) -> int:
-        return self.net.latent_dim
+        return self.net.sizes[-2]
+
+    @property
+    def reduced_std(self) -> bool:
+        """Whether the noise stds are reduced: both stored log-stds have
+        one row (a full-std head at N_x = 1 has N_a rows of log_std_a)."""
+        return self.params["log_std_x"].shape[0] \
+            == self.params["log_std_a"].shape[0] == 1
 
     @property
     def W(self) -> np.ndarray:
@@ -332,7 +330,7 @@ class DistParams:
     gamma: float = 0.0
     # lattice / gsde fields, in the stored shape (R, N_x) of their log-std:
     # R = 1 for the reduced (1, N_x) shape, whose single row stands for
-    # every row of the full matrix, or N_a / N_x with full_std
+    # every row of the full matrix, or N_a / N_x with full stds
     mask_a: np.ndarray | None = None    # 1 where the clip is inactive
     mask_x: np.ndarray | None = None
     sa2: np.ndarray | None = None       # squared clipped stds
@@ -346,7 +344,7 @@ class DistParams:
     # reduced stds: eigh of W W^T
     basis: np.ndarray | None = None     # (N_a, N_a), V
     lam: np.ndarray | None = None       # (N_a,)
-    # full_std: row k = vec(w_k w_k^T)
+    # full stds: row k = vec(w_k w_k^T)
     k_x: np.ndarray | None = None       # (N_x, N_a^2)
     # diagonal fields
     sigma: np.ndarray | None = None     # (N_a,)
@@ -378,7 +376,7 @@ class DistInternals:
     eigenvectors V = params.basis of W W^T = V diag(params.lam) V^T and row
     b has eigenvalues eig[b] = c_a,b + gamma + alpha^2 c_x,b lam. Nothing of
     shape (B, N_a, N_a) is formed: cov, chol and cov_inv are built from V
-    and eig each time they are read. full_std rows share no basis, so that
+    and eig each time they are read. Full-std rows share no basis, so that
     path factorizes the batched covariance and stores all three.
     """
 
@@ -393,7 +391,7 @@ class DistInternals:
     log_det: np.ndarray | None = None   # (B,)
     # reduced stds: eigenvalues of Sigma_b
     eig: np.ndarray | None = None       # (B, N_a)
-    # full_std: the batched covariance and its factors
+    # full stds: the batched covariance and its factors
     full_cov: np.ndarray | None = None  # (B, N_a, N_a)
     full_chol: np.ndarray | None = None
     full_inv: np.ndarray | None = None
@@ -459,11 +457,9 @@ def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
         sa2=s_a * s_a, sx2=s_x * s_x, log_a=log_a, log_x=log_x, sd_a=sd_a,
         sd_x=sd_x)
     W = policy.W
-    if s_a.shape[0] == s_x.shape[0] == 1:
-        # reduced stds (or full_std at N_x = N_a = 1): one c_a and one c_x
-        # per row, so every row's covariance is diagonal in the eigenbasis
-        # of W W^T. A full_std head at N_x = 1 has a (1, 1) s_x but N_a rows
-        # of s_a, so both are checked.
+    if policy.reduced_std:
+        # one c_a and one c_x per row, so every row's covariance is
+        # diagonal in the eigenbasis of W W^T
         p.lam, p.basis = np.linalg.eigh(W @ W.T)
     else:
         n_a = policy.action_dim

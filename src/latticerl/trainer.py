@@ -145,6 +145,12 @@ class Adam:
             self.flat[i:j] -= step
 
 
+def _seeded_env(name: str, kwargs: dict, ss: np.random.SeedSequence):
+    """The env name with kwargs, seeded from the SeedSequence ss."""
+    seed = int(np.random.default_rng(ss).integers(2 ** 31))
+    return make_env(name, seed=seed, **kwargs)
+
+
 class PPOTrainer:
     """On-policy trainer binding envs, networks and the exploration model."""
 
@@ -177,12 +183,8 @@ class PPOTrainer:
         self.shuffle_rng = np.random.default_rng(shuffle_ss)
         self.env_rngs = [np.random.default_rng(s) for s in env_ss]
 
-        self.envs = BatchedEnv([
-            make_env(env_name,
-                     seed=int(np.random.default_rng(s).integers(2 ** 31)),
-                     **self.env_kwargs)
-            for s in ss.spawn(self.ppo.n_envs)
-        ])
+        self.envs = BatchedEnv([_seeded_env(env_name, self.env_kwargs, s)
+                                for s in ss.spawn(self.ppo.n_envs)])
         self.obs_dim = self.envs.obs_dim
         self.action_dim = self.envs.action_dim
 
@@ -267,7 +269,7 @@ class PPOTrainer:
             buf.dones[t] = done
             self._ep_rewards[:, k] = rewards
             self._ep_solved[:, k] = solved
-            self._ep_actions[:, k] = np.clip(actions, 0.0, 1.0)
+            self._ep_actions[:, k] = actions
             if done:
                 self.recent_episodes.extend(map(
                     EpisodeMetrics.from_logs, self._ep_rewards,
@@ -428,9 +430,7 @@ def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
     if not (is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     env_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    env = make_env(trainer.env_name,
-                   seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
-                   **trainer.env_kwargs)
+    env = _seeded_env(trainer.env_name, trainer.env_kwargs, env_ss)
     noise_rng = np.random.default_rng(noise_ss)
     params = None if deterministic else dist_params(trainer.policy,
                                                      trainer.cfg)
@@ -468,10 +468,7 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
     """
     _, actions, rewards, solved = run_episodes(trainer, n_episodes, seed,
                                                deterministic)
-    episodes = [
-        EpisodeMetrics.from_logs(r, s, np.clip(a, 0.0, 1.0))
-        for a, r, s in zip(actions, rewards, solved)
-    ]
+    episodes = list(map(EpisodeMetrics.from_logs, rewards, solved, actions))
 
     def agg(values):
         values = np.asarray(values, dtype=float)

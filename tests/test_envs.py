@@ -59,6 +59,11 @@ class TestEpisodeMetrics:
         assert m.solved_fraction == pytest.approx(2 / 3)
         assert m.energy == pytest.approx((0.5 + 0.0 + 1.0) / 3)
 
+    def test_energy_of_the_clipped_action(self):
+        # the env applies (1.5, -0.5) as (1, 0)
+        m = EpisodeMetrics.from_logs([0.0], [False], [(1.5, -0.5)])
+        assert m.energy == 0.5
+
     def test_zero_energy_iff_zero_actions(self):
         zero = EpisodeMetrics.from_logs([0], [False], [(0.0, 0.0)])
         nonzero = EpisodeMetrics.from_logs([0], [False], [(0.1, 0.0)])

@@ -3,6 +3,7 @@ perturbation sampling, the window sampler, and the analytic action
 distribution."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from latticerl.exploration import (
     LatticeConfig,
     NoiseSampler,
     PerturbationMatrices,
+    episode_normals,
     resample_perturbations,
 )
 from latticerl.policy import MlpPolicy, dist_params
@@ -457,6 +459,39 @@ class TestWindowSampler:
         assert window_noise(s, x, 0).tobytes() != n0.tobytes()
         assert s.perturbations is not held
         assert rng_states(s.rngs) == advanced(ref, 2)
+
+
+class TestStoredStdLayout:
+    """The policy's stored log-std shapes, not the cfg a sampler is given,
+    pick the sampling path and the normals an episode draws."""
+
+    @pytest.mark.parametrize("full_std", [True, False],
+                             ids=["full-policy", "reduced-policy"])
+    def test_sampler_follows_the_stored_stds(self, full_std):
+        own = window_sampler(period=4, full_std=full_std)
+        cfg = dataclasses.replace(own.cfg, full_std=not full_std)
+        other = NoiseSampler(own.policy, cfg, [np.random.default_rng(100 + i)
+                                               for i in range(3)])
+        rng = np.random.default_rng(3)
+        for step in range(8):
+            x = rng.standard_normal((3, N_X))
+            assert window_noise(other, x, step).tobytes() == \
+                window_noise(own, x, step).tobytes()
+        assert rng_states(other.rngs) == rng_states(own.rngs)
+        for n_steps in (8, 10):
+            assert episode_normals(own.policy, cfg, n_steps) == \
+                episode_normals(own.policy, own.cfg, n_steps)
+
+    @pytest.mark.parametrize("n_x,n_a,reduced", [(1, 1, True), (1, 2, False),
+                                                 (3, 1, False)])
+    def test_full_stds_of_one_row_are_reduced(self, n_x, n_a, reduced):
+        # a full-std head stores (N_x, N_x) and (N_a, N_x) log-stds, one
+        # row each only at N_x = N_a = 1
+        cfg = LatticeConfig(full_std=True)
+        policy = MlpPolicy(2, n_a, cfg, hiddens=(n_x,),
+                           rng=np.random.default_rng(0))
+        assert policy.reduced_std is reduced
+        assert (dist_params(policy, cfg).basis is not None) is reduced
 
 
 class TestPerturbedAction:

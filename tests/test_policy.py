@@ -83,7 +83,7 @@ class TestMlpForward:
                 net.params[k][...] = rng.standard_normal(net.params[k].shape)
         tape = GradientTape(net.params)
         ref = {k: np.zeros_like(v) for k, v in net.params.items()}
-        for d_latent in (rng.standard_normal((11, net.latent_dim)), None):
+        for d_latent in (rng.standard_normal((11, net.sizes[-2])), None):
             obs = rng.standard_normal((11, 5))
             x, out, cache = net.forward(obs, need_cache=True)
             hs, zs, ref_out = oracles.mlp_forward(
@@ -147,7 +147,7 @@ class TestMlpForward:
         for name, (f, fd) in ACTIVATIONS.items():
             h = 1e-6
             num = (f(z + h) - f(z - h)) / (2 * h)
-            np.testing.assert_allclose(fd(z), num, atol=1e-6)
+            np.testing.assert_allclose(fd(z, f(z)), num, atol=1e-6)
         # GELU, which imports scipy.special.erf on call, against x Phi(x)
         # and Phi(x) + x phi(x) from erf, tails and zero included
         f, fd = ACTIVATIONS["gelu"]
@@ -155,7 +155,7 @@ class TestMlpForward:
         cdf = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
         pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
         np.testing.assert_array_equal(f(z), z * cdf)
-        np.testing.assert_allclose(fd(z), cdf + z * pdf, rtol=1e-15)
+        np.testing.assert_allclose(fd(z, f(z)), cdf + z * pdf, rtol=1e-15)
         assert f(np.array(1.0)) == pytest.approx(0.8413447460685429,
                                                  rel=1e-15)
 
