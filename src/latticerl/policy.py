@@ -87,11 +87,10 @@ class GradientTape:
     def __init__(self, params: dict[str, np.ndarray]):
         shapes = {k: v.shape for k, v in params.items()}
         self.flat, self.grads = flat_layout(shapes)
-        segments = flat_segments(shapes).values()
-        # global_norm squares each key's segment into the head of one
-        # buffer as long as the largest segment
-        sq = np.empty(max((b - a for a, b in segments), default=0))
-        self._squares = [(self.flat[a:b], sq[:b - a]) for a, b in segments]
+        # global_norm squares the tape into _sq and sums each key's view
+        self._sq = np.empty_like(self.flat)
+        self._sq_keys = [self._sq[a:b]
+                         for a, b in flat_segments(shapes).values()]
 
     def zero_(self):
         self.flat.fill(0.0)
@@ -100,12 +99,14 @@ class GradientTape:
         self.grads[name] += value
 
     def global_norm(self) -> float:
-        # per key, a square and its pairwise sum, added in key order: the
-        # bits of adding np.sum(g * g) key by key
+        # one square of the tape, then each key's pairwise sum added in key
+        # order as Python floats (which overflow to inf without a warning):
+        # the bits of adding np.sum(g * g) key by key
+        np.multiply(self.flat, self.flat, out=self._sq)
+        add = np.add.reduce
         total = 0.0
-        for g, sq in self._squares:
-            np.multiply(g, g, out=sq)
-            total += float(sq.sum())
+        for sq in self._sq_keys:
+            total += float(add(sq))
         return float(np.sqrt(total))
 
     def clip_global_norm(self, max_norm: float) -> float:

@@ -145,6 +145,24 @@ class Adam:
             self.flat[i:j] -= step
 
 
+def minibatch_normalized(adv: np.ndarray, batch_size: int) -> np.ndarray:
+    """adv normalized within each run of batch_size consecutive entries,
+    the last run holding the len(adv) % batch_size left over: on each run a,
+    the bits of (a - a.mean()) / (a.std() + 1e-8). The full runs are the
+    rows of one (len // batch_size, batch_size) reduction along axis 1, and
+    the ragged last run is one more row."""
+    n = len(adv)
+    cut = n - n % batch_size
+    out = np.empty_like(adv)
+    for lo, hi, width in ((0, cut, batch_size), (cut, n, n - cut)):
+        if hi > lo:
+            a = adv[lo:hi].reshape(-1, width)
+            a_out = out[lo:hi].reshape(-1, width)
+            np.subtract(a, a.mean(axis=1, keepdims=True), out=a_out)
+            a_out /= a.std(axis=1, keepdims=True) + 1e-8
+    return out
+
+
 def _seeded_env(name: str, kwargs: dict, ss: np.random.SeedSequence):
     """The env name with kwargs, seeded from the SeedSequence ss."""
     seed = int(np.random.default_rng(ss).integers(2 ** 31))
@@ -281,6 +299,18 @@ class PPOTrainer:
     # -------------------------------------------------------- update phase
 
     def ppo_update(self, buffer: RolloutBuffer) -> dict:
+        """One PPO update on buffer: n_epochs passes over its samples, one
+        optimizer step per minibatch. Returns the minibatches' mean stats.
+
+        Each epoch draws one permutation of the samples from shuffle_rng and
+        gathers the samples in its order once; the minibatches are
+        consecutive slices of batch_size rows of it, the last one holding
+        the n % batch_size rows left over. Advantages are normalized within
+        each minibatch, the ragged last one included. A NonFiniteLoss names
+        the epoch and the start of the failing minibatch, an index into
+        that epoch's permutation, and carries the mean stats of the
+        minibatches before it.
+        """
         _, last_values = self.value_net.forward(self._obs)
         advantages, returns = compute_gae(buffer, last_values[:, 0],
                                           self.ppo.gamma, self.ppo.gae_lambda)
@@ -290,47 +320,56 @@ class PPOTrainer:
         adv_flat = buffer.flat(advantages)
         ret_flat = buffer.flat(returns)
         n = obs.shape[0]
+        bs = self.ppo.batch_size
         tape = GradientTape(self.params)
         stats = {"pg_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
                  "approx_kl": 0.0, "clip_fraction": 0.0, "grad_norm": 0.0}
         n_batches = 0
         eps = self.ppo.clip_range
+        lo, hi = 1.0 - eps, 1.0 + eps
+        # entropy weights of a full minibatch and of a ragged last one
+        w_ents = {b: np.full(b, -self.ppo.entropy_coef / b)
+                  for b in {min(bs, n), n % bs} - {0}}
+        # a mean is add(x) / b: ndarray.mean's sum and division without its
+        # wrapper
+        add = np.add.reduce
         for epoch in range(self.ppo.n_epochs):
             perm = self.shuffle_rng.permutation(n)
-            for start in range(0, n, self.ppo.batch_size):
-                idx = perm[start:start + self.ppo.batch_size]
-                b = len(idx)
-                adv = adv_flat[idx]
-                adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-                obs_b = obs[idx]
+            obs_e, actions_e = obs[perm], actions[perm]
+            old_logp_e, ret_e = old_logp[perm], ret_flat[perm]
+            adv_e = minibatch_normalized(adv_flat[perm], bs)
+            pos_e, neg_e = adv_e > 0, adv_e < 0
+            for start in range(0, n, bs):
+                rows = slice(start, start + bs)
+                adv, obs_b = adv_e[rows], obs_e[rows]
+                b = len(adv)
                 tape.zero_()
                 it = dist_internals(self.policy, obs_b, self.cfg,
                                     need_cache=True)
-                terms = log_prob_terms(it, actions[idx])
+                terms = log_prob_terms(it, actions_e[rows])
                 logp = terms[0]
-                mean_ent = float(entropy_batch(it).mean())
+                mean_ent = float(add(entropy_batch(it)) / b)
                 # clipped surrogate and entropy bonus in one policy backward
-                log_ratio = logp - old_logp[idx]
+                log_ratio = logp - old_logp_e[rows]
                 ratio = np.exp(log_ratio)
                 ratio_adv = ratio * adv
-                inactive = ((adv > 0) & (ratio > 1.0 + eps)) | \
-                           ((adv < 0) & (ratio < 1.0 - eps))
+                inactive = (pos_e[rows] & (ratio > hi)) | \
+                           (neg_e[rows] & (ratio < lo))
                 w_pg = np.where(inactive, 0.0, -ratio_adv / b)
-                w_ent = np.full(b, -self.ppo.entropy_coef / b)
                 policy_backward(self.policy, self.cfg, tape, it, terms, w_pg,
-                                w_ent)
+                                w_ents[b])
                 # value loss
                 _, v_out, v_cache = self.value_net.forward(obs_b,
                                                            need_cache=True)
-                v_err = v_out[:, 0] - ret_flat[idx]
+                v_err = v_out[:, 0] - ret_e[rows]
                 d_v = (self.ppo.value_coef * 2.0 * v_err / b)
                 self.value_net.backward(v_cache, d_v[:, None], tape)
 
                 # np.clip's bits, without its argument handling
-                clipped = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps)
+                clipped = np.minimum(np.maximum(ratio, lo), hi)
                 surr = np.minimum(ratio_adv, clipped * adv)
-                pg_loss = -float(surr.mean())
-                value_loss = self.ppo.value_coef * float((v_err ** 2).mean())
+                pg_loss = -float(add(surr) / b)
+                value_loss = self.ppo.value_coef * float(add(v_err ** 2) / b)
                 total = pg_loss + value_loss - self.ppo.entropy_coef * mean_ent
                 # a finite norm means finite gradients; an infinite one can
                 # also come from finite gradients whose squares overflow,
@@ -354,9 +393,9 @@ class PPOTrainer:
                 stats["value_loss"] += value_loss
                 stats["entropy"] += mean_ent
                 stats["approx_kl"] += float(
-                    (np.expm1(log_ratio) - log_ratio).mean())
+                    add(np.expm1(log_ratio) - log_ratio) / b)
                 stats["clip_fraction"] += float(
-                    (np.abs(ratio - 1.0) > eps).mean())
+                    add(np.abs(ratio - 1.0) > eps, dtype=float) / b)
                 stats["grad_norm"] += norm
                 n_batches += 1
         for k in stats:

@@ -20,10 +20,12 @@ evaluation loop that trainer.run_episodes plays as rows of one batch.
 Adam and global_norm are the per-parameter forms of the optimizer step and
 the gradient norm that the trainer runs over one flat vector; adam_step is
 the optimizer's out-of-place formula. mlp_forward and mlp_backward are the
-network layer by layer, written out of place.
+network layer by layer, written out of place. ppo_update_reference is the
+PPO update with every minibatch gathered and normalized on its own.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -31,14 +33,27 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from latticerl.analysis import DualSimCondition
+from latticerl.buffer import compute_gae
 from latticerl.envs import clipped_action, make_env
-from latticerl.errors import DimensionMismatch, NotPositiveDefinite
+from latticerl.errors import (
+    DimensionMismatch,
+    NonFiniteLoss,
+    NotPositiveDefinite,
+)
 from latticerl.exploration import (
     LatticeConfig,
     NoiseSampler,
     PerturbationMatrices,
 )
-from latticerl.policy import LOG_2PI, dist_params
+from latticerl.policy import (
+    LOG_2PI,
+    GradientTape,
+    dist_internals,
+    dist_params,
+    entropy_batch,
+    log_prob_terms,
+    policy_backward,
+)
 
 # Relative tolerance on covariance asymmetry before symmetrization is refused.
 SYMMETRY_RTOL = 1e-8
@@ -437,3 +452,93 @@ def mlp_backward(params: dict, prefix: str, activation: str, hs, zs,
         grads[f"{prefix}w{i}"] += dz.T @ hs[i]
         grads[f"{prefix}b{i}"] += np.sum(dz, axis=0)
         dh = dz @ params[f"{prefix}w{i}"]
+
+
+# ---------------------------------------------------------------- update
+
+def ppo_update_reference(trainer, buffer) -> dict:
+    """PPOTrainer.ppo_update as a loop that indexes every array per
+    minibatch and normalizes each minibatch's advantages on its own."""
+    _, last_values = trainer.value_net.forward(trainer._obs)
+    advantages, returns = compute_gae(buffer, last_values[:, 0],
+                                      trainer.ppo.gamma,
+                                      trainer.ppo.gae_lambda)
+    obs = buffer.flat(buffer.obs)
+    actions = buffer.flat(buffer.actions)
+    old_logp = buffer.flat(buffer.log_probs)
+    adv_flat = buffer.flat(advantages)
+    ret_flat = buffer.flat(returns)
+    n = obs.shape[0]
+    tape = GradientTape(trainer.params)
+    stats = {"pg_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
+             "approx_kl": 0.0, "clip_fraction": 0.0, "grad_norm": 0.0}
+    n_batches = 0
+    eps = trainer.ppo.clip_range
+    for epoch in range(trainer.ppo.n_epochs):
+        perm = trainer.shuffle_rng.permutation(n)
+        for start in range(0, n, trainer.ppo.batch_size):
+            idx = perm[start:start + trainer.ppo.batch_size]
+            b = len(idx)
+            adv = adv_flat[idx]
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+            obs_b = obs[idx]
+            tape.zero_()
+            it = dist_internals(trainer.policy, obs_b, trainer.cfg,
+                                need_cache=True)
+            terms = log_prob_terms(it, actions[idx])
+            logp = terms[0]
+            mean_ent = float(entropy_batch(it).mean())
+            # clipped surrogate and entropy bonus in one policy backward
+            log_ratio = logp - old_logp[idx]
+            ratio = np.exp(log_ratio)
+            ratio_adv = ratio * adv
+            inactive = ((adv > 0) & (ratio > 1.0 + eps)) | \
+                       ((adv < 0) & (ratio < 1.0 - eps))
+            w_pg = np.where(inactive, 0.0, -ratio_adv / b)
+            w_ent = np.full(b, -trainer.ppo.entropy_coef / b)
+            policy_backward(trainer.policy, trainer.cfg, tape, it, terms,
+                            w_pg, w_ent)
+            # value loss
+            _, v_out, v_cache = trainer.value_net.forward(obs_b,
+                                                          need_cache=True)
+            v_err = v_out[:, 0] - ret_flat[idx]
+            d_v = (trainer.ppo.value_coef * 2.0 * v_err / b)
+            trainer.value_net.backward(v_cache, d_v[:, None], tape)
+
+            # np.clip's bits, without its argument handling
+            clipped = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps)
+            surr = np.minimum(ratio_adv, clipped * adv)
+            pg_loss = -float(surr.mean())
+            value_loss = trainer.ppo.value_coef * float((v_err ** 2).mean())
+            total = pg_loss + value_loss - trainer.ppo.entropy_coef * mean_ent
+            # a finite norm means finite gradients; an infinite one can
+            # also come from finite gradients whose squares overflow,
+            # which the clip has scaled to zero. A NaN norm leaves the
+            # gradients unscaled, and an Inf gradient scaled by zero is
+            # NaN, so non_finite() names the same keys either way.
+            norm = tape.clip_global_norm(trainer.ppo.max_grad_norm)
+            if not np.isfinite(total) or not (math.isfinite(norm)
+                                              or tape.all_finite()):
+                bad = tape.non_finite()
+                culprit = ("gradient of " + ", ".join(bad)) if bad \
+                    else "loss"
+                raise NonFiniteLoss(
+                    f"non-finite {culprit} in epoch {epoch}, minibatch "
+                    f"starting at {start}", epoch=epoch, start=start,
+                    last_stats={k: v / n_batches for k, v in stats.items()}
+                    if n_batches else {})
+            trainer.optimizer.step(tape.flat)
+
+            stats["pg_loss"] += pg_loss
+            stats["value_loss"] += value_loss
+            stats["entropy"] += mean_ent
+            stats["approx_kl"] += float(
+                (np.expm1(log_ratio) - log_ratio).mean())
+            stats["clip_fraction"] += float(
+                (np.abs(ratio - 1.0) > eps).mean())
+            stats["grad_norm"] += norm
+            n_batches += 1
+    for k in stats:
+        stats[k] /= max(n_batches, 1)
+    trainer.updates += 1
+    return stats

@@ -747,6 +747,22 @@ class TestGradientTape:
                     -8, 2)
             assert tape.global_norm() == oracles.global_norm(tape.grads)
 
+    def test_global_norm_bits_at_pairwise_block_edges(self):
+        # numpy's pairwise sum unrolls by 8 and splits above 128 elements;
+        # segments around those lengths, at every offset in the tape that
+        # the ones before them leave
+        rng = np.random.default_rng(13)
+        lengths = (1, 7, 8, 9, 127, 128, 129, 1000)
+        tape = GradientTape({f"g{n}": np.zeros(n) for n in lengths})
+        for _ in range(100):
+            for g in tape.grads.values():
+                g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(
+                    -8, 2)
+            total = 0.0
+            for g in tape.grads.values():
+                total += float(np.sum(g * g))
+            assert tape.global_norm() == float(np.sqrt(total))
+
     def test_overflowing_square_matches_per_key_sums(self):
         # one square past the float64 range makes both norms inf, and the
         # buffer it was squared into leaves the next norm alone

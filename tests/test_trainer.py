@@ -42,6 +42,7 @@ from latticerl.trainer import (
     PPOTrainer,
     evaluate_policy,
     load_checkpoint,
+    minibatch_normalized,
     run_episodes,
     save_checkpoint,
 )
@@ -750,6 +751,114 @@ class TestPpoUpdate:
                 worst = max(worst, relative_error(num,
                                                   tape.grads[name][idx]))
         assert worst < 1e-4
+
+
+def per_slice_normalized(adv: np.ndarray, batch_size: int) -> np.ndarray:
+    """Each batch_size slice of adv normalized on its own."""
+    out = []
+    for start in range(0, len(adv), batch_size):
+        a = adv[start:start + batch_size]
+        out.append((a - a.mean()) / (a.std() + 1e-8))
+    return np.concatenate(out)
+
+
+class TestMinibatchLoop:
+    @pytest.mark.parametrize("n,batch_size", [
+        (32, 12), (32, 16), (5, 9), (7, 1), (1, 1), (33, 32), (2048, 64),
+        (2048, 32), (1000, 139)],
+        ids=["ragged", "even", "batch>n", "batch1", "one", "tail1",
+             "elbow", "wide", "ragged-long"])
+    def test_normalization_bits_match_per_slice(self, n, batch_size):
+        rng = np.random.default_rng(n + batch_size)
+        for scale in (1e-6, 1.0, 1e6):
+            adv = rng.standard_normal(n) * scale + rng.uniform(-1, 1)
+            assert minibatch_normalized(adv, batch_size).tobytes() == \
+                per_slice_normalized(adv, batch_size).tobytes()
+
+    def test_normalization_bits_over_batch_sizes(self):
+        rng = np.random.default_rng(40)
+        for batch_size in (*range(1, 140), 256, 512, 1000, 2048):
+            adv = rng.standard_normal(int(rng.integers(1, 3000)))
+            assert minibatch_normalized(adv, batch_size).tobytes() == \
+                per_slice_normalized(adv, batch_size).tobytes(), batch_size
+
+    def test_constant_minibatch_normalizes_to_zero(self):
+        # std 0: (a - mean) / 1e-8 is exactly 0 on a constant slice
+        adv = np.random.default_rng(41).standard_normal(32)
+        adv[12:24] = 2.5
+        adv[24:] = -1.0
+        out = minibatch_normalized(adv, 12)
+        np.testing.assert_array_equal(out[12:], 0.0)
+        assert out.tobytes() == per_slice_normalized(adv, 12).tobytes()
+
+    def test_nan_stays_in_its_minibatch(self):
+        adv = np.random.default_rng(42).standard_normal(32)
+        adv[15] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = minibatch_normalized(adv, 12)
+            ref = per_slice_normalized(adv, 12)
+        assert np.isnan(out[12:24]).all()
+        assert np.isfinite(out[:12]).all() and np.isfinite(out[24:]).all()
+        assert out.tobytes() == ref.tobytes()
+
+    REFERENCE_CASES = pytest.mark.parametrize("strategy,cfg", [
+        ("diagonal", LatticeConfig()), ("gsde", LatticeConfig()),
+        ("lattice", LatticeConfig(period=1)),
+        ("lattice", LatticeConfig(period=4)),
+        ("lattice", LatticeConfig(full_std=True))],
+        ids=["diagonal", "gsde", "lattice-1", "lattice-4", "full_std"])
+    # 8 steps x 4 envs = 32 samples: minibatches of 12, 12 and 8
+    RAGGED_PPO = dataclasses.replace(TINY_PPO, batch_size=12, n_epochs=3)
+
+    @REFERENCE_CASES
+    def test_update_matches_per_minibatch_reference(self, strategy, cfg):
+        tr = small_trainer(strategy=strategy, cfg=cfg, ppo=self.RAGGED_PPO)
+        twin = small_trainer(strategy=strategy, cfg=cfg, ppo=self.RAGGED_PPO)
+        for _ in range(2):
+            stats = tr.ppo_update(tr.collect_rollout(8))
+            ref = oracles.ppo_update_reference(twin, twin.collect_rollout(8))
+            assert stats.keys() == ref.keys()
+            for k in stats:
+                assert np.float64(stats[k]).tobytes() == \
+                    np.float64(ref[k]).tobytes(), k
+            assert tr.flat_params.tobytes() == twin.flat_params.tobytes()
+            assert tr.optimizer.m_flat.tobytes() == \
+                twin.optimizer.m_flat.tobytes()
+        assert tr.updates == twin.updates == 2
+
+    @REFERENCE_CASES
+    def test_late_non_finite_loss_matches_reference(self, strategy, cfg):
+        # an Inf gradient in the second update's epoch 1, minibatch 2
+        # (starting at 24 of the permutation)
+        errors = []
+        for update in (PPOTrainer.ppo_update, oracles.ppo_update_reference):
+            tr = small_trainer(strategy=strategy, cfg=cfg,
+                               ppo=self.RAGGED_PPO)
+            update(tr, tr.collect_rollout(8))
+            backward = tr.value_net.backward
+            calls = []
+
+            def inf_bias_gradient(cache, d_out, tape, _backward=backward,
+                                  _calls=calls, **kwargs):
+                out = _backward(cache, d_out, tape, **kwargs)
+                if len(_calls) == 5:
+                    tape.grads["v.b0"][0] = np.inf
+                _calls.append(None)
+                return out
+
+            tr.value_net.backward = inf_bias_gradient
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NonFiniteLoss) as info:
+                update(tr, tr.collect_rollout(8))
+            errors.append((info.value, tr.flat_params.tobytes()))
+        (err, params), (ref, ref_params) = errors
+        assert (err.epoch, err.start) == (ref.epoch, ref.start) == (1, 24)
+        assert str(err) == str(ref)
+        assert err.last_stats.keys() == ref.last_stats.keys()
+        for k in err.last_stats:
+            assert np.float64(err.last_stats[k]).tobytes() == \
+                np.float64(ref.last_stats[k]).tobytes(), k
+        assert params == ref_params
 
 
 class TestStrategyPlugInEquivalence:
