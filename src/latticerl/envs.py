@@ -32,6 +32,13 @@ import numpy as np
 from .errors import (DimensionMismatch, NonFiniteAction, is_finite_number,
                      is_int)
 
+# The ufunc np.clip calls: its bits, signed zeros included, without its
+# Python wrappers (np.maximum(a, 0.0) would turn -0.0 into 0.0).
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 
 def energy_of(actions) -> float:
     """Effort proxy: mean over steps of the mean squared activation."""
@@ -48,9 +55,9 @@ def clipped_action(action, shape: tuple) -> np.ndarray:
     if action.shape != shape:
         raise DimensionMismatch(
             f"action has shape {action.shape}, expected {shape}")
-    if not np.all(np.isfinite(action)):
+    if not np.isfinite(action).all():
         raise NonFiniteAction("action contains NaN or Inf")
-    return np.clip(action, 0.0, 1.0)
+    return _clip(action, 0.0, 1.0)
 
 
 def _check_params(counts: dict, positive: dict, target_range) -> None:
@@ -82,15 +89,22 @@ class EpisodeMetrics:
     energy: float
 
     @classmethod
-    def from_logs(cls, rewards, solved_flags, actions):
-        """Metrics of one episode from its per-step logs: solved fraction
-        over its len(rewards) steps, energy of the actions the env applied,
-        the logged ones clipped to [0, 1]."""
-        return cls(
-            cumulative_reward=float(np.sum(rewards)),
-            solved_fraction=float(np.sum(solved_flags)) / float(len(rewards)),
-            energy=energy_of(np.clip(actions, 0.0, 1.0)),
-        )
+    def batch_from_logs(cls, rewards: np.ndarray, solved: np.ndarray,
+                        actions: np.ndarray) -> list["EpisodeMetrics"]:
+        """Metrics of n episodes of T steps from their per-step logs,
+        rewards (n, T), solved (n, T) and actions (n, T, A) as logged: row
+        i's solved fraction is over its T steps, its energy that of the
+        actions the env applied, the logged ones clipped to [0, 1]. Each
+        row's sums are the pairwise sums of one episode's np.sum and
+        np.mean, in one reduction over the batch."""
+        n, t = rewards.shape
+        add = np.add.reduce
+        squares = _clip(actions, 0.0, 1.0).reshape(n, -1)
+        squares *= squares
+        energy = add(squares, axis=1) / squares.shape[1]
+        solved_fraction = np.count_nonzero(solved, axis=1) / float(t)
+        return list(map(cls, add(rewards, axis=1).tolist(),
+                        solved_fraction.tolist(), energy.tolist()))
 
 
 class FlexExtArm:
@@ -243,13 +257,11 @@ class PointReacher:
             -self.target_range, self.target_range, size=2)
 
     def _accel(self, a: np.ndarray) -> np.ndarray:
+        # the four group means as one reduction over an (..., 4, k) view,
+        # each group's the sum _group_mean takes
         k = self.pairs_per_axis
-        accel = np.empty(a.shape[:-1] + (2,))
-        accel[..., 0] = self.gain * (_group_mean(a, 0, k)
-                                     - _group_mean(a, k, 2 * k))
-        accel[..., 1] = self.gain * (_group_mean(a, 2 * k, 3 * k)
-                                     - _group_mean(a, 3 * k, 4 * k))
-        return accel
+        means = np.add.reduce(a.reshape(a.shape[:-1] + (4, k)), axis=-1) / k
+        return self.gain * (means[..., 0::2] - means[..., 1::2])
 
     def advance(self, s, a: np.ndarray):
         accel = self._accel(a)

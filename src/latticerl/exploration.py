@@ -19,6 +19,7 @@ into stds, and the sampler reads them off the DistParams it is given.
 Runs are bit-reproducible from config and seed.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,52 @@ class _Windows:
                                                    axis=axis))
 
 
+# Normals per piece of a block drawn ahead, over all envs: whatever the
+# rollout's length, drawing ahead holds at most 512 KiB of float64 at once,
+# or one step's normals where a step draws more
+BLOCK_NORMALS = 2 ** 16
+
+
+class _DrawnAhead:
+    """The normals of the next n_steps fixed-width draws of every env: env
+    i's rows are drawn from rngs[i] in pieces of at most BLOCK_NORMALS
+    over the batch, and each draw reads one (n_envs, width) slice. A
+    Generator's normal stream does not depend on how it is chunked, so the
+    rows are those of step-by-step drawing."""
+
+    def __init__(self, rngs, width: int, n_steps: int):
+        self.rngs, self.width, self.left = rngs, width, n_steps
+        self.piece = None   # (n_envs, steps, width)
+        self.states = None  # the rngs' states before the piece was drawn
+        self.used = 0
+
+    def next(self) -> np.ndarray | None:
+        """The next draw's (n_envs, width) rows, None past n_steps."""
+        if self.piece is None or self.used == self.piece.shape[1]:
+            if self.left == 0:
+                return None
+            n = len(self.rngs)
+            steps = min(self.left, max(1, BLOCK_NORMALS // (n * self.width)))
+            self.states = [rng.bit_generator.state for rng in self.rngs]
+            # the spent piece goes before the next one is allocated
+            self.piece = None
+            self.piece = np.empty((n, steps, self.width))
+            self.used = 0
+            self.left -= steps
+            for rng, rows in zip(self.rngs, self.piece):
+                rng.standard_normal(out=rows)
+        self.used += 1
+        return self.piece[:, self.used - 1]
+
+    def rewind(self):
+        """Leave every rng where drawing only the rows read would have."""
+        if self.piece is not None and self.used < self.piece.shape[1]:
+            rows = np.empty((self.used, self.width))
+            for rng, state in zip(self.rngs, self.states):
+                rng.bit_generator.state = state
+                rng.standard_normal(out=rows)
+
+
 def _holds_matrices(policy, cfg: LatticeConfig) -> bool:
     """Whether NoiseSampler holds P_x, P_a: "episode", full stds at p > 1."""
     return cfg.period_steps is None or (cfg.period_steps > 1
@@ -200,6 +247,11 @@ class NoiseSampler:
     of the params given when a window opens, in env order, and hold them
     in perturbations. Diagonal noise draws N(0, sigma^2) per action.
     Every draw is standard_normal(out=...) into a preallocated array.
+    The paths that draw a fixed width per env and step (diagonal noise,
+    and the latent noise at period 1) can draw a rollout's normals ahead
+    inside drawing_ahead: each step then reads one slice of rows that are
+    those of step-by-step drawing, and every rng leaves the with-block in
+    the state step-by-step drawing leaves.
     """
 
     def __init__(self, policy, cfg: LatticeConfig,
@@ -211,6 +263,28 @@ class NoiseSampler:
             and _holds_matrices(policy, cfg)
         self.perturbations: list[PerturbationMatrices] | None = None
         self.windows: _Windows | None = None
+        self._ahead: _DrawnAhead | None = None
+
+    @contextmanager
+    def drawing_ahead(self, n_steps: int):
+        """While the with-block runs, the next n_steps samples of a path
+        that draws a fixed width per env and step (diagonal noise, latent
+        noise at period 1) read every env's normals from rows drawn ahead
+        from its rng, one slice per step; the window and matrix paths draw
+        per call as always. The rows are those of step-by-step drawing and
+        are dropped on exit, when every rng is where step-by-step drawing
+        would have left it, also if the with-block raises. The rngs must
+        be Generators, whose bit_generator states it saves and restores."""
+        if self.policy.strategy != "diagonal" and self.cfg.period_steps != 1:
+            yield
+            return
+        self._ahead = _DrawnAhead(
+            self.rngs, episode_normals(self.policy, self.cfg, 1), n_steps)
+        try:
+            yield
+        finally:
+            self._ahead.rewind()
+            self._ahead = None
 
     def sample(self, x: np.ndarray, mean: np.ndarray, params,
                step: int) -> np.ndarray:
@@ -226,8 +300,8 @@ class NoiseSampler:
         if step == 0:
             self._close()
         if policy.strategy == "diagonal":
-            z = self._normals(self.rngs, policy.action_dim)
-            actions = mean + z * params.sigma
+            actions = mean + self._step_normals(policy.action_dim) \
+                * params.sigma
         elif self.matrix_path:
             if self.perturbations is None:
                 self.perturbations = [
@@ -251,6 +325,12 @@ class NoiseSampler:
         self.perturbations = None
         self.windows = None
 
+    def _step_normals(self, width: int) -> np.ndarray:
+        """(n_envs, width) normals of every env's step: the next rows drawn
+        ahead while drawing_ahead runs, else drawn now."""
+        z = None if self._ahead is None else self._ahead.next()
+        return self._normals(self.rngs, width) if z is None else z
+
     def _normals(self, rngs, width: int) -> np.ndarray:
         """(len(rngs), width) normals, row i drawn from rngs[i]."""
         z = np.empty((len(rngs), width))
@@ -269,7 +349,7 @@ class NoiseSampler:
         # one sd per sample, broadcast over the N_x or N_a outputs
         sd_x = np.sqrt(x2 @ s2_x.T)
         sd_a = np.sqrt(x2 @ s2_a.T)
-        z = self._normals(self.rngs, n_x + policy.action_dim)
+        z = self._step_normals(n_x + policy.action_dim)
         p_x = sd_x * z[:, :n_x]
         p_a = sd_a * z[:, n_x:]
         if self.cfg.period_steps > 1:

@@ -213,7 +213,7 @@ class Mlp:
         hs, zs = cache["hs"], cache["zs"]
         w_name, b_name = self._keys[-1]
         tape.add(w_name, d_out.T @ hs[-1])
-        tape.add(b_name, d_out.sum(axis=0))
+        tape.add(b_name, np.add.reduce(d_out, axis=0))
         if not zs:
             return
         dh = d_out @ params[w_name]
@@ -223,7 +223,7 @@ class Mlp:
             w_name, b_name = self._keys[i]
             dz = dh * act_d(zs[i], hs[i + 1])
             tape.add(w_name, dz.T @ hs[i])
-            tape.add(b_name, dz.sum(axis=0))
+            tape.add(b_name, np.add.reduce(dz, axis=0))
             if i:
                 dh = dz @ params[w_name]
 
@@ -349,6 +349,8 @@ class DistParams:
     k_x: np.ndarray | None = None       # (N_x, N_a^2)
     # diagonal fields
     sigma: np.ndarray | None = None     # (N_a,)
+    sigma2: np.ndarray | None = None    # sigma * sigma
+    log_sigma_sum: float = 0.0          # sum of log sigma
 
     # the window path's unclipped variances exp(2 log S), formed on first
     # read, so the update's builds never form them: sd * sd would move the
@@ -438,8 +440,9 @@ def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
     sampler draws with their exp, unclipped; the distribution clamps it
     into [cfg.std_min, cfg.std_max], never an already-drawn sample."""
     if policy.strategy == "diagonal":
-        return DistParams(kind="diagonal",
-                          sigma=np.exp(policy.params["log_sigma"]))
+        sigma = np.exp(policy.params["log_sigma"])
+        return DistParams(kind="diagonal", sigma=sigma, sigma2=sigma * sigma,
+                          log_sigma_sum=np.add.reduce(np.log(sigma)))
     # new arrays also without the rescale (x - 0.0 is x), so var_a / var_x
     # formed later read the log-stds of this build, not the live parameters
     shift = 0.5 * np.log(float(policy.n_latent)) if cfg.rescale else 0.0
@@ -496,7 +499,8 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
                 "latent state")
         return DistInternals(x=x, mean=mean, cache=cache, params=params,
                              x2=x2, c_a=c_a, c_x=c_x,
-                             log_det=np.log(eig).sum(axis=1), eig=eig)
+                             log_det=np.add.reduce(np.log(eig), axis=1),
+                             eig=eig)
     cov = ((alpha * alpha) * (c_x @ params.k_x)).reshape(-1, n_a, n_a)
     idx = np.arange(n_a)
     cov[:, idx, idx] += c_a + params.gamma
@@ -506,7 +510,7 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
         raise NotPositiveDefinite(
             "batched action covariance is singular; check gamma and the "
             "latent state") from exc
-    log_det = 2.0 * np.log(chol[:, idx, idx]).sum(axis=1)
+    log_det = 2.0 * np.add.reduce(np.log(chol[:, idx, idx]), axis=1)
     return DistInternals(x=x, mean=mean, cache=cache, params=params,
                          x2=x2, c_a=c_a, c_x=c_x, log_det=log_det,
                          full_cov=cov,
@@ -524,16 +528,17 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     p = it.params
     alpha2 = p.alpha * p.alpha
     flow = not cfg.stop_variance_gradient
+    add = np.add.reduce
     if it.eig is not None:
         # in the shared eigenbasis: tr wG_b and <wG_b, W W^T> from |u|^2,
         # |W^T u|^2, sum 1/e and sum lam/e
         inv_e = 1.0 / it.eig
-        g_ca = (half_inv * inv_e.sum(axis=1)
-                + half_pg * (u * u).sum(axis=1))[:, None]
+        g_ca = (half_inv * add(inv_e, axis=1)
+                + half_pg * add(u * u, axis=1))[:, None]
         if alpha2 != 0.0:
             wu = u @ policy.W
             g_cx = alpha2 * (half_inv * (inv_e @ p.lam)
-                             + half_pg * (wu * wu).sum(axis=1))[:, None]
+                             + half_pg * add(wu * wu, axis=1))[:, None]
             if flow:
                 # dL/dW = 2 alpha^2 (sum_b c_x,b wG_b) W: a rank-B part plus
                 # V diag(sum_b c_x,b half_inv[b] / e_b) V^T
@@ -555,7 +560,7 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
                 # dL/dW[a, k] = 2 alpha^2 sum_m W[m, k] sum_b wG[b, a, m]
                 # c_x[b, k]
                 gc = (wG_flat.T @ it.c_x).reshape(n_a, n_a, -1)
-                grad_w = 2.0 * alpha2 * (gc * policy.W).sum(axis=1)
+                grad_w = 2.0 * alpha2 * add(gc * policy.W, axis=1)
     x2 = it.x2
     tape.add("log_std_a", 2.0 * p.sa2 * p.mask_a * (g_ca.T @ x2))
     if alpha2 != 0.0:
@@ -578,11 +583,12 @@ def log_prob_terms(it: DistInternals, actions: np.ndarray):
             f"actions have shape {actions.shape}, expected {it.mean.shape}")
     d = it.mean - actions  # (B, N_a)
     n_a = it.mean.shape[1]
+    add = np.add.reduce
     if it.kind == "diagonal":
-        u = d / (it.sigma * it.sigma)
+        u = d / it.params.sigma2
         logp = (-0.5 * n_a * LOG_2PI
-                - np.log(it.sigma).sum()
-                - 0.5 * (d * u).sum(axis=1))
+                - it.params.log_sigma_sum
+                - 0.5 * add(d * u, axis=1))
     else:
         if it.eig is not None:
             basis = it.params.basis
@@ -590,7 +596,7 @@ def log_prob_terms(it: DistInternals, actions: np.ndarray):
         else:
             u = (it.full_inv @ d[..., None])[..., 0]
         logp = (-0.5 * n_a * LOG_2PI - 0.5 * it.log_det
-                - 0.5 * (d * u).sum(axis=1))
+                - 0.5 * add(d * u, axis=1))
     return logp, d, u
 
 
@@ -619,10 +625,10 @@ def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
     _, d, u = terms
     if it.kind == "diagonal":
         # the two log_sigma terms as separate adds, log-prob first
-        var = it.sigma * it.sigma
-        tape.add("log_sigma",
-                 (w_pg[:, None] * (d * d / var - 1.0)).sum(axis=0))
-        tape.add("log_sigma", np.full(policy.action_dim, float(w_ent.sum())))
+        add = np.add.reduce
+        tape.add("log_sigma", add(
+            w_pg[:, None] * (d * d / it.params.sigma2 - 1.0), axis=0))
+        tape.add("log_sigma", np.full(policy.action_dim, float(add(w_ent))))
         d_latent = None
     else:
         half_pg = 0.5 * w_pg
@@ -648,7 +654,7 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
 def entropy_batch(it: DistInternals) -> np.ndarray:
     n_a = it.mean.shape[1]
     if it.kind == "diagonal":
-        h = 0.5 * n_a * (LOG_2PI + 1.0) + np.log(it.sigma).sum()
+        h = 0.5 * n_a * (LOG_2PI + 1.0) + it.params.log_sigma_sum
         return np.full(it.mean.shape[0], h)
     return 0.5 * n_a * (LOG_2PI + 1.0) + 0.5 * it.log_det
 

@@ -266,34 +266,38 @@ class PPOTrainer:
     # ------------------------------------------------------- rollout phase
 
     def collect_rollout(self, n_steps: int) -> RolloutBuffer:
+        """n_steps batched env steps under the current parameters. Where
+        the noise draws a fixed width per env and step, every env's normals
+        for the rollout are drawn ahead from its rng; the rows and the
+        rngs' states at return are those of step-by-step drawing."""
         buf = RolloutBuffer.allocate(n_steps, self.ppo.n_envs, self.obs_dim,
                                      self.action_dim)
         self.recent_episodes = []
         # the parameters hold still until the update
         params = dist_params(self.policy, self.cfg)
-        for t in range(n_steps):
-            obs = self._obs
-            it = dist_internals(self.policy, obs, self.cfg, params=params)
-            k = self.envs.step_count
-            actions = self.noise.sample(it.x, it.mean, params, k)
-            logp = log_prob(it, actions)
-            _, values = self.value_net.forward(obs)
-            buf.obs[t] = obs
-            buf.actions[t] = actions
-            buf.log_probs[t] = logp
-            buf.values[t] = values[:, 0]
-            self._obs, rewards, done, solved = self.envs.step(actions)
-            buf.rewards[t] = rewards
-            buf.dones[t] = done
-            self._ep_rewards[:, k] = rewards
-            self._ep_solved[:, k] = solved
-            self._ep_actions[:, k] = actions
-            if done:
-                self.recent_episodes.extend(map(
-                    EpisodeMetrics.from_logs, self._ep_rewards,
-                    self._ep_solved, self._ep_actions))
-                self._obs = self.envs.reset()
-            self.env_steps += self.ppo.n_envs
+        with self.noise.drawing_ahead(n_steps):
+            for t in range(n_steps):
+                obs = self._obs
+                it = dist_internals(self.policy, obs, self.cfg, params=params)
+                k = self.envs.step_count
+                actions = self.noise.sample(it.x, it.mean, params, k)
+                logp = log_prob(it, actions)
+                _, values = self.value_net.forward(obs)
+                buf.obs[t] = obs
+                buf.actions[t] = actions
+                buf.log_probs[t] = logp
+                buf.values[t] = values[:, 0]
+                self._obs, rewards, done, solved = self.envs.step(actions)
+                buf.rewards[t] = rewards
+                buf.dones[t] = done
+                self._ep_rewards[:, k] = rewards
+                self._ep_solved[:, k] = solved
+                self._ep_actions[:, k] = actions
+                if done:
+                    self.recent_episodes.extend(EpisodeMetrics.batch_from_logs(
+                        self._ep_rewards, self._ep_solved, self._ep_actions))
+                    self._obs = self.envs.reset()
+                self.env_steps += self.ppo.n_envs
         return buf
 
     # -------------------------------------------------------- update phase
@@ -507,7 +511,7 @@ def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
     """
     _, actions, rewards, solved = run_episodes(trainer, n_episodes, seed,
                                                deterministic)
-    episodes = list(map(EpisodeMetrics.from_logs, rewards, solved, actions))
+    episodes = EpisodeMetrics.batch_from_logs(rewards, solved, actions)
 
     def agg(values):
         values = np.asarray(values, dtype=float)

@@ -54,6 +54,11 @@ def finite_difference(f, arr, idx, h=1e-6):
     return (fp - fm) / (2.0 * h)
 
 
+def rng_states(rngs) -> list:
+    """The bit-generator state of every Generator in rngs."""
+    return [r.bit_generator.state for r in rngs]
+
+
 def relative_error(numeric, analytic, floor=1e-8):
     return abs(numeric - analytic) / max(floor, abs(numeric), abs(analytic))
 

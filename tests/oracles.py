@@ -22,6 +22,9 @@ the gradient norm that the trainer runs over one flat vector; adam_step is
 the optimizer's out-of-place formula. mlp_forward and mlp_backward are the
 network layer by layer, written out of place. ppo_update_reference is the
 PPO update with every minibatch gathered and normalized on its own.
+
+episode_metrics is one episode's EpisodeMetrics from its logs, which
+EpisodeMetrics.batch_from_logs computes for every row of a batch at once.
 """
 
 import copy
@@ -34,7 +37,7 @@ from scipy.linalg import solve_triangular
 
 from latticerl.analysis import DualSimCondition
 from latticerl.buffer import compute_gae
-from latticerl.envs import clipped_action, make_env
+from latticerl.envs import EpisodeMetrics, clipped_action, energy_of, make_env
 from latticerl.errors import (
     DimensionMismatch,
     NonFiniteLoss,
@@ -308,6 +311,17 @@ def accel_of(env, action):
     s = SimpleNamespace(**{name: getattr(env, name)
                            for name in env.state_fields})
     return env.advance(s, clipped_action(action, (env.action_dim,)))[2]
+
+
+def episode_metrics(rewards, solved_flags, actions) -> EpisodeMetrics:
+    """Metrics of one episode from its per-step logs: solved fraction
+    over its len(rewards) steps, energy of the actions the env applied,
+    the logged ones clipped to [0, 1]."""
+    return EpisodeMetrics(
+        cumulative_reward=float(np.sum(rewards)),
+        solved_fraction=float(np.sum(solved_flags)) / float(len(rewards)),
+        energy=energy_of(np.clip(actions, 0.0, 1.0)),
+    )
 
 
 def reward_bounds(env) -> tuple[float, float]:

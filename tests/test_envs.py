@@ -1,6 +1,8 @@
 """Overactuated environments: dynamics, metrics, and the closed-form
 noise-variance results for the antagonist arm."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,21 @@ from latticerl.envs import (
     EpisodeMetrics,
     FlexExtArm,
     PointReacher,
+    _group_mean,
+    clipped_action,
     energy_of,
     make_env,
 )
 from latticerl.errors import DimensionMismatch, NonFiniteAction
 
 from conftest import linear_ideal_policy
-from oracles import accel_of, get_state, reward_bounds, set_state
+from oracles import (
+    accel_of,
+    episode_metrics,
+    get_state,
+    reward_bounds,
+    set_state,
+)
 
 
 class TestLinearIdealPolicy:
@@ -50,25 +60,71 @@ class TestEnergy:
 
 
 class TestEpisodeMetrics:
+    @staticmethod
+    def one(rewards, solved_flags, actions):
+        """EpisodeMetrics.batch_from_logs of a batch of one episode."""
+        [m] = EpisodeMetrics.batch_from_logs(
+            np.array([rewards], dtype=float), np.array([solved_flags]),
+            np.array([actions], dtype=float))
+        return m
+
     def test_from_logs(self):
-        m = EpisodeMetrics.from_logs(
-            rewards=[1.0, -0.5, 0.25],
-            solved_flags=[True, False, True],
-            actions=[(1.0, 0.0), (0.0, 0.0), (1.0, 1.0)])
+        m = self.one(rewards=[1.0, -0.5, 0.25],
+                     solved_flags=[True, False, True],
+                     actions=[(1.0, 0.0), (0.0, 0.0), (1.0, 1.0)])
         assert m.cumulative_reward == pytest.approx(0.75)
         assert m.solved_fraction == pytest.approx(2 / 3)
         assert m.energy == pytest.approx((0.5 + 0.0 + 1.0) / 3)
 
     def test_energy_of_the_clipped_action(self):
         # the env applies (1.5, -0.5) as (1, 0)
-        m = EpisodeMetrics.from_logs([0.0], [False], [(1.5, -0.5)])
+        m = self.one([0.0], [False], [(1.5, -0.5)])
         assert m.energy == 0.5
 
     def test_zero_energy_iff_zero_actions(self):
-        zero = EpisodeMetrics.from_logs([0], [False], [(0.0, 0.0)])
-        nonzero = EpisodeMetrics.from_logs([0], [False], [(0.1, 0.0)])
+        zero = self.one([0], [False], [(0.0, 0.0)])
+        nonzero = self.one([0], [False], [(0.1, 0.0)])
         assert zero.energy == 0.0
         assert nonzero.energy > 0.0
+
+    @pytest.mark.parametrize("n,t,a", [(1, 1, 1), (3, 1, 4), (4, 7, 1),
+                                       (5, 100, 8), (2, 9, 16)])
+    def test_batch_matches_per_episode_oracle(self, n, t, a):
+        # actions outside [0, 1], and runs above and below the 8 elements
+        # where numpy's pairwise sum starts to unroll
+        rng = np.random.default_rng(n * t * a)
+        rewards = rng.standard_normal((n, t)) * 10.0 ** rng.integers(
+            -3, 4, (n, t))
+        solved = rng.random((n, t)) < 0.4
+        actions = rng.uniform(-0.7, 1.7, (n, t, a))
+        got = EpisodeMetrics.batch_from_logs(rewards, solved, actions)
+        assert all(isinstance(v, float) for m in got
+                   for v in dataclasses.astuple(m))
+        assert got == [episode_metrics(*logs)
+                       for logs in zip(rewards, solved, actions)]
+
+
+class TestClippedAction:
+    EDGES = [-0.0, 0.0, 1.0, -1e308, 1e308, 5e-324, -5e-324, 2.2e-308,
+             -2.2e-308, 0.5, -1.0, 2.0, np.nextafter(1.0, 2.0),
+             np.nextafter(0.0, -1.0)]
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 33])
+    def test_bits_of_np_clip(self, n):
+        a = np.resize(np.array(self.EDGES), (n, len(self.EDGES)))
+        a[1:] = np.random.default_rng(n).permuted(a[1:], axis=1)
+        got = clipped_action(a, a.shape)
+        assert got.tobytes() == np.clip(a, 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("bad,shape,error", [
+        (np.nan, (4, 3), NonFiniteAction), (np.inf, (4, 3), NonFiniteAction),
+        (-np.inf, (4, 3), NonFiniteAction), (0.5, (4, 4), DimensionMismatch)])
+    def test_refuses_bad_actions(self, bad, shape, error):
+        # BatchedEnv.step checks through it before any row moves
+        a = np.full((4, 3), 0.5)
+        a[2, 1] = bad
+        with pytest.raises(error):
+            clipped_action(a, shape)
 
 
 class TestFlexExtArm:
@@ -235,6 +291,19 @@ class TestPointReacher:
         env.reset()
         a = np.array([1.0, 1.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5])
         np.testing.assert_allclose(accel_of(env, a), [10.0, 0.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 16])
+    def test_accel_bits_of_four_group_means(self, k):
+        # groups of 8 and more take numpy's unrolled pairwise sum
+        env = PointReacher(pairs_per_axis=k, gain=30.0)
+        a = np.random.default_rng(k).uniform(0.0, 1.0, (5, 4 * k))
+        want = np.empty((5, 2))
+        want[:, 0] = env.gain * (_group_mean(a, 0, k)
+                                 - _group_mean(a, k, 2 * k))
+        want[:, 1] = env.gain * (_group_mean(a, 2 * k, 3 * k)
+                                 - _group_mean(a, 3 * k, 4 * k))
+        assert env._accel(a).tobytes() == want.tobytes()
+        assert env._accel(a[3]).tobytes() == want[3].tobytes()
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError, match="pairs_per_axis"):

@@ -21,6 +21,7 @@ from latticerl.exploration import (
 )
 from latticerl.policy import MlpPolicy, dist_params
 
+from conftest import rng_states
 from oracles import (
     LogStds,
     action_distribution,
@@ -248,10 +249,6 @@ def window_noise(sampler, x, step):
                           dist_params(sampler.policy, sampler.cfg), step)
 
 
-def rng_states(rngs):
-    return [r.bit_generator.state for r in rngs]
-
-
 class TestWindowSampler:
     def test_window_is_a_matrix(self):
         # a held window acts as the matrices P_x = sum_j y_j (D q_j)^T and
@@ -459,6 +456,68 @@ class TestWindowSampler:
         assert window_noise(s, x, 0).tobytes() != n0.tobytes()
         assert s.perturbations is not held
         assert rng_states(s.rngs) == advanced(ref, 2)
+
+
+class TestDrawnAhead:
+    def test_normal_stream_is_chunk_invariant(self):
+        # drawing_ahead rests on this: a Generator's normals, and its state
+        # after them, do not depend on how the draws are chunked or on
+        # drawing into rows of a larger array
+        for seed in range(20):
+            sizes = np.random.default_rng(seed).integers(0, 40, 25)
+            whole = np.random.default_rng(1000 + seed)
+            chunked = copy.deepcopy(whole)
+            expected = whole.standard_normal(sizes.sum())
+            got = np.empty((len(sizes), sizes.max()))
+            for k, row in zip(sizes, got):
+                if seed % 2:
+                    chunked.standard_normal(out=row[:k])
+                else:
+                    row[:k] = chunked.standard_normal(k)
+            got = np.concatenate([row[:k] for k, row in zip(sizes, got)])
+            assert got.tobytes() == expected.tobytes()
+            assert rng_states([chunked]) == rng_states([whole])
+
+    @pytest.mark.parametrize("period,full_std,block", [
+        (1, False, exploration.BLOCK_NORMALS), (1, True, 1), (1, False, 50)])
+    def test_rows_and_states_of_step_by_step_drawing(self, period, full_std,
+                                                     block, monkeypatch):
+        # pieces of one step, of a few steps and of the whole block give
+        # the noise of step-by-step drawing and its rng states, also when
+        # fewer samples than drawn ahead are read or the block raises
+        monkeypatch.setattr(exploration, "BLOCK_NORMALS", block)
+        xs = np.random.default_rng(9).standard_normal((7, 3, N_X))
+        stepwise = window_sampler(period, full_std=full_std)
+        ahead = window_sampler(period, full_std=full_std)
+        want = [window_noise(stepwise, x, 0).tobytes() for x in xs]
+        with ahead.drawing_ahead(7):
+            got = [window_noise(ahead, x, 0).tobytes() for x in xs]
+        assert got == want
+        assert ahead._ahead is None
+        assert rng_states(ahead.rngs) == rng_states(stepwise.rngs)
+        with ahead.drawing_ahead(9):
+            for x in xs[:3]:
+                window_noise(ahead, x, 0)
+        with pytest.raises(RuntimeError), ahead.drawing_ahead(5):
+            window_noise(ahead, xs[3], 0)
+            raise RuntimeError
+        for x in xs[:4]:
+            window_noise(stepwise, x, 0)
+        assert rng_states(ahead.rngs) == rng_states(stepwise.rngs)
+
+    @pytest.mark.parametrize("period,full_std", [(4, False), (4, True),
+                                                 ("episode", False)])
+    def test_window_and_matrix_paths_draw_per_call(self, period, full_std):
+        xs = np.random.default_rng(9).standard_normal((6, 3, N_X))
+        stepwise = window_sampler(period, full_std=full_std)
+        ahead = window_sampler(period, full_std=full_std)
+        with ahead.drawing_ahead(6):
+            assert ahead._ahead is None
+            got = [window_noise(ahead, x, t).tobytes()
+                   for t, x in enumerate(xs)]
+        assert got == [window_noise(stepwise, x, t).tobytes()
+                       for t, x in enumerate(xs)]
+        assert rng_states(ahead.rngs) == rng_states(stepwise.rngs)
 
 
 class TestStoredStdLayout:

@@ -1,6 +1,7 @@
 """PPO trainer: rollout bookkeeping, update semantics, checkpoints."""
 
 import base64
+import copy
 import dataclasses
 import json
 import math
@@ -9,12 +10,8 @@ import numpy as np
 import pytest
 
 from latticerl.cli import collect_action_log
-from latticerl.envs import (
-    ENV_REGISTRY,
-    EpisodeMetrics,
-    energy_of,
-    make_env,
-)
+from latticerl.envs import ENV_REGISTRY, energy_of, make_env
+from latticerl import exploration
 from latticerl import policy as policy_mod
 from latticerl import trainer as trainer_mod
 from latticerl.errors import (
@@ -53,6 +50,7 @@ from conftest import (
     f8_entry,
     finite_difference,
     relative_error,
+    rng_states,
     schema1_reference_trainer,
 )
 import oracles
@@ -382,7 +380,7 @@ def per_env_reference_rollout(tr, n_steps):
             ep_solved.append(info["solved"])
             ep_actions.append(np.clip(actions[i], 0.0, 1.0))
             if done:
-                episodes.append(EpisodeMetrics.from_logs(
+                episodes.append(oracles.episode_metrics(
                     ep_rewards, ep_solved, ep_actions))
                 logs[i] = ([], [], [])
                 o = env.reset()
@@ -535,14 +533,17 @@ class TestBatchedRollout:
     @pytest.mark.parametrize("env_name", ["flex_ext_arm", "point_reacher"])
     @pytest.mark.parametrize("strategy,period,full_std", [
         ("diagonal", 1, False), ("lattice", 1, False), ("lattice", 4, False),
-        ("lattice", "episode", False), ("lattice", 4, True)],
+        ("lattice", "episode", False), ("lattice", 4, True),
+        ("gsde", 1, False), ("lattice", 1, True), ("diagonal", 4, False)],
         ids=["diagonal-1", "lattice-1", "lattice-4", "lattice-episode",
-             "lattice-4-full_std"])
+             "lattice-4-full_std", "gsde-1", "lattice-1-full_std",
+             "diagonal-4"])
     def test_matches_per_env_loop(self, env_name, strategy, period, full_std):
         # episodes of 6 steps end three times per env in 20 steps, and the
         # second rollout continues the episodes the first one left open;
         # the matrix path ("episode", full_std at period 4) drops its
-        # matrices at every reset, inside a rollout
+        # matrices at every reset, inside a rollout. Every env rng ends the
+        # rollouts where the reference's step-by-step draws leave it.
         ppo = dataclasses.replace(TINY_PPO, n_envs=3)
         kwargs = dict(strategy=strategy,
                       cfg=LatticeConfig(period=period, full_std=full_std),
@@ -553,7 +554,8 @@ class TestBatchedRollout:
         for n_steps in (9, 11):
             bufs.append(tr.collect_rollout(n_steps))
             episodes += tr.recent_episodes
-        expected = per_env_reference_rollout(small_trainer(**kwargs), 20)
+        ref = small_trainer(**kwargs)
+        expected = per_env_reference_rollout(ref, 20)
         for field in ("obs", "actions", "log_probs", "values", "rewards",
                       "dones"):
             got = np.concatenate([getattr(b, field) for b in bufs])
@@ -561,6 +563,41 @@ class TestBatchedRollout:
         assert len(episodes) == len(expected["episodes"]) == 9
         assert episode_bytes(episodes) == \
             episode_bytes(expected["episodes"])
+        assert rng_states(tr.env_rngs) == rng_states(ref.env_rngs)
+
+    @pytest.mark.parametrize("strategy,period,full_std", [
+        ("diagonal", 1, False), ("diagonal", 4, False), ("gsde", 1, False),
+        ("lattice", 1, False), ("lattice", 1, True)],
+        ids=["diagonal-1", "diagonal-4", "gsde-1", "lattice-1",
+             "lattice-1-full_std"])
+    def test_env_rngs_exact_at_rollout_boundaries(self, strategy, period,
+                                                  full_std, monkeypatch):
+        # the paths that draw a fixed width per env and step draw ahead,
+        # in pieces of one step, of a few steps or of the whole rollout:
+        # after each rollout every env rng is where n_steps step-by-step
+        # draws of that width leave it, and the actions do not depend on
+        # the pieces
+        ppo = dataclasses.replace(TINY_PPO, n_envs=3)
+        kwargs = dict(strategy=strategy, ppo=ppo, seed=6,
+                      cfg=LatticeConfig(period=period, full_std=full_std),
+                      env_kwargs={"max_steps": 6})
+        runs = []
+        for block in (exploration.BLOCK_NORMALS, 1, 100):
+            monkeypatch.setattr(exploration, "BLOCK_NORMALS", block)
+            tr = small_trainer(**kwargs)
+            width = tr.action_dim if strategy == "diagonal" \
+                else tr.policy.n_latent + tr.action_dim
+            actions = []
+            for n_steps in (9, 11):
+                ref = copy.deepcopy(tr.env_rngs)
+                actions.append(tr.collect_rollout(n_steps).actions)
+                for r in ref:
+                    for _ in range(n_steps):
+                        r.standard_normal(width)
+                assert rng_states(tr.env_rngs) == rng_states(ref)
+                assert tr.noise._ahead is None
+            runs.append(np.concatenate(actions).tobytes())
+        assert runs[1] == runs[0] == runs[2]
 
     def test_bad_action_row_changes_no_env_state_or_log(self, monkeypatch):
         tr = small_trainer(env_kwargs={"max_steps": 6})
@@ -573,6 +610,11 @@ class TestBatchedRollout:
                                                     tr.env_steps]
 
         before = snapshot()
+        # the step that raises has drawn its normals, and only those: each
+        # noise rng is where step-by-step drawing leaves it
+        drawn = copy.deepcopy(tr.env_rngs)
+        for r in drawn:
+            r.standard_normal(tr.policy.n_latent + tr.action_dim)
         sample = tr.noise.sample
 
         def nan_in_row_two(x, mean, params, step):
@@ -584,6 +626,8 @@ class TestBatchedRollout:
         with pytest.raises(NonFiniteAction):
             tr.collect_rollout(3)
         assert snapshot() == before
+        assert rng_states(tr.env_rngs) == rng_states(drawn)
+        assert tr.noise._ahead is None
 
 
 class TestPpoUpdate:
@@ -1165,7 +1209,7 @@ class TestBatchedEpisodes:
             np.testing.assert_allclose(actions[i], a, rtol=0, atol=1e-9)
             np.testing.assert_allclose(rewards[i], r, rtol=0, atol=1e-9)
             np.testing.assert_array_equal(solved[i], ok)
-            want = EpisodeMetrics.from_logs(r, ok, np.clip(a, 0.0, 1.0))
+            want = oracles.episode_metrics(r, ok, a)
             got = metrics["per_episode"][i]
             assert got["solved_fraction"] == want.solved_fraction
             assert got["reward"] == pytest.approx(want.cumulative_reward,
