@@ -5,7 +5,6 @@ from .envs import (
     EpisodeMetrics,
     FlexExtArm,
     PointReacher,
-    energy_of,
     make_env,
 )
 from .exploration import (

@@ -86,10 +86,9 @@ def collect_action_log(trainer: PPOTrainer, n_episodes: int,
             states.reshape(-1, trainer.obs_dim))
 
 
-def run_analysis(trainer: PPOTrainer, kind: str, out_dir: Path,
-                 seed: int = 0, episodes: int = 20,
-                 sigma_latent: float = 0.1, n_steps: int = 20_000,
-                 threshold: float = 0.9) -> dict:
+def run_analysis(trainer: PPOTrainer, kind: str, out_dir: Path, *,
+                 seed: int, episodes: int, sigma_latent: float,
+                 n_steps: int, threshold: float) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "dual-sim":
         env = make_env(trainer.env_name, seed=seed, **trainer.env_kwargs)

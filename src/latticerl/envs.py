@@ -40,14 +40,6 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 
-def energy_of(actions) -> float:
-    """Effort proxy: mean over steps of the mean squared activation."""
-    actions = np.asarray(actions, dtype=float)
-    if actions.size == 0:
-        return 0.0
-    return float(np.mean(actions * actions))
-
-
 def clipped_action(action, shape: tuple) -> np.ndarray:
     """The action clipped to [0, 1] after checking its shape and that every
     entry is finite; raises before anything is stepped."""
@@ -122,11 +114,8 @@ class FlexExtArm:
                  gain: float = 60.0, dt: float = 0.02, max_steps: int = 100,
                  solved_threshold: float = 0.175, target_range: float = 0.5,
                  seed: int | None = None):
-        if not all(is_int(n) and n >= 1 for n in (n_flexors, n_extensors)):
-            raise ValueError(
-                f"n_flexors and n_extensors must be integers >= 1, got "
-                f"n_flexors={n_flexors!r}, n_extensors={n_extensors!r}")
-        _check_params({"max_steps": max_steps},
+        _check_params({"n_flexors": n_flexors, "n_extensors": n_extensors,
+                       "max_steps": max_steps},
                       {"gain": gain, "dt": dt,
                        "solved_threshold": solved_threshold}, target_range)
         self.n_flexors = n_flexors

@@ -43,12 +43,12 @@ class NonFiniteLoss(LatticeError):
     update's statistics over the minibatches before it (empty if it was
     the first)."""
 
-    def __init__(self, message: str, epoch: int | None = None,
-                 start: int | None = None, last_stats: dict | None = None):
+    def __init__(self, message: str, epoch: int, start: int,
+                 last_stats: dict):
         super().__init__(message)
         self.epoch = epoch
         self.start = start
-        self.last_stats = dict(last_stats or {})
+        self.last_stats = dict(last_stats)
 
 
 class InsufficientSamples(LatticeError):

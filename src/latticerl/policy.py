@@ -128,12 +128,12 @@ class Mlp:
 
     The initial weights are drawn into params, a dict holding a view for
     each name of Mlp.shapes (a trainer passes the views of its flat
-    vector); without it the network lays out a flat vector of its own.
+    vector).
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hiddens,
-                 out_dim: int, activation: str = "relu", prefix: str = "",
-                 params: dict[str, np.ndarray] | None = None):
+                 out_dim: int, activation: str, prefix: str,
+                 params: dict[str, np.ndarray]):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.sizes = [in_dim, *hiddens, out_dim]
@@ -142,9 +142,6 @@ class Mlp:
         # (weight, bias) names per layer, the head last
         self._keys = [(f"{prefix}w{i}", f"{prefix}b{i}")
                       for i in range(len(self.sizes) - 1)]
-        if params is None:
-            _, params = flat_layout(self.shapes(in_dim, hiddens, out_dim,
-                                                prefix))
         self.params = params
         n_layers = len(self._keys)
         for i, (w_name, b_name) in enumerate(self._keys):
@@ -162,7 +159,7 @@ class Mlp:
 
     @staticmethod
     def shapes(in_dim: int, hiddens, out_dim: int,
-               prefix: str = "") -> dict[str, tuple]:
+               prefix: str) -> dict[str, tuple]:
         """Parameter shapes by name, in the order of the parameter dict."""
         sizes = [in_dim, *hiddens, out_dim]
         shapes = {}
@@ -234,24 +231,20 @@ class MlpPolicy:
     analysis.dual_sim_experiment.
 
     The noise parameters of the configured exploration strategy live in the
-    same parameter dict as the network weights; params, when given, holds a
-    view for each name of MlpPolicy.shapes, as for Mlp. cfg sets the noise
-    shapes and their initial log std only: the distribution reads every
-    other noise setting from the cfg given to dist_params.
+    same parameter dict as the network weights; params holds a view for
+    each name of MlpPolicy.shapes, as for Mlp. cfg sets the noise shapes
+    and their initial log std only: the distribution reads every other
+    noise setting from the cfg given to dist_params.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, cfg: LatticeConfig,
-                 strategy: str = "lattice", hiddens=(256, 256),
-                 activation: str = "relu", *, rng: np.random.Generator,
-                 params: dict[str, np.ndarray] | None = None):
+                 strategy: str, hiddens, activation: str, *,
+                 rng: np.random.Generator, params: dict[str, np.ndarray]):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
-        self.obs_dim = obs_dim
         self.action_dim = action_dim
         shapes = self.shapes(obs_dim, action_dim, cfg, strategy, hiddens)
-        if params is None:
-            _, params = flat_layout(shapes)
         self.params = params
         # the network shares the dict; the other names are the log-stds
         self.net = Mlp(rng, obs_dim, hiddens, action_dim, activation, "pi.",
@@ -262,7 +255,7 @@ class MlpPolicy:
 
     @staticmethod
     def shapes(obs_dim: int, action_dim: int, cfg: LatticeConfig,
-               strategy: str, hiddens=(256, 256)) -> dict[str, tuple]:
+               strategy: str, hiddens) -> dict[str, tuple]:
         """Parameter shapes by name: the network's, then the noise's. A
         reduced (1, N_x) log-std ties a column's std across rows; full_std
         stores one per matrix element. No other code reads cfg.full_std."""
@@ -313,8 +306,9 @@ class MlpPolicy:
 class DistParams:
     """The parameter-only part of the action distribution: everything
     dist_internals and NoiseSampler derive from the parameters alone, with
-    alpha, the one value of the model derived from the strategy, and the
-    regularizer gamma. Its stds are the only ones derived from the
+    alpha, the one value of the model derived from the strategy, the
+    regularizer gamma and the stop_variance_gradient switch that
+    policy_backward reads. Its stds are the only ones derived from the
     learnable log-stds: dist_params rescales those by the latent width and
     clips their exp.
 
@@ -329,6 +323,9 @@ class DistParams:
     alpha: float = 0.0
     # the covariance's diagonal regularizer, cfg.gamma (lattice / gsde)
     gamma: float = 0.0
+    # cfg.stop_variance_gradient (lattice / gsde): the backward leaves the
+    # network out of the covariance's gradient
+    stop_variance_gradient: bool = False
     # lattice / gsde fields, in the stored shape (R, N_x) of their log-std:
     # R = 1 for the reduced (1, N_x) shape, whose single row stands for
     # every row of the full matrix, or N_a / N_x with full stds
@@ -371,8 +368,8 @@ class DistInternals:
     built from.
 
     The latent x stored here is the exact array consumed by the sampling
-    path, so the rollout and training code never recompute it. The c_a /
-    c_x seeds keep the stored row count R of params.sa2 / params.sx2.
+    path, so the rollout and training code never recompute it. c_x keeps
+    the stored row count R of params.sx2.
 
     With reduced stds every row's covariance is
     Sigma_b = (c_a,b + gamma) I + alpha^2 c_x,b W W^T, so all rows share the
@@ -389,7 +386,6 @@ class DistInternals:
     params: DistParams
     # lattice / gsde fields
     x2: np.ndarray | None = None        # (B, N_x) = x * x
-    c_a: np.ndarray | None = None       # (B, R_a) = x2 @ params.sa2.T
     c_x: np.ndarray | None = None       # (B, R_x) = x2 @ params.sx2.T
     log_det: np.ndarray | None = None   # (B,)
     # reduced stds: eigenvalues of Sigma_b
@@ -455,7 +451,7 @@ def dist_params(policy: MlpPolicy, cfg: LatticeConfig) -> DistParams:
     p = DistParams(
         kind=policy.strategy,
         alpha=0.0 if policy.strategy == "gsde" else cfg.alpha,
-        gamma=cfg.gamma,
+        gamma=cfg.gamma, stop_variance_gradient=cfg.stop_variance_gradient,
         mask_a=((sd_a > cfg.std_min) & (sd_a < cfg.std_max)).astype(float),
         mask_x=((sd_x > cfg.std_min) & (sd_x < cfg.std_max)).astype(float),
         sa2=s_a * s_a, sx2=s_x * s_x, log_a=log_a, log_x=log_x, sd_a=sd_a,
@@ -498,7 +494,7 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
                 "batched action covariance is singular; check gamma and the "
                 "latent state")
         return DistInternals(x=x, mean=mean, cache=cache, params=params,
-                             x2=x2, c_a=c_a, c_x=c_x,
+                             x2=x2, c_x=c_x,
                              log_det=np.add.reduce(np.log(eig), axis=1),
                              eig=eig)
     cov = ((alpha * alpha) * (c_x @ params.k_x)).reshape(-1, n_a, n_a)
@@ -512,12 +508,12 @@ def dist_internals(policy: MlpPolicy, obs: np.ndarray, cfg: LatticeConfig,
             "latent state") from exc
     log_det = 2.0 * np.add.reduce(np.log(chol[:, idx, idx]), axis=1)
     return DistInternals(x=x, mean=mean, cache=cache, params=params,
-                         x2=x2, c_a=c_a, c_x=c_x, log_det=log_det,
+                         x2=x2, c_x=c_x, log_det=log_det,
                          full_cov=cov,
                          full_chol=chol, full_inv=np.linalg.inv(cov))
 
 
-def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
+def _variance_backward(policy: MlpPolicy, it: DistInternals,
                        tape: GradientTape, half_inv: np.ndarray,
                        half_pg: np.ndarray,
                        u: np.ndarray) -> np.ndarray | None:
@@ -527,7 +523,7 @@ def _variance_backward(policy: MlpPolicy, it: DistInternals, cfg: LatticeConfig,
     returns the latent seed d_latent, or None when it vanishes."""
     p = it.params
     alpha2 = p.alpha * p.alpha
-    flow = not cfg.stop_variance_gradient
+    flow = not p.stop_variance_gradient
     add = np.add.reduce
     if it.eig is not None:
         # in the shared eigenbasis: tr wG_b and <wG_b, W W^T> from |u|^2,
@@ -606,9 +602,8 @@ def log_prob(it: DistInternals, actions: np.ndarray) -> np.ndarray:
     return log_prob_terms(it, actions)[0]
 
 
-def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
-                    tape: GradientTape, it: DistInternals, terms: tuple,
-                    w_pg: np.ndarray, w_ent: np.ndarray):
+def policy_backward(policy: MlpPolicy, tape: GradientTape, it: DistInternals,
+                    terms: tuple, w_pg: np.ndarray, w_ent: np.ndarray):
     """Accumulate sum_b w_pg[b] dlogp_b/dtheta + w_ent[b] dH_b/dtheta, where
     terms = log_prob_terms(...) of the same internals.
 
@@ -616,9 +611,9 @@ def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
     covariance seed wG = w_pg (u u^T - Sigma^-1) / 2 + w_ent Sigma^-1 / 2,
     so the covariance and the network are each differentiated once.
 
-    With stop_variance_gradient set, the variance-path contributions into the
-    network weights are suppressed while the log-std matrices still receive
-    gradients.
+    With it.params.stop_variance_gradient set, the variance-path
+    contributions into the network weights are suppressed while the log-std
+    matrices still receive gradients.
     """
     if it.cache is None:
         raise ValueError("internals were built without a forward cache")
@@ -632,7 +627,7 @@ def policy_backward(policy: MlpPolicy, cfg: LatticeConfig,
         d_latent = None
     else:
         half_pg = 0.5 * w_pg
-        d_latent = _variance_backward(policy, it, cfg, tape,
+        d_latent = _variance_backward(policy, it, tape,
                                       0.5 * w_ent - half_pg, half_pg, u)
     policy.net.backward(it.cache, -(w_pg[:, None] * u), tape,
                         d_latent=d_latent)
@@ -647,7 +642,7 @@ def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
     terms = log_prob_terms(it, actions)
     w = np.ones(len(terms[0])) if weights is None \
         else np.asarray(weights, float)
-    policy_backward(policy, cfg, tape, it, terms, w, np.zeros_like(w))
+    policy_backward(policy, tape, it, terms, w, np.zeros_like(w))
     return terms[0]
 
 
@@ -659,13 +654,13 @@ def entropy_batch(it: DistInternals) -> np.ndarray:
     return 0.5 * n_a * (LOG_2PI + 1.0) + 0.5 * it.log_det
 
 
-def entropy_and_grad(policy: MlpPolicy, cfg: LatticeConfig,
-                     tape: GradientTape, it: DistInternals,
+def entropy_and_grad(policy: MlpPolicy, tape: GradientTape, it: DistInternals,
                      weights: np.ndarray | None = None) -> np.ndarray:
     """Batched entropy; accumulates sum_b w_b dH_b/dtheta into the tape
-    (policy_backward with a zero log-prob weight, at the mean actions)."""
+    (policy_backward with a zero log-prob weight, at the mean actions),
+    under the stop_variance_gradient of it.params."""
     h = entropy_batch(it)
     w = np.ones(len(h)) if weights is None else np.asarray(weights, float)
-    policy_backward(policy, cfg, tape, it, log_prob_terms(it, it.mean),
+    policy_backward(policy, tape, it, log_prob_terms(it, it.mean),
                     np.zeros_like(w), w)
     return h

@@ -360,8 +360,7 @@ class PPOTrainer:
                 inactive = (pos_e[rows] & (ratio > hi)) | \
                            (neg_e[rows] & (ratio < lo))
                 w_pg = np.where(inactive, 0.0, -ratio_adv / b)
-                policy_backward(self.policy, self.cfg, tape, it, terms, w_pg,
-                                w_ents[b])
+                policy_backward(self.policy, tape, it, terms, w_pg, w_ents[b])
                 # value loss
                 _, v_out, v_cache = self.value_net.forward(obs_b,
                                                            need_cache=True)

@@ -1,14 +1,17 @@
-"""Shared test helpers: finite differences, a constant-observation env and
-the committed schema-1 checkpoint."""
+"""Shared test helpers: networks in a layout of their own, finite
+differences, a constant-observation env and the committed schema-1
+checkpoint."""
 
 import base64
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latticerl.exploration import LatticeConfig
-from latticerl.policy import GradientTape, MlpPolicy, dist_internals
+from latticerl.policy import (GradientTape, MlpPolicy, dist_internals,
+                              flat_layout)
 from latticerl.trainer import PpoConfig, PPOTrainer
 
 SCHEMA1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_schema1.json"
@@ -33,6 +36,17 @@ def schema1_reference_trainer() -> PPOTrainer:
     tr.env_steps = 1234
     tr.updates = 5
     return tr
+
+
+def own_layout(cls, *args, **kwargs):
+    """cls(*args, **kwargs) for cls Mlp or MlpPolicy, its params the views
+    of a flat_layout of its own cls.shapes, where PPOTrainer passes views
+    of its one layout for both networks."""
+    bound = inspect.signature(cls).bind(*args, **kwargs, params=None)
+    shape_args = {k: bound.arguments[k]
+                  for k in inspect.signature(cls.shapes).parameters}
+    _, bound.arguments["params"] = flat_layout(cls.shapes(**shape_args))
+    return cls(*bound.args, **bound.kwargs)
 
 
 def f8_entry(arr) -> dict:
@@ -151,8 +165,9 @@ def small_policy_factory():
              hiddens=(5, 4), activation="tanh", seed=0):
         cfg = cfg if cfg is not None else LatticeConfig(alpha=1.0)
         rng = np.random.default_rng(seed)
-        policy = MlpPolicy(obs_dim, action_dim, cfg, strategy=strategy,
-                           hiddens=hiddens, activation=activation, rng=rng)
+        policy = own_layout(MlpPolicy, obs_dim, action_dim, cfg,
+                            strategy=strategy, hiddens=hiddens,
+                            activation=activation, rng=rng)
         return policy, cfg
 
     return make

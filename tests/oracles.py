@@ -37,7 +37,7 @@ from scipy.linalg import solve_triangular
 
 from latticerl.analysis import DualSimCondition
 from latticerl.buffer import compute_gae
-from latticerl.envs import EpisodeMetrics, clipped_action, energy_of, make_env
+from latticerl.envs import EpisodeMetrics, clipped_action, make_env
 from latticerl.errors import (
     DimensionMismatch,
     NonFiniteLoss,
@@ -313,6 +313,14 @@ def accel_of(env, action):
     return env.advance(s, clipped_action(action, (env.action_dim,)))[2]
 
 
+def energy_of(actions) -> float:
+    """Effort proxy: mean over steps of the mean squared activation."""
+    actions = np.asarray(actions, dtype=float)
+    if actions.size == 0:
+        return 0.0
+    return float(np.mean(actions * actions))
+
+
 def episode_metrics(rewards, solved_flags, actions) -> EpisodeMetrics:
     """Metrics of one episode from its per-step logs: solved fraction
     over its len(rewards) steps, energy of the actions the env applied,
@@ -510,8 +518,7 @@ def ppo_update_reference(trainer, buffer) -> dict:
                        ((adv < 0) & (ratio < 1.0 - eps))
             w_pg = np.where(inactive, 0.0, -ratio_adv / b)
             w_ent = np.full(b, -trainer.ppo.entropy_coef / b)
-            policy_backward(trainer.policy, trainer.cfg, tape, it, terms,
-                            w_pg, w_ent)
+            policy_backward(trainer.policy, tape, it, terms, w_pg, w_ent)
             # value loss
             _, v_out, v_cache = trainer.value_net.forward(obs_b,
                                                           need_cache=True)

@@ -23,7 +23,7 @@ from latticerl.exploration import (
 from latticerl.policy import LOG_2PI, MlpPolicy
 from latticerl.trainer import PpoConfig, PPOTrainer, evaluate_policy
 
-from conftest import ConstantObsEnv, logp_gradient_check
+from conftest import ConstantObsEnv, logp_gradient_check, own_layout
 from oracles import (
     LogStds,
     accel_of,
@@ -331,9 +331,10 @@ def test_criterion_07_gradient_fidelity():
                                 full_std=bool(rng.integers(0, 2)))
             obs_dim = int(rng.integers(2, 4))
             action_dim = int(rng.integers(2, 4))
-            policy = MlpPolicy(obs_dim, action_dim, cfg, strategy="lattice",
-                               hiddens=(4, 3), activation="tanh",
-                               rng=np.random.default_rng(1000 + i))
+            policy = own_layout(MlpPolicy, obs_dim, action_dim, cfg,
+                                strategy="lattice", hiddens=(4, 3),
+                                activation="tanh",
+                                rng=np.random.default_rng(1000 + i))
             obs = rng.standard_normal((3, obs_dim))
             actions = rng.standard_normal((3, action_dim)) * 0.5
             worst = max(worst,

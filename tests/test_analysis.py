@@ -24,15 +24,16 @@ from latticerl.exploration import LatticeConfig, resample_perturbations
 from latticerl.policy import MlpPolicy, dist_internals
 
 import oracles
-from conftest import LinearArmPolicy
+from conftest import LinearArmPolicy, own_layout
 
 
 def lattice_policy(seed=0, obs_dim=2, action_dim=4, hiddens=(6, 5),
                    cfg=None):
     cfg = cfg or LatticeConfig(alpha=1.0)
     rng = np.random.default_rng(seed)
-    return MlpPolicy(obs_dim, action_dim, cfg, strategy="lattice",
-                     hiddens=hiddens, rng=rng), cfg
+    return own_layout(MlpPolicy, obs_dim, action_dim, cfg,
+                      strategy="lattice", hiddens=hiddens, activation="relu",
+                      rng=rng), cfg
 
 
 class RowByRowAdapter:
@@ -499,8 +500,9 @@ class TestNoiseAllocation:
     def test_symmetric_split(self):
         # two actuators with identical rows of W share the noise equally
         cfg = LatticeConfig(alpha=1.0)
-        policy = MlpPolicy(2, 2, cfg, strategy="lattice", hiddens=(4,),
-                           rng=np.random.default_rng(19))
+        policy = own_layout(MlpPolicy, 2, 2, cfg, strategy="lattice",
+                            hiddens=(4,), activation="relu",
+                            rng=np.random.default_rng(19))
         W = policy.params[policy.net.head_w_name]
         W[1] = W[0]
         states = np.random.default_rng(20).standard_normal((10, 2))
@@ -523,8 +525,9 @@ class TestNoiseAllocation:
 
     def test_diagonal_strategy(self):
         cfg = LatticeConfig()
-        policy = MlpPolicy(2, 3, cfg, strategy="diagonal", hiddens=(4,),
-                           rng=np.random.default_rng(23))
+        policy = own_layout(MlpPolicy, 2, 3, cfg, strategy="diagonal",
+                            hiddens=(4,), activation="relu",
+                            rng=np.random.default_rng(23))
         policy.params["log_sigma"][...] = np.log([1.0, 2.0, 1.0])
         states = np.zeros((3, 2))
         out = noise_allocation(policy, states,

@@ -13,6 +13,7 @@ from latticerl import cli
 from latticerl.analysis import analytic_latent_noise_cov
 from latticerl.cli import (
     ANALYSIS_KINDS,
+    build_parser,
     collect_action_log,
     main,
     run_analysis,
@@ -142,16 +143,27 @@ def trained(tmp_path_factory):
     return train_and_load(tmp_path_factory.mktemp("cli") / "run")
 
 
+def analyze(trainer, kind, out_dir, **options):
+    """run_analysis with the analyze subcommand's defaults for the options
+    not given."""
+    args = build_parser().parse_args(
+        ["analyze", "--checkpoint", "unused", "--analysis", "pca"])
+    defaults = dict(seed=args.seed, episodes=args.episodes,
+                    sigma_latent=args.sigma_latent, n_steps=args.steps,
+                    threshold=args.threshold)
+    return run_analysis(trainer, kind, out_dir, **{**defaults, **options})
+
+
 class TestAnalyze:
     def test_dual_sim(self, trained, tmp_path):
-        summary = run_analysis(trained, "dual-sim", tmp_path, seed=0,
-                               n_steps=500)
+        summary = analyze(trained, "dual-sim", tmp_path, seed=0,
+                          n_steps=500)
         assert np.isfinite(summary["accel_variance_ratio"])
         assert (tmp_path / "dual_sim.json").is_file()
 
     def test_covariance_roundtrip(self, trained, tmp_path):
-        summary = run_analysis(trained, "covariance", tmp_path, seed=0,
-                               episodes=3)
+        summary = analyze(trained, "covariance", tmp_path, seed=0,
+                          episodes=3)
         emp = read_matrix_csv(tmp_path / "empirical_cov.csv")
         assert emp.shape == (6, 6)
         saved = read_json(tmp_path / "covariance.json")
@@ -162,7 +174,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("strategy", ["lattice", "gsde"])
     def test_analytic_noise_cov_csv(self, strategy, tmp_path):
         trainer = train_and_load(tmp_path / "run", strategy=strategy)
-        run_analysis(trainer, "covariance", tmp_path, seed=3, episodes=2)
+        analyze(trainer, "covariance", tmp_path, seed=3, episodes=2)
         _, states = collect_action_log(trainer, 2, 3)
         expected = analytic_latent_noise_cov(trainer.policy, states,
                                              trainer.cfg)
@@ -171,32 +183,32 @@ class TestAnalyze:
 
     def test_diagonal_writes_no_analytic_noise_cov(self, tmp_path):
         trainer = train_and_load(tmp_path / "run", strategy="diagonal")
-        run_analysis(trainer, "covariance", tmp_path, seed=3, episodes=2)
+        analyze(trainer, "covariance", tmp_path, seed=3, episodes=2)
         assert (tmp_path / "empirical_cov.csv").is_file()
         assert not (tmp_path / "analytic_noise_cov.csv").exists()
 
     def test_pca(self, trained, tmp_path):
-        summary = run_analysis(trained, "pca", tmp_path, seed=0, episodes=2,
-                               threshold=0.9)
+        summary = analyze(trained, "pca", tmp_path, seed=0, episodes=2,
+                          threshold=0.9)
         assert summary["component_count"] >= 1
         assert isinstance(summary["component_count"], int)
 
     def test_allocation(self, trained, tmp_path):
-        summary = run_analysis(trained, "allocation", tmp_path, seed=0,
-                               episodes=2)
+        summary = analyze(trained, "allocation", tmp_path, seed=0,
+                          episodes=2)
         fractions = summary["fractions"]
         assert set(fractions) == {"extensors", "flexors"}
         assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_energy(self, trained, tmp_path):
-        summary = run_analysis(trained, "energy", tmp_path, seed=0,
-                               episodes=3)
+        summary = analyze(trained, "energy", tmp_path, seed=0,
+                          episodes=3)
         assert summary["energy"]["mean"] >= 0.0
         assert len(summary["per_episode_energy"]) == 3
 
     def test_unknown_kind(self, trained, tmp_path):
         with pytest.raises(UnknownAnalysisKind):
-            run_analysis(trained, "tsne", tmp_path)
+            analyze(trained, "tsne", tmp_path)
 
 
 class TestMainEntry:

@@ -16,7 +16,6 @@ from latticerl.envs import (
     PointReacher,
     _group_mean,
     clipped_action,
-    energy_of,
     make_env,
 )
 from latticerl.errors import DimensionMismatch, NonFiniteAction
@@ -24,6 +23,7 @@ from latticerl.errors import DimensionMismatch, NonFiniteAction
 from conftest import linear_ideal_policy
 from oracles import (
     accel_of,
+    energy_of,
     episode_metrics,
     get_state,
     reward_bounds,
@@ -226,7 +226,9 @@ class TestFlexExtArm:
     @pytest.mark.parametrize("kwargs", [
         {"n_flexors": 0}, {"n_extensors": 0}, {"n_flexors": -2}])
     def test_rejects_empty_group(self, kwargs):
-        with pytest.raises(ValueError, match="n_flexors and n_extensors"):
+        [(name, value)] = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be an integer "
+                                             f">= 1, got {value}$"):
             FlexExtArm(**kwargs)
 
     def test_actuator_groups(self):

@@ -21,7 +21,7 @@ from latticerl.exploration import (
 )
 from latticerl.policy import MlpPolicy, dist_params
 
-from conftest import rng_states
+from conftest import own_layout, rng_states
 from oracles import (
     LogStds,
     action_distribution,
@@ -46,8 +46,9 @@ def std_policy(n_latent, n_actions=2, log_std=None, **cfg_kwargs):
     """A lattice policy of latent width n_latent and its cfg, with the
     log-stds set to log_std (broadcast) when given."""
     cfg = LatticeConfig(**cfg_kwargs)
-    policy = MlpPolicy(2, n_actions, cfg, hiddens=(n_latent,),
-                       rng=np.random.default_rng(0))
+    policy = own_layout(MlpPolicy, 2, n_actions, cfg, strategy="lattice",
+                        hiddens=(n_latent,), activation="relu",
+                        rng=np.random.default_rng(0))
     if log_std is not None:
         for k in ("log_std_x", "log_std_a"):
             policy.params[k][...] = log_std
@@ -237,7 +238,8 @@ def window_sampler(period=4, n_envs=3, full_std=False, alpha=0.8):
     arguments give equal policies and rng states."""
     cfg = LatticeConfig(alpha=alpha, period=period, full_std=full_std)
     rng = np.random.default_rng(0)
-    policy = MlpPolicy(2, N_A, cfg, hiddens=(N_X,), rng=rng)
+    policy = own_layout(MlpPolicy, 2, N_A, cfg, strategy="lattice",
+                        hiddens=(N_X,), activation="relu", rng=rng)
     for k in ("log_std_x", "log_std_a"):
         policy.params[k][...] = rng.normal(0.0, 0.5, policy.params[k].shape)
     return NoiseSampler(policy, cfg, [np.random.default_rng(100 + i)
@@ -547,8 +549,9 @@ class TestStoredStdLayout:
         # a full-std head stores (N_x, N_x) and (N_a, N_x) log-stds, one
         # row each only at N_x = N_a = 1
         cfg = LatticeConfig(full_std=True)
-        policy = MlpPolicy(2, n_a, cfg, hiddens=(n_x,),
-                           rng=np.random.default_rng(0))
+        policy = own_layout(MlpPolicy, 2, n_a, cfg, strategy="lattice",
+                            hiddens=(n_x,), activation="relu",
+                            rng=np.random.default_rng(0))
         assert policy.reduced_std is reduced
         assert (dist_params(policy, cfg).basis is not None) is reduced
 

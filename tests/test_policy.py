@@ -31,14 +31,16 @@ from latticerl.policy import (
     policy_backward,
 )
 
-from conftest import finite_difference, logp_gradient_check, relative_error
+from conftest import (finite_difference, logp_gradient_check, own_layout,
+                      relative_error)
 import oracles
 from oracles import LogStds, distribution_std, lattice_covariance
 
 
 class TestMlpForward:
     def test_zero_weights(self):
-        net = Mlp(np.random.default_rng(0), 3, (4,), 2)
+        net = own_layout(Mlp, np.random.default_rng(0), 3, (4,), 2,
+                         activation="relu", prefix="")
         for v in net.params.values():
             v[...] = 0.0
         x, out = net.forward(np.array([[1.0, -2.0, 0.5]]))
@@ -46,7 +48,8 @@ class TestMlpForward:
         np.testing.assert_array_equal(out, 0.0)
 
     def test_relu_gating(self):
-        net = Mlp(np.random.default_rng(0), 2, (2,), 2, activation="relu")
+        net = own_layout(Mlp, np.random.default_rng(0), 2, (2,), 2,
+                         activation="relu", prefix="")
         net.params["w0"][...] = np.eye(2)
         net.params["b0"][...] = 0.0
         net.params["w1"][...] = np.eye(2)
@@ -57,7 +60,8 @@ class TestMlpForward:
 
     def test_duplicate_forward_oracle(self):
         rng = np.random.default_rng(1)
-        net = Mlp(rng, 3, (5, 4), 2, activation="tanh")
+        net = own_layout(Mlp, rng, 3, (5, 4), 2, activation="tanh",
+                         prefix="")
         obs = rng.standard_normal((7, 3))
         x, out = net.forward(obs)
         # straight-line reimplementation
@@ -77,7 +81,8 @@ class TestMlpForward:
         # two backward calls, one with a latent seed, accumulating into one
         # tape
         rng = np.random.default_rng(17)
-        net = Mlp(rng, 5, hiddens, 3, activation=activation, prefix="v.")
+        net = own_layout(Mlp, rng, 5, hiddens, 3, activation=activation,
+                         prefix="v.")
         for k in net.params:
             if k.startswith("v.b"):
                 net.params[k][...] = rng.standard_normal(net.params[k].shape)
@@ -99,12 +104,14 @@ class TestMlpForward:
             assert tape.grads[k].tobytes() == ref[k].tobytes(), k
 
     def test_input_width_check(self):
-        net = Mlp(np.random.default_rng(2), 3, (4,), 2)
+        net = own_layout(Mlp, np.random.default_rng(2), 3, (4,), 2,
+                         activation="relu", prefix="")
         with pytest.raises(DimensionMismatch):
             net.forward(np.zeros((1, 5)))
 
     def test_param_count_closed_form(self):
-        net = Mlp(np.random.default_rng(3), 6, (10, 7), 4)
+        net = own_layout(Mlp, np.random.default_rng(3), 6, (10, 7), 4,
+                         activation="relu", prefix="")
         expected = (6 * 10 + 10) + (10 * 7 + 7) + (7 * 4 + 4)
         assert sum(v.size for v in net.params.values()) == expected
 
@@ -134,8 +141,9 @@ class TestMlpForward:
         cfg = LatticeConfig(full_std=full_std, init_log_std=-0.5)
         shapes = MlpPolicy.shapes(5, 3, cfg, strategy, (6, 4))
         assert shapes == {**Mlp.shapes(5, (6, 4), 3, "pi."), **noise_shapes}
-        policy = MlpPolicy(5, 3, cfg, strategy=strategy, hiddens=(6, 4),
-                           rng=np.random.default_rng(0))
+        policy = own_layout(MlpPolicy, 5, 3, cfg, strategy=strategy,
+                            hiddens=(6, 4), activation="relu",
+                            rng=np.random.default_rng(0))
         assert policy.net.params is policy.params
         assert {k: v.shape for k, v in policy.params.items()} == shapes
         for k in noise_shapes:
@@ -216,8 +224,8 @@ class TestCovarianceAlgebra:
         cfg = LatticeConfig(alpha=alpha, gamma=10.0 ** log_gamma,
                             full_std=full_std, init_log_std=-0.5)
         rng = np.random.default_rng(seed)
-        policy = MlpPolicy(3, n_a, cfg, hiddens=(n_x,), activation="tanh",
-                           rng=rng)
+        policy = own_layout(MlpPolicy, 3, n_a, cfg, strategy="lattice",
+                            hiddens=(n_x,), activation="tanh", rng=rng)
         for name in ("log_std_x", "log_std_a"):
             policy.params[name] += rng.normal(0.0, 0.5,
                                               policy.params[name].shape)
@@ -244,8 +252,9 @@ class TestCovarianceAlgebra:
         # relu hidden layers with zero biases map obs = 0 to the zero latent,
         # where Sigma = gamma I
         cfg = LatticeConfig(alpha=1.0, gamma=0.0, full_std=full_std)
-        policy = MlpPolicy(3, 4, cfg, hiddens=(5,), activation="relu",
-                           rng=np.random.default_rng(61))
+        policy = own_layout(MlpPolicy, 3, 4, cfg, strategy="lattice",
+                            hiddens=(5,), activation="relu",
+                            rng=np.random.default_rng(61))
         with pytest.raises(NotPositiveDefinite):
             dist_internals(policy, np.zeros((2, 3)), cfg)
         with pytest.raises(NotPositiveDefinite):
@@ -258,8 +267,9 @@ class TestCovarianceAlgebra:
     def test_given_params_build_the_same_internals(self, strategy, full_std):
         # with stds clipped at both ends, so the masks are not all ones
         cfg = LatticeConfig(alpha=0.7, full_std=full_std)
-        policy = MlpPolicy(3, 4, cfg, strategy=strategy, hiddens=(6, 5),
-                           rng=np.random.default_rng(64))
+        policy = own_layout(MlpPolicy, 3, 4, cfg, strategy=strategy,
+                            hiddens=(6, 5), activation="relu",
+                            rng=np.random.default_rng(64))
         rng = np.random.default_rng(65)
         for k in ("log_std_x", "log_std_a", "log_sigma"):
             if k in policy.params:
@@ -297,8 +307,9 @@ class TestCovarianceAlgebra:
         # given params, the covariance takes gamma from them, as it takes
         # alpha and the stds, not from the cfg passed beside them
         cfg = LatticeConfig(alpha=0.7, gamma=1e-3, full_std=full_std)
-        policy = MlpPolicy(3, 4, cfg, hiddens=(6, 5),
-                           rng=np.random.default_rng(66))
+        policy = own_layout(MlpPolicy, 3, 4, cfg, strategy="lattice",
+                            hiddens=(6, 5), activation="relu",
+                            rng=np.random.default_rng(66))
         obs = np.random.default_rng(67).standard_normal((7, 3))
         want = dist_internals(policy, obs, cfg)
         got = dist_internals(policy, obs, dataclasses.replace(cfg, gamma=0.5),
@@ -321,8 +332,9 @@ class TestCovarianceAlgebra:
         # N_a = 5 > N_x = 2: W W^T has three zero eigenvalues, which eigh
         # may return a rounding error below zero; c_a > 0 keeps Sigma regular
         cfg = LatticeConfig(alpha=1.0, gamma=0.0)
-        policy = MlpPolicy(3, 5, cfg, hiddens=(2,), activation="tanh",
-                           rng=np.random.default_rng(62))
+        policy = own_layout(MlpPolicy, 3, 5, cfg, strategy="lattice",
+                            hiddens=(2,), activation="tanh",
+                            rng=np.random.default_rng(62))
         obs = np.random.default_rng(63).standard_normal((4, 3))
         it = dist_internals(policy, obs, cfg)
         assert np.max(np.abs(it.params.lam[:3])) < 1e-12
@@ -339,8 +351,9 @@ class TestCovarianceAlgebra:
         # (B, N_a, N_a) covariance is built only when read, while one
         # (B, N_a, N_x) temporary would add 32 MiB
         cfg = LatticeConfig(alpha=1.0)
-        policy = MlpPolicy(4, 8, cfg, hiddens=(256, 256),
-                           rng=np.random.default_rng(0))
+        policy = own_layout(MlpPolicy, 4, 8, cfg, strategy="lattice",
+                            hiddens=(256, 256), activation="relu",
+                            rng=np.random.default_rng(0))
         obs = np.random.default_rng(1).standard_normal((2048, 4))
         tracemalloc.start()
         try:
@@ -438,10 +451,33 @@ class TestLogProbGradients:
         rng = np.random.default_rng(9)
         obs = rng.standard_normal((3, 3))
         actions = rng.standard_normal((3, 2))
-        tape_flow = GradientTape(policy.params)
-        log_prob_and_grad(policy, obs, actions, cfg_flow, tape_flow)
-        tape_stop = GradientTape(policy.params)
-        log_prob_and_grad(policy, obs, actions, cfg_stop, tape_stop)
+        w_ent = rng.standard_normal(3)
+        tapes, ent_tapes = {}, {}
+        for cfg in (cfg_flow, cfg_stop):
+            # the switch travels with the internals built under cfg: the
+            # backward takes no cfg and reads it from it.params
+            stop = cfg.stop_variance_gradient
+            assert dist_params(policy, cfg).stop_variance_gradient is stop
+            it = dist_internals(policy, obs, cfg, need_cache=True)
+            assert it.params.stop_variance_gradient is stop
+            tapes[stop] = GradientTape(policy.params)
+            log_prob_and_grad(policy, obs, actions, cfg, tapes[stop])
+            direct = GradientTape(policy.params)
+            policy_backward(policy, direct, it, log_prob_terms(it, actions),
+                            np.ones(3), np.zeros(3))
+            assert direct.flat.tobytes() == tapes[stop].flat.tobytes()
+            ent_tapes[stop] = GradientTape(policy.params)
+            entropy_and_grad(policy, ent_tapes[stop], it, weights=w_ent)
+        tape_flow, tape_stop = tapes[False], tapes[True]
+        # the entropy has no mean dependence: under the stop flag the
+        # network gets none of its gradient, the log-stds all of it
+        for name, got in ent_tapes[True].grads.items():
+            if name.startswith("log_std"):
+                assert got.tobytes() == \
+                    ent_tapes[False].grads[name].tobytes(), name
+            else:
+                np.testing.assert_array_equal(got, 0.0)
+        assert np.any(ent_tapes[False].grads["pi.w0"] != 0.0)
         # log-std matrices keep their gradients under the stop flag
         for name in ("log_std_x", "log_std_a"):
             np.testing.assert_allclose(tape_stop.grads[name],
@@ -488,8 +524,9 @@ class TestAlphaFromCfg:
     def _policy(full_std, strategy="lattice"):
         built = LatticeConfig(alpha=1.0, full_std=full_std,
                               init_log_std=-0.3)
-        policy = MlpPolicy(3, 3, built, strategy=strategy, hiddens=(5, 4),
-                           activation="tanh", rng=np.random.default_rng(71))
+        policy = own_layout(MlpPolicy, 3, 3, built, strategy=strategy,
+                            hiddens=(5, 4), activation="tanh",
+                            rng=np.random.default_rng(71))
         rng = np.random.default_rng(72)
         for name in ("log_std_x", "log_std_a"):
             policy.params[name] += rng.normal(0.0, 0.3,
@@ -574,7 +611,7 @@ class TestEntropy:
         obs = np.random.default_rng(19).standard_normal((2, 3))
         tape = GradientTape(policy.params)
         it = dist_internals(policy, obs, cfg, need_cache=True)
-        entropy_and_grad(policy, cfg, tape, it)
+        entropy_and_grad(policy, tape, it)
         worst = 0.0
         for name, arr in policy.params.items():
             is_noise = name in ("log_std_x", "log_std_a", "log_sigma")
@@ -636,12 +673,12 @@ class TestMergedBackward:
             case, small_policy_factory)
         it = dist_internals(policy, obs, cfg, need_cache=True)
         merged = GradientTape(policy.params)
-        policy_backward(policy, cfg, merged, it, w_pg=w_pg, w_ent=w_ent,
+        policy_backward(policy, merged, it, w_pg=w_pg, w_ent=w_ent,
                         terms=log_prob_terms(it, actions))
         tape_pg = GradientTape(policy.params)
         log_prob_and_grad(policy, obs, actions, cfg, tape_pg, weights=w_pg)
         tape_ent = GradientTape(policy.params)
-        entropy_and_grad(policy, cfg, tape_ent, it, weights=w_ent)
+        entropy_and_grad(policy, tape_ent, it, weights=w_ent)
         for k in policy.params:
             expected = tape_pg.grads[k] + tape_ent.grads[k]
             if case["strategy"] == "diagonal":
@@ -657,7 +694,7 @@ class TestMergedBackward:
             case, small_policy_factory)
         it = dist_internals(policy, obs, cfg, need_cache=True)
         tape = GradientTape(policy.params)
-        policy_backward(policy, cfg, tape, it, w_pg=w_pg, w_ent=w_ent,
+        policy_backward(policy, tape, it, w_pg=w_pg, w_ent=w_ent,
                         terms=log_prob_terms(it, actions))
 
         def objective():
@@ -733,8 +770,11 @@ class TestGradientTape:
     @staticmethod
     def wide_tape(rng) -> GradientTape:
         """A tape of the wide (256x256) lattice layout."""
-        policy = MlpPolicy(9, 8, LatticeConfig(), hiddens=(256, 256), rng=rng)
-        value = Mlp(rng, 9, (256, 256), 1, prefix="v.")
+        policy = own_layout(MlpPolicy, 9, 8, LatticeConfig(),
+                            strategy="lattice", hiddens=(256, 256),
+                            activation="relu", rng=rng)
+        value = own_layout(Mlp, rng, 9, (256, 256), 1, activation="relu",
+                           prefix="v.")
         return GradientTape({**policy.params, **value.params})
 
     def test_global_norm_bits_match_per_key_sums(self):

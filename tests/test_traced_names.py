@@ -14,7 +14,7 @@ from latticerl.exploration import LatticeConfig, resample_perturbations
 from latticerl.policy import MlpPolicy, dist_internals, dist_params
 from latticerl.trainer import save_checkpoint
 
-from conftest import schema1_reference_trainer
+from conftest import own_layout, schema1_reference_trainer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -57,8 +57,9 @@ def test_counters_read_exact_counts(tmp_path):
                                    "trainer.save_checkpoint"}
     cfg = LatticeConfig()
     n_x, n_a, rows = 5, 3, 7
-    policy = MlpPolicy(2, n_a, cfg, hiddens=(4, n_x),
-                       rng=np.random.default_rng(0))
+    policy = own_layout(MlpPolicy, 2, n_a, cfg, strategy="lattice",
+                        hiddens=(4, n_x), activation="relu",
+                        rng=np.random.default_rng(0))
     args = (dist_params(policy, cfg), n_a, np.random.default_rng(1))
     assert _count("exploration.resample_perturbations", args,
                   resample_perturbations(*args)) == n_x * n_x + n_a * n_x

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from latticerl.cli import collect_action_log
-from latticerl.envs import ENV_REGISTRY, energy_of, make_env
+from latticerl.envs import ENV_REGISTRY, make_env
 from latticerl import exploration
 from latticerl import policy as policy_mod
 from latticerl import trainer as trainer_mod
@@ -57,6 +57,7 @@ import oracles
 from oracles import (
     LogStds,
     distribution_std,
+    energy_of,
     lattice_covariance,
     perturbation_stds,
     sampling_std,
@@ -928,7 +929,8 @@ class TestStrategyPlugInEquivalence:
                 tr_diag.params[k][...] = v
         # match the diagonal stds to the lattice per-action stds
         it = dist_internals(tr_lat.policy, np.ones((1, 2)), cfg_lat)
-        tr_diag.params["log_sigma"][...] = 0.5 * np.log(it.c_a[0])
+        tr_diag.params["log_sigma"][...] = 0.5 * np.log(
+            (it.x2 @ it.params.sa2.T)[0])
 
         buf = tr_lat.collect_rollout(8)
         stored = buf.flat(buf.log_probs)
