@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .envs import clipped_action
+from .envs import BatchedEnv, clipped_action
 from .errors import (EmptyGroup, InsufficientSamples, StateSyncUnsupported,
                      is_int, is_number)
 from .exploration import LatticeConfig
@@ -32,11 +32,11 @@ class DualSimResult:
     latent: DualSimCondition
     action: DualSimCondition
     sigma_match: np.ndarray
-    accel_variance_ratio: float = float("nan")
-    angle_variance_ratio: float = float("nan")
+    accel_variance_ratio: float
+    angle_variance_ratio: float
     # two-sided signed-rank p-value of the paired per-step angle-deviation
     # norms (_signed_rank_p); 1.0 when no pair differs
-    wilcoxon_p: float = float("nan")
+    wilcoxon_p: float
 
 
 def _check_n_steps(n_steps, least: int):
@@ -66,11 +66,12 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
     as an MlpPolicy's do.
 
     env's state fields and step count are left as they were. env.rng
-    draws n_steps // T + 1 episode starts, the resets a single env
-    stepped n_steps times from a reset makes, the last unused when T
-    divides n_steps. An n_steps that is not an int >= 1, or a sigma_match
-    that is not finite and >= 0 or does not broadcast to the noise width,
-    raises ValueError before env.rng or rng draws.
+    draws the starts as the rows of BatchedEnv([env] * (n_steps // T + 1)),
+    the resets a single env stepped n_steps times from a reset makes, the
+    last unused when T divides n_steps. An n_steps that is not an int
+    >= 1, or a sigma_match that is not finite and >= 0 or does not
+    broadcast to the noise width, raises ValueError before env.rng or rng
+    draws.
     """
     missing = [name for name in ("state_fields", "initial_state", "advance",
                                  "observation", "kinematics", "max_steps",
@@ -97,11 +98,10 @@ def dual_sim_experiment(env, policy, noise_mode: str, sigma_match,
 
     T = env.max_steps
     n_episodes = -(-n_steps // T)
-    starts = [env.initial_state(env.rng)
-              for _ in range(n_steps // T + 1)][:n_episodes]
+    starts = BatchedEnv([env] * (n_steps // T + 1))
     pair = SimpleNamespace()
-    for i, name in enumerate(env.state_fields):
-        rows = np.array([start[i] for start in starts], dtype=float)
+    for name in env.state_fields:
+        rows = getattr(starts, name)[:n_episodes]
         setattr(pair, name, np.array([rows, rows]))
     eps = None
     devs = None

@@ -81,7 +81,8 @@ def collect_action_log(trainer: PPOTrainer, n_episodes: int,
                        seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic rollouts of the checkpoint policy; returns logged actions
     and the observations they were taken from."""
-    states, actions, _, _ = run_episodes(trainer, n_episodes, seed)
+    states, actions, _, _ = run_episodes(trainer, n_episodes, seed,
+                                         deterministic=False)
     return (actions.reshape(-1, trainer.action_dim),
             states.reshape(-1, trainer.obs_dim))
 

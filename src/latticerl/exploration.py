@@ -109,8 +109,6 @@ def resample_perturbations(params, n_actions: int,
 # Relative residual (in the metric D) below which a latent lies in the span
 # of its window's earlier latents and opens no new direction.
 SPAN_TOL = 1e-12
-# Step slots a window starts with; they double as a window runs longer.
-WINDOW_SLOTS = 16
 
 
 @dataclass
@@ -124,8 +122,8 @@ class _Windows:
     windows are filled. Per metric, row i also keeps a D-orthonormal basis
     q_j of its latents with y_j = P_x q_x,j | P_a q_a,j, the standard
     normals the window drew for direction j; slots past n_dir are zero.
-    There are only as many slots as the windows have run steps, so a long
-    period costs what its windows run rather than its length.
+    A window never outlives its episode, so it holds min(period,
+    episode_steps) slots, allocated once when it opens.
     """
 
     s2: np.ndarray      # (2, N_x), shared by every env
@@ -144,18 +142,6 @@ class _Windows:
                    q=np.zeros((n_envs, 2, slots, n_x)),
                    y=np.zeros((n_envs, slots, n_x + n_a)),
                    n_dir=np.zeros(n_envs, dtype=int))
-
-    def reserve(self, n: int):
-        """Make room for n steps in every window."""
-        slots = self.seen.shape[1]
-        if n > slots:
-            more = max(n, 2 * slots) - slots
-            for name, axis in (("seen", 1), ("p", 1), ("q", 2), ("y", 1)):
-                a = getattr(self, name)
-                pad = list(a.shape)
-                pad[axis] = more
-                setattr(self, name, np.concatenate([a, np.zeros(pad)],
-                                                   axis=axis))
 
 
 # Normals per piece of a block drawn ahead, over all envs: whatever the
@@ -227,8 +213,10 @@ class NoiseSampler:
 
     Env i draws only from rngs[i], a Generator or any object with its
     standard_normal(out=...), and owns its perturbation window. The envs run
-    on one episode clock, which the caller passes to sample as step, so
-    their windows open and close at the same steps; the sampler's only
+    on one episode clock of episode_steps steps, which the caller passes to
+    sample as step, so their windows open and close at the same steps and
+    none outlives its episode: a window holds min(period, episode_steps)
+    steps, and "episode" is a period of episode_steps. The sampler's only
     state is its open windows (or matrices) and its rngs. The rows
     of P_x are iid N(0, D_x), D_x = Diag(S_x^2) with the unclipped sampling
     stds, and those of P_a iid N(0, D_a). With reduced stds a window keeps
@@ -255,10 +243,11 @@ class NoiseSampler:
     """
 
     def __init__(self, policy, cfg: LatticeConfig,
-                 rngs: list[np.random.Generator]):
+                 rngs: list[np.random.Generator], episode_steps: int):
         self.policy = policy
         self.cfg = cfg
         self.rngs = list(rngs)
+        self.episode_steps = episode_steps
         self.matrix_path = policy.strategy != "diagonal" \
             and _holds_matrices(policy, cfg)
         self.perturbations: list[PerturbationMatrices] | None = None
@@ -293,9 +282,9 @@ class NoiseSampler:
         dist_params(policy, cfg) of the current parameters: its alpha
         weighs the latent term, its sigma, sampling variances or, on the
         matrix path, sampling stds (read when a window opens) scale the
-        normals. Step 0 drops what the previous episode left open; at an
-        integer period p > 1 the windows are dropped after their last
-        step, where (step + 1) % p == 0."""
+        normals. Step 0 drops what the previous episode left open, and the
+        windows are dropped after their last step, where (step + 1) % p ==
+        0 for the period p, episode_steps at "episode"."""
         policy = self.policy
         if step == 0:
             self._close()
@@ -316,8 +305,7 @@ class NoiseSampler:
             p_x, p_a = self._open(x, params) if self.windows is None \
                 else self._continue(x, t)
             actions = mean + (p_a + params.alpha * (p_x @ policy.W.T))
-        period = self.cfg.period_steps
-        if period is not None and (step + 1) % period == 0:
+        if (step + 1) % (self.cfg.period_steps or self.episode_steps) == 0:
             self._close()
         return actions
 
@@ -355,7 +343,8 @@ class NoiseSampler:
         if self.cfg.period_steps > 1:
             w = self.windows = _Windows.allocate(
                 np.concatenate([s2_x, s2_a]), len(x),
-                min(self.cfg.period_steps, WINDOW_SLOTS), policy.action_dim)
+                min(self.cfg.period_steps, self.episode_steps),
+                policy.action_dim)
             w.seen[:, 0] = x
             w.p[:, 0] = np.concatenate([p_x, p_a], axis=1)
             # the residual of a first latent is the latent itself; x = 0
@@ -372,7 +361,6 @@ class NoiseSampler:
         products back."""
         w = self.windows
         n_x = self.policy.n_latent
-        w.reserve(t + 1)
         w.seen[:, t] = x
         p = w.p[:, t]
         same = np.all(w.seen[:, :t] == x[:, None], axis=2)

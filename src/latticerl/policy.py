@@ -635,13 +635,12 @@ def policy_backward(policy: MlpPolicy, tape: GradientTape, it: DistInternals,
 
 def log_prob_and_grad(policy: MlpPolicy, obs: np.ndarray, actions: np.ndarray,
                       cfg: LatticeConfig, tape: GradientTape,
-                      weights: np.ndarray | None = None) -> np.ndarray:
+                      weights: np.ndarray) -> np.ndarray:
     """Batched log pi(a | s); accumulates sum_b w_b dlogp_b/dtheta
     (policy_backward with a zero entropy weight)."""
     it = dist_internals(policy, obs, cfg, need_cache=True)
     terms = log_prob_terms(it, actions)
-    w = np.ones(len(terms[0])) if weights is None \
-        else np.asarray(weights, float)
+    w = np.asarray(weights, float)
     policy_backward(policy, tape, it, terms, w, np.zeros_like(w))
     return terms[0]
 
@@ -655,12 +654,12 @@ def entropy_batch(it: DistInternals) -> np.ndarray:
 
 
 def entropy_and_grad(policy: MlpPolicy, tape: GradientTape, it: DistInternals,
-                     weights: np.ndarray | None = None) -> np.ndarray:
+                     weights: np.ndarray) -> np.ndarray:
     """Batched entropy; accumulates sum_b w_b dH_b/dtheta into the tape
     (policy_backward with a zero log-prob weight, at the mean actions),
     under the stop_variance_gradient of it.params."""
     h = entropy_batch(it)
-    w = np.ones(len(h)) if weights is None else np.asarray(weights, float)
+    w = np.asarray(weights, float)
     policy_backward(policy, tape, it, log_prob_terms(it, it.mean),
                     np.zeros_like(w), w)
     return h

@@ -170,19 +170,22 @@ def _seeded_env(name: str, kwargs: dict, ss: np.random.SeedSequence):
 
 
 class PPOTrainer:
-    """On-policy trainer binding envs, networks and the exploration model."""
+    """On-policy trainer binding envs, networks and the exploration model.
 
-    def __init__(self, env_name: str, env_kwargs: dict | None = None,
-                 strategy: str = "lattice",
-                 lattice_cfg: LatticeConfig | None = None,
-                 ppo_cfg: PpoConfig | None = None,
-                 hiddens=(256, 256), critic_hiddens=(256, 256),
-                 activation: str = "relu", seed: int = 0):
+    The caller passes every setting; RunConfig and the CLI hold the run
+    defaults. activation and env_kwargs (None: the env's own parameters)
+    keep theirs while perfbench/workloads.py builds trainers without
+    them."""
+
+    def __init__(self, env_name: str, *, strategy: str,
+                 lattice_cfg: LatticeConfig, ppo_cfg: PpoConfig, hiddens,
+                 critic_hiddens, seed: int, activation: str = "relu",
+                 env_kwargs: dict | None = None):
         self.env_name = env_name
         self.env_kwargs = dict(env_kwargs or {})
         self.strategy = strategy
-        self.cfg = lattice_cfg if lattice_cfg is not None else LatticeConfig()
-        self.ppo = ppo_cfg if ppo_cfg is not None else PpoConfig()
+        self.cfg = lattice_cfg
+        self.ppo = ppo_cfg
         self.hiddens = tuple(hiddens)
         self.critic_hiddens = tuple(critic_hiddens)
         for name, sizes in (("hiddens", self.hiddens),
@@ -223,7 +226,8 @@ class PPOTrainer:
         self.optimizer = Adam(self.flat_params, self.ppo.learning_rate)
 
         self._obs = self.envs.observe()
-        self.noise = NoiseSampler(self.policy, self.cfg, self.env_rngs)
+        self.noise = NoiseSampler(self.policy, self.cfg, self.env_rngs,
+                                  self.envs.max_steps)
         # episode logs of every env, written at the batch's step count
         n, t_max = self.ppo.n_envs, self.envs.max_steps
         self._ep_rewards = np.zeros((n, t_max))
@@ -458,7 +462,7 @@ class _Normals:
 
 
 def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
-                 deterministic: bool = False):
+                 deterministic: bool):
     """Play fresh episodes of the trainer's policy, seeded from seed, as the
     rows of BatchedEnv([env] * n). Returns states (n, T, obs_dim), the raw
     actions (n, T, action_dim) (the mean ones when deterministic), rewards
@@ -488,7 +492,7 @@ def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
         if not deterministic:
             noise = NoiseSampler(trainer.policy, trainer.cfg, [
                 _Normals(block) for block in
-                noise_rng.standard_normal((batch.n, width))])
+                noise_rng.standard_normal((batch.n, width))], env.max_steps)
         obs = batch.observe()
         for t in range(env.max_steps):
             states[rows, t] = obs
@@ -500,10 +504,12 @@ def run_episodes(trainer: PPOTrainer, n_episodes: int, seed: int,
     return states, actions, rewards, solved
 
 
-def evaluate_policy(trainer: PPOTrainer, n_episodes: int = 100,
-                    deterministic: bool = False, seed: int = 0) -> dict:
-    """Roll out fresh episodes and report mean +/- sem of the episode
-    metrics, plus the per-episode records used to compute them.
+def evaluate_policy(trainer: PPOTrainer, n_episodes: int,
+                    deterministic: bool, seed: int) -> dict:
+    """Roll out n_episodes fresh episodes through run_episodes, seeded from
+    seed, and report mean +/- sem of the episode metrics, plus the
+    per-episode records used to compute them. The caller sets every
+    option; the CLI's evaluate flags hold the defaults.
 
     With deterministic=True all noise is disabled and the mean action is
     taken at every step.

@@ -185,7 +185,8 @@ def logp_gradient_check(policy, cfg, obs, actions, h=1e-6):
     from latticerl.policy import log_prob, log_prob_and_grad
 
     tape = GradientTape(policy.params)
-    log_prob_and_grad(policy, obs, actions, cfg, tape)
+    log_prob_and_grad(policy, obs, actions, cfg, tape,
+                      weights=np.ones(len(obs)))
 
     base_it = dist_internals(policy, obs, cfg)
     worst = 0.0

@@ -354,7 +354,7 @@ def run_episodes(trainer, n_episodes: int, seed: int,
                    seed=int(np.random.default_rng(env_ss).integers(2 ** 31)),
                    **trainer.env_kwargs)
     noise = NoiseSampler(trainer.policy, trainer.cfg,
-                         [np.random.default_rng(noise_ss)])
+                         [np.random.default_rng(noise_ss)], env.max_steps)
     for _ in range(n_episodes):
         obs = env.reset()
         states, actions, rewards, solved = [], [], [], []

@@ -232,10 +232,12 @@ class TestResamplePerturbations:
 N_X, N_A = 5, 3
 
 
-def window_sampler(period=4, n_envs=3, full_std=False, alpha=0.8):
-    """A sampler over n_envs rngs for a small policy whose stds differ per
-    latent column, so that D_x and D_a are not multiples of I. Equal
-    arguments give equal policies and rng states."""
+def window_sampler(period=4, n_envs=3, full_std=False, alpha=0.8,
+                   episode_steps=100):
+    """A sampler over n_envs rngs, on episodes of episode_steps, for a
+    small policy whose stds differ per latent column, so that D_x and D_a
+    are not multiples of I. Equal arguments give equal policies and rng
+    states."""
     cfg = LatticeConfig(alpha=alpha, period=period, full_std=full_std)
     rng = np.random.default_rng(0)
     policy = own_layout(MlpPolicy, 2, N_A, cfg, strategy="lattice",
@@ -243,7 +245,7 @@ def window_sampler(period=4, n_envs=3, full_std=False, alpha=0.8):
     for k in ("log_std_x", "log_std_a"):
         policy.params[k][...] = rng.normal(0.0, 0.5, policy.params[k].shape)
     return NoiseSampler(policy, cfg, [np.random.default_rng(100 + i)
-                                      for i in range(n_envs)])
+                                      for i in range(n_envs)], episode_steps)
 
 
 def window_noise(sampler, x, step):
@@ -377,22 +379,23 @@ class TestWindowSampler:
         assert drawn(3)
         np.testing.assert_array_equal(s.windows.n_dir, 3)
 
-    def test_long_period_grows_its_window(self, monkeypatch):
-        # a window's slots grow with the steps it runs, not its period, and
-        # the noise does not depend on how many slots it started with
-        xs = np.random.default_rng(6).standard_normal((40, 2, N_X))
-        roomy = window_sampler(period=10 ** 9, n_envs=2)
-        noise = [window_noise(roomy, x, t).tobytes()
-                 for t, x in enumerate(xs)]
-        assert roomy.windows.seen.shape[1] == 64
-        monkeypatch.setattr(exploration, "WINDOW_SLOTS", 1)
-        tight = window_sampler(period=10 ** 9, n_envs=2)
-        assert [window_noise(tight, x, t).tobytes()
-                for t, x in enumerate(xs)] == noise
-        assert tight.windows.seen.shape[1] == 64
-        np.testing.assert_array_equal(tight.windows.seen[:, :40],
-                                      xs.transpose(1, 0, 2))
-        np.testing.assert_array_equal(tight.windows.n_dir, N_X)
+    def test_long_period_holds_episode_steps_slots(self):
+        # a window never outlives its episode: past episode_steps the
+        # period changes neither the slots a window holds nor its noise
+        T = 40
+        xs = np.random.default_rng(6).standard_normal((2, T, 2, N_X))
+        long = window_sampler(period=10 ** 9, n_envs=2, episode_steps=T)
+        whole = window_sampler(period=T, n_envs=2, episode_steps=T)
+        for episode in xs:
+            for t, x in enumerate(episode):
+                assert window_noise(long, x, t).tobytes() == \
+                    window_noise(whole, x, t).tobytes()
+            assert long.windows.seen.shape[1] == T
+            np.testing.assert_array_equal(long.windows.seen,
+                                          episode.transpose(1, 0, 2))
+            np.testing.assert_array_equal(long.windows.n_dir, N_X)
+            assert whole.windows is None
+        assert rng_states(long.rngs) == rng_states(whole.rngs)
 
     def test_slot_t_holds_window_step_t(self):
         # every env writes its latent and products into slot t at window
@@ -532,7 +535,8 @@ class TestStoredStdLayout:
         own = window_sampler(period=4, full_std=full_std)
         cfg = dataclasses.replace(own.cfg, full_std=not full_std)
         other = NoiseSampler(own.policy, cfg, [np.random.default_rng(100 + i)
-                                               for i in range(3)])
+                                               for i in range(3)],
+                             own.episode_steps)
         rng = np.random.default_rng(3)
         for step in range(8):
             x = rng.standard_normal((3, N_X))

@@ -422,7 +422,8 @@ class TestLogProbGradients:
         obs = np.random.default_rng(6).standard_normal((2, 3))
         it = dist_internals(policy, obs, cfg)
         tape = GradientTape(policy.params)
-        log_prob_and_grad(policy, obs, it.mean.copy(), cfg, tape)
+        log_prob_and_grad(policy, obs, it.mean.copy(), cfg, tape,
+                          weights=np.ones(2))
         np.testing.assert_array_equal(tape.grads[policy.net.head_b_name], 0.0)
 
     def test_weighted_accumulation(self, small_policy_factory):
@@ -438,7 +439,7 @@ class TestLogProbGradients:
         for b in range(3):
             tape_b = GradientTape(policy.params)
             log_prob_and_grad(policy, obs[b:b + 1], actions[b:b + 1], cfg,
-                              tape_b)
+                              tape_b, weights=np.ones(1))
             for k in accum:
                 accum[k] += w[b] * tape_b.grads[k]
         for k in accum:
@@ -461,7 +462,8 @@ class TestLogProbGradients:
             it = dist_internals(policy, obs, cfg, need_cache=True)
             assert it.params.stop_variance_gradient is stop
             tapes[stop] = GradientTape(policy.params)
-            log_prob_and_grad(policy, obs, actions, cfg, tapes[stop])
+            log_prob_and_grad(policy, obs, actions, cfg, tapes[stop],
+                              weights=np.ones(3))
             direct = GradientTape(policy.params)
             policy_backward(policy, direct, it, log_prob_terms(it, actions),
                             np.ones(3), np.zeros(3))
@@ -496,7 +498,8 @@ class TestLogProbGradients:
         for stop in (False, True):
             cfg = LatticeConfig(stop_variance_gradient=stop)
             tape = GradientTape(policy.params)
-            log_prob_and_grad(policy, obs, actions, cfg, tape)
+            log_prob_and_grad(policy, obs, actions, cfg, tape,
+                              weights=np.ones(3))
             grads.append({k: v.copy() for k, v in tape.grads.items()})
         for k in grads[0]:
             np.testing.assert_array_equal(grads[0][k], grads[1][k])
@@ -508,7 +511,8 @@ class TestLogProbGradients:
             obs = np.random.default_rng(13).standard_normal((2, 3))
             actions = np.random.default_rng(14).standard_normal((2, 2))
             tape = GradientTape(policy.params)
-            logp = log_prob_and_grad(policy, obs, actions, cfg, tape)
+            logp = log_prob_and_grad(policy, obs, actions, cfg, tape,
+                                     weights=np.ones(2))
             results.append((logp, {k: v.copy()
                                    for k, v in tape.grads.items()}))
         np.testing.assert_array_equal(results[0][0], results[1][0])
@@ -541,7 +545,8 @@ class TestAlphaFromCfg:
         policy, cfg, obs, actions = self._policy(full_std)
         it = dist_internals(policy, obs, cfg)
         logp = log_prob_and_grad(policy, obs, actions, cfg,
-                                 GradientTape(policy.params))
+                                 GradientTape(policy.params),
+                                 weights=np.ones(len(obs)))
         s_x, s_a = distribution_std(LogStds.of(policy), cfg, 3)
         for b in range(len(obs)):
             ref = lattice_covariance(it.x[b], policy.W, s_a, s_x, 0.3,
@@ -611,7 +616,7 @@ class TestEntropy:
         obs = np.random.default_rng(19).standard_normal((2, 3))
         tape = GradientTape(policy.params)
         it = dist_internals(policy, obs, cfg, need_cache=True)
-        entropy_and_grad(policy, tape, it)
+        entropy_and_grad(policy, tape, it, weights=np.ones(2))
         worst = 0.0
         for name, arr in policy.params.items():
             is_noise = name in ("log_std_x", "log_std_a", "log_sigma")

@@ -243,7 +243,7 @@ class TestRollout:
         monkeypatch.setattr(trainer_mod, "dist_params", counted)
         tr.collect_rollout(5)
         assert len(calls) == 1
-        evaluate_policy(tr, n_episodes=3)
+        evaluate_policy(tr, n_episodes=3, deterministic=False, seed=0)
         assert len(calls) == 2
 
     def test_determinism_across_trainers(self):
@@ -1150,7 +1150,8 @@ class TestEvaluate:
 
     def test_reaggregation_oracle(self):
         tr = small_trainer()
-        metrics = evaluate_policy(tr, n_episodes=10, seed=1)
+        metrics = evaluate_policy(tr, n_episodes=10, deterministic=False,
+                                  seed=1)
         for key in ("reward", "solved_fraction", "energy"):
             per = np.array([e[key] for e in metrics["per_episode"]])
             assert metrics[key]["mean"] == pytest.approx(per.mean(),
@@ -1160,8 +1161,8 @@ class TestEvaluate:
 
     def test_evaluation_deterministic_in_seed(self):
         tr = small_trainer()
-        a = evaluate_policy(tr, n_episodes=4, seed=5)
-        b = evaluate_policy(tr, n_episodes=4, seed=5)
+        a = evaluate_policy(tr, n_episodes=4, deterministic=False, seed=5)
+        b = evaluate_policy(tr, n_episodes=4, deterministic=False, seed=5)
         assert a == b
 
     @pytest.mark.parametrize("strategy,period", [
@@ -1221,8 +1222,8 @@ class TestBatchedEpisodes:
 
     def test_reduced_std_windows_reproducible(self):
         tr = small_trainer(cfg=LatticeConfig(period=4))
-        a = run_episodes(tr, 7, seed=2)
-        b = run_episodes(tr, 7, seed=2)
+        a = run_episodes(tr, 7, seed=2, deterministic=False)
+        b = run_episodes(tr, 7, seed=2, deterministic=False)
         for x, y in zip(a, b):
             assert x.tobytes() == y.tobytes()
 
@@ -1236,7 +1237,7 @@ class TestBatchedEpisodes:
                         lattice_cfg=LatticeConfig(alpha=1.0, period=4),
                         ppo_cfg=dataclasses.replace(TINY_PPO, n_envs=1),
                         hiddens=(8, 8), critic_hiddens=(8, 8), seed=0)
-        _, actions, _, _ = run_episodes(tr, 7, seed=0)
+        _, actions, _, _ = run_episodes(tr, 7, seed=0, deterministic=False)
         # the mean action is the same at every step, so the actions show
         # the noise
         windows = actions.reshape(7, 16, 4, 3)
@@ -1254,7 +1255,7 @@ class TestBatchedEpisodes:
         for per_chunk in (7, 4, 1):  # 1, 2 and 7 chunks
             monkeypatch.setattr(trainer_mod, "EVAL_CHUNK_NORMALS",
                                 per_chunk * width)
-            runs.append(run_episodes(tr, 7, seed=4))
+            runs.append(run_episodes(tr, 7, seed=4, deterministic=False))
         for run in runs[1:]:
             np.testing.assert_allclose(run[1], runs[0][1], rtol=0,
                                        atol=1e-12)
@@ -1264,9 +1265,9 @@ class TestBatchedEpisodes:
     def test_refuses_no_episodes(self, n):
         tr = small_trainer()
         with pytest.raises(ValueError, match="n_episodes"):
-            evaluate_policy(tr, n_episodes=n)
+            evaluate_policy(tr, n_episodes=n, deterministic=False, seed=0)
         with pytest.raises(ValueError, match="n_episodes"):
-            run_episodes(tr, n, seed=0)
+            run_episodes(tr, n, seed=0, deterministic=False)
 
     @pytest.mark.parametrize("seed", [True, 2.9, "3", -1])
     def test_refuses_bad_seed(self, seed):
@@ -1274,7 +1275,7 @@ class TestBatchedEpisodes:
         # TypeError
         tr = small_trainer()
         with pytest.raises(ValueError, match=f"seed .*{seed!r}"):
-            evaluate_policy(tr, n_episodes=2, seed=seed)
+            evaluate_policy(tr, n_episodes=2, deterministic=False, seed=seed)
 
 
 class TestPredict:
@@ -1556,9 +1557,13 @@ class TestGetParams:
         # [0] used to fail in Mlp with a ZeroDivisionError, and True
         # built a layer of one unit
         with pytest.raises(ValueError, match=field):
-            PPOTrainer("point_reacher", **{field: sizes})
+            PPOTrainer("point_reacher", **{
+                "strategy": "lattice", "lattice_cfg": LatticeConfig(),
+                "ppo_cfg": TINY_PPO, "hiddens": (8, 8),
+                "critic_hiddens": (8, 8), "seed": 0, field: sizes})
 
     def test_no_hidden_layers(self):
-        tr = PPOTrainer("point_reacher", hiddens=[], critic_hiddens=[],
-                        ppo_cfg=TINY_PPO)
+        tr = PPOTrainer("point_reacher", strategy="lattice",
+                        lattice_cfg=LatticeConfig(), ppo_cfg=TINY_PPO,
+                        hiddens=[], critic_hiddens=[], seed=0)
         assert tr.policy.n_latent == tr.obs_dim
